@@ -11,14 +11,19 @@ observable.  Finishes with the image structure (collisions, distinct states).
 import sys
 from fractions import Fraction
 
-from qcontext.hilbert import amplitude, image_set, mappable_contexts, transition_matrix
+from qcontext.hilbert import (
+    amplitude,
+    image_set,
+    mappable_contexts,
+    represented_states,
+    transition_matrix,
+)
 from qcontext.interference import analyze_context
 from qcontext.model_io import format_float, kq_model
 from qcontext.operators import (
     CompositeObservable,
     classical_mean,
     quantum_mean,
-    represented_states,
     to_operator,
 )
 from qcontext.prob import contexts_of

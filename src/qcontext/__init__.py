@@ -12,6 +12,7 @@ their commutator and spectral calculus, and a deterministic report CLI.
 from .errors import (
     DegenerateRadicalError,
     DuplicatePointError,
+    FloatRangeError,
     ForeignPointError,
     MalformedDocumentError,
     ModelError,

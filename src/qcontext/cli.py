@@ -395,7 +395,11 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        try:
+            Path(args.out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            sys.stderr.write(f"error: cannot write the report: {exc}\n")
+            return 1
     else:
         sys.stdout.write(text)
     if args.command == "verify" and not bundle["all_passed"]:

@@ -27,6 +27,10 @@ class DegenerateRadicalError(ModelError):
     coefficient is undefined."""
 
 
+class FloatRangeError(ModelError):
+    """An exact quantity lies outside the range of a double-precision float."""
+
+
 class NotTrigonometricError(ModelError):
     """The context carries a disturbance coefficient with squared magnitude
     exceeding one and admits no complex amplitude."""

@@ -25,20 +25,17 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import (
-    NotAContextError,
     NotDoubleStochasticError,
     NotTrigonometricError,
     SingularBasisError,
 )
-from .interference import LambdaCoefficient, delta, lambda_coefficient
+from .interference import TwoCellTable, lambda_coefficient
 from .prob import (
     DichotomousVariable,
     Event,
     FiniteProbabilitySpace,
-    Partition,
     conditional,
     contexts_of,
-    is_context,
     variables_incompatible,
 )
 
@@ -72,14 +69,9 @@ def transition_matrix(
     a_var: DichotomousVariable,
     b_var: DichotomousVariable,
 ) -> TransitionMatrix:
-    a_cells = a_var.partition(space).cells
-    b_cells = b_var.partition(space).cells
-    entries = tuple(
-        tuple(conditional(space, b_cell, a_cell) for b_cell in b_cells)
-        for a_cell in a_cells
-    )
+    table = TwoCellTable.of(space, a_var.assignment, b_var.assignment, space.omega())
     return TransitionMatrix(
-        a_values=a_var.values, b_values=b_var.values, entries=entries
+        a_values=a_var.values, b_values=b_var.values, entries=table.b_given_a
     )
 
 
@@ -152,15 +144,12 @@ def states_close(
     )
 
 
-def _outcome_coefficients(
-    space: FiniteProbabilitySpace,
-    a_part: Partition,
-    b_part: Partition,
-    c: Event,
-) -> tuple[LambdaCoefficient, LambdaCoefficient]:
-    return tuple(
-        lambda_coefficient(space, b_cell, a_part, c) for b_cell in b_part.cells
-    )
+def _phases(table: TwoCellTable, failure: str) -> tuple[float, float]:
+    """Both phases of a context with no squared coefficient above one."""
+    coeffs = table.coefficients()
+    if any(k.squared > 1 for k in coeffs):
+        raise NotTrigonometricError(failure)
+    return (coeffs[0].phase, coeffs[1].phase)
 
 
 def mappable_contexts(
@@ -172,14 +161,11 @@ def mappable_contexts(
     boundary included); exactly these receive amplitudes."""
     if not variables_incompatible(space, a_var, b_var):
         raise ValueError("context enumeration requires an incompatible pair")
-    a_part = a_var.partition(space)
-    b_part = b_var.partition(space)
-    keep = []
-    for c in contexts_of(space, a_part):
-        coeffs = _outcome_coefficients(space, a_part, b_part, c)
-        if all(k.squared <= 1 for k in coeffs):
-            keep.append(c)
-    return tuple(keep)
+    return tuple(
+        c
+        for c in contexts_of(space, a_var.partition(space))
+        if TwoCellTable.of(space, a_var.assignment, b_var.assignment, c).mappable
+    )
 
 
 def amplitude(
@@ -194,26 +180,19 @@ def amplitude(
     Raises :class:`NotTrigonometricError` when some squared coefficient
     exceeds one, and :class:`NotAContextError` when conditioning is undefined.
     """
-    if not variables_incompatible(space, a_var, b_var):
+    table = TwoCellTable.of(space, a_var.assignment, b_var.assignment, c)
+    if not table.incompatible:
         raise ValueError("amplitudes require an incompatible variable pair")
-    a_part = a_var.partition(space)
-    b_part = b_var.partition(space)
-    if not is_context(space, c, a_part):
-        raise NotAContextError(f"{c.label()} is not a context for the variable pair")
-    coeffs = _outcome_coefficients(space, a_part, b_part, c)
-    if any(k.squared > 1 for k in coeffs):
-        raise NotTrigonometricError(
-            f"{c.label()} carries a coefficient beyond the trigonometric range"
-        )
-    pa = [conditional(space, cell, c) for cell in a_part.cells]
-    trans = transition_matrix(space, a_var, b_var)
+    theta = _phases(
+        table, f"{c.label()} carries a coefficient beyond the trigonometric range"
+    )
+    pa, trans = table.a_given_c, table.b_given_a
     components = []
     for j in range(2):
-        theta = coeffs[j].phase
-        first = math.sqrt(float(pa[0] * trans.entries[0][j]))
-        second = math.sqrt(float(pa[1] * trans.entries[1][j]))
+        first = math.sqrt(float(pa[0] * trans[0][j]))
+        second = math.sqrt(float(pa[1] * trans[1][j]))
         components.append(
-            first + cmath.exp(1j * signs.eps(j) * theta) * second
+            first + cmath.exp(1j * signs.eps(j) * theta[j]) * second
         )
     return StateVector(tuple(components))
 
@@ -249,22 +228,14 @@ def context_basis(
     pair; orthonormal exactly in the doubly stochastic case.
     """
     c0 = reference_context if reference_context is not None else space.omega()
-    a_part = a_var.partition(space)
-    b_part = b_var.partition(space)
-    if not is_context(space, c0, a_part):
-        raise NotAContextError(f"{c0.label()} is not a context for the pair")
-    coeffs = _outcome_coefficients(space, a_part, b_part, c0)
-    if any(k.squared > 1 for k in coeffs):
-        raise NotTrigonometricError(
-            "the reference context must be trigonometric"
-        )
-    trans = transition_matrix(space, a_var, b_var)
-    u = [[math.sqrt(float(p)) for p in row] for row in trans.entries]
+    table = TwoCellTable.of(space, a_var.assignment, b_var.assignment, c0)
+    theta = _phases(table, "the reference context must be trigonometric")
+    u = [[math.sqrt(float(p)) for p in row] for row in table.b_given_a]
     e1 = StateVector((u[0][0] + 0j, u[0][1] + 0j))
     e2 = StateVector(
         (
-            cmath.exp(1j * signs.eps1 * coeffs[0].phase) * u[1][0],
-            cmath.exp(1j * signs.eps2 * coeffs[1].phase) * u[1][1],
+            cmath.exp(1j * signs.eps1 * theta[0]) * u[1][0],
+            cmath.exp(1j * signs.eps2 * theta[1]) * u[1][1],
         )
     )
     return BasisPair(e_a=(e1, e2))
@@ -283,18 +254,16 @@ def a_basis(
     the reference phases contribute only a per-vector global factor; the
     stripped factor is recorded for reproducibility.
     """
-    trans = transition_matrix(space, a_var, b_var)
+    c0 = reference_context if reference_context is not None else space.omega()
+    table = TwoCellTable.of(space, a_var.assignment, b_var.assignment, c0)
+    trans = TransitionMatrix(a_var.values, b_var.values, table.b_given_a)
     if not is_double_stochastic(trans):
         raise NotDoubleStochasticError(
             "a context-independent orthonormal a-basis needs a doubly "
             "stochastic transition matrix"
         )
     raw = context_basis(space, a_var, b_var, reference_context, signs)
-    c0 = reference_context if reference_context is not None else space.omega()
-    a_part = a_var.partition(space)
-    b_part = b_var.partition(space)
-    theta2 = lambda_coefficient(space, b_part.cells[1], a_part, c0).phase
-    stripped = cmath.exp(1j * signs.eps2 * theta2)
+    stripped = cmath.exp(1j * signs.eps2 * table.coefficient(1).phase)
     q1 = math.sqrt(float(trans.entries[0][0]))
     q2 = math.sqrt(float(trans.entries[0][1]))
     basis = BasisPair(
@@ -419,12 +388,11 @@ def phase_gap(
     Takes raw signs so that the drift under an equal-sign choice can be
     demonstrated; :class:`SignConvention` itself rejects equal signs.
     """
-    a_part = a_var.partition(space)
-    b_part = b_var.partition(space)
-    coeffs = _outcome_coefficients(space, a_part, b_part, c)
-    if any(k.squared > 1 for k in coeffs):
-        raise NotTrigonometricError("phase gap needs a trigonometric context")
-    gap = eps1 * coeffs[0].phase - eps2 * coeffs[1].phase
+    theta = _phases(
+        TwoCellTable.of(space, a_var.assignment, b_var.assignment, c),
+        "phase gap needs a trigonometric context",
+    )
+    gap = eps1 * theta[0] - eps2 * theta[1]
     return gap % (2.0 * math.pi)
 
 
@@ -463,11 +431,10 @@ def nonsensitive_contexts(
     """Contexts with exactly zero disturbance for every outcome; the whole
     space always qualifies.  Their phases are right angles and the second
     amplitude term is purely imaginary."""
-    a_part = a_var.partition(space)
-    b_part = b_var.partition(space)
     found = []
-    for c in contexts_of(space, a_part):
-        if all(delta(space, b_cell, a_part, c) == 0 for b_cell in b_part.cells):
+    for c in contexts_of(space, a_var.partition(space)):
+        table = TwoCellTable.of(space, a_var.assignment, b_var.assignment, c)
+        if table.delta(0) == table.delta(1) == 0:
             found.append(c)
     return tuple(found)
 
@@ -493,23 +460,34 @@ class ImageSet:
         return tuple(g for g in self.groups if len(g) > 1)
 
 
+def represented_states(
+    space: FiniteProbabilitySpace,
+    a_var: DichotomousVariable,
+    b_var: DichotomousVariable,
+    signs: SignConvention = SignConvention(),
+) -> tuple[tuple[Event, StateVector], ...]:
+    """(event, state) pairs for every mappable context plus the two a-cells."""
+    trans = transition_matrix(space, a_var, b_var)
+    if is_double_stochastic(trans):
+        basis = a_basis(space, a_var, b_var, signs=signs)
+    else:
+        basis = context_basis(space, a_var, b_var, signs=signs)
+    pairs = [
+        (c, amplitude(space, a_var, b_var, c, signs))
+        for c in mappable_contexts(space, a_var, b_var)
+    ]
+    pairs.extend(extend_to_cells(space, a_var, basis).items())
+    pairs.sort(key=lambda item: (len(item[0].members), item[0].members))
+    return tuple(pairs)
+
+
 def image_set(
     space: FiniteProbabilitySpace,
     a_var: DichotomousVariable,
     b_var: DichotomousVariable,
     signs: SignConvention = SignConvention(),
 ) -> ImageSet:
-    trans = transition_matrix(space, a_var, b_var)
-    if is_double_stochastic(trans):
-        basis = a_basis(space, a_var, b_var, signs=signs)
-    else:
-        basis = context_basis(space, a_var, b_var, signs=signs)
-    entries: list[tuple[Event, StateVector]] = [
-        (c, amplitude(space, a_var, b_var, c, signs))
-        for c in mappable_contexts(space, a_var, b_var)
-    ]
-    entries.extend(extend_to_cells(space, a_var, basis).items())
-    entries.sort(key=lambda item: (len(item[0].members), item[0].members))
+    entries = represented_states(space, a_var, b_var, signs)
     groups: list[list[int]] = []
     for idx, (_, state) in enumerate(entries):
         for group in groups:
@@ -519,7 +497,7 @@ def image_set(
         else:
             groups.append([idx])
     return ImageSet(
-        entries=tuple(entries),
+        entries=entries,
         groups=tuple(tuple(entries[i][0] for i in group) for group in groups),
     )
 
@@ -585,8 +563,7 @@ def cell_duality_check(
     form -(m1^2 + m2^2) / (2 m1 m2) reproduces the directly computed
     coefficient of the opposite cell.
     """
-    trans = transition_matrix(space, a_var, b_var)
-    if not is_double_stochastic(trans):
+    if not is_double_stochastic(transition_matrix(space, a_var, b_var)):
         raise NotDoubleStochasticError(
             "the duality check presumes a doubly stochastic forward matrix"
         )
@@ -596,20 +573,17 @@ def cell_duality_check(
     cells_mappable = True
     closed_form_ok = True
     for i, b_cell in enumerate(b_part.cells):
-        coeffs = _outcome_coefficients(space, a_part, b_part, b_cell)
-        if any(k.squared > 1 for k in coeffs):
+        table = TwoCellTable.of(space, a_var.assignment, b_var.assignment, b_cell)
+        if not table.mappable:
             cells_mappable = False
         other = 1 - i
         mu = [
-            math.sqrt(
-                float(
-                    conditional(space, a_part.cells[n], b_cell)
-                    * trans.entries[n][other]
-                )
-            )
+            math.sqrt(float(table.a_given_c[n] * table.b_given_a[n][other]))
             for n in range(2)
         ]
-        direct = coeffs[other].value
+        direct = lambda_coefficient(
+            space, b_part.cells[other], a_part, b_cell
+        ).value
         formula = -(mu[0] ** 2 + mu[1] ** 2) / (2 * mu[0] * mu[1])
         if abs(direct - formula) > 1e-10:
             closed_form_ok = False

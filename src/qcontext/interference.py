@@ -24,9 +24,14 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, Sequence
 
-from .errors import DegenerateRadicalError, NotAContextError
+from .errors import (
+    DegenerateRadicalError,
+    FloatRangeError,
+    NotAContextError,
+    PartialAssignmentError,
+)
 from .prob import (
     DichotomousVariable,
     Event,
@@ -42,6 +47,17 @@ class Classification(Enum):
     BOUNDARY = "boundary"
     HYPERBOLIC = "hyperbolic"
     MIXED = "mixed"
+
+    @classmethod
+    def of(cls, squares: Sequence[Fraction]) -> "Classification":
+        """Exact comparison of every squared coefficient with 1."""
+        if all(s < 1 for s in squares):
+            return cls.TRIGONOMETRIC
+        if all(s > 1 for s in squares):
+            return cls.HYPERBOLIC
+        if any(s == 1 for s in squares):
+            return cls.BOUNDARY
+        return cls.MIXED
 
 
 def _require_context(
@@ -130,17 +146,25 @@ class LambdaCoefficient:
     squared: Fraction
     sign: int
 
+    @classmethod
+    def of(cls, share: Fraction, radicand: Fraction) -> "LambdaCoefficient":
+        """``share`` divided by twice the square root of ``radicand``."""
+        if radicand == 0:
+            raise DegenerateRadicalError(
+                "a factor under the normalising radical vanishes"
+            )
+        return cls(squared=share**2 / (4 * radicand), sign=(share > 0) - (share < 0))
+
     @property
     def value(self) -> float:
-        return self.sign * math.sqrt(float(self.squared))
+        try:
+            return self.sign * math.sqrt(float(self.squared))
+        except OverflowError as exc:
+            raise FloatRangeError("squared coefficient beyond the float range") from exc
 
     @property
     def classification(self) -> Classification:
-        if self.squared < 1:
-            return Classification.TRIGONOMETRIC
-        if self.squared == 1:
-            return Classification.BOUNDARY
-        return Classification.HYPERBOLIC
+        return Classification.of((self.squared,))
 
     @property
     def phase(self) -> float:
@@ -168,19 +192,74 @@ def lambda_coefficient(
         * conditional(space, partition.cells[m], c)
         * conditional(space, b_outcome, partition.cells[m])
     )
-    if radicand == 0:
-        raise DegenerateRadicalError(
-            "a factor under the normalising radical vanishes"
+    return LambdaCoefficient.of(share, radicand)
+
+
+@dataclass(frozen=True)
+class TwoCellTable:
+    """P(A_i|C), P(B_j|C) and the transition matrix P(B_j|A_i) of a context C
+    of a dichotomous pair (A, B), 0-based.  The disturbance is
+    delta_j = P(B_j|C) - sum_i P(A_i|C) P(B_j|A_i)."""
+
+    a_given_c: tuple[Fraction, Fraction]
+    b_given_c: tuple[Fraction, Fraction]
+    b_given_a: tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
+
+    @classmethod
+    def of(
+        cls,
+        space: FiniteProbabilitySpace,
+        a_cell: Mapping[str, int],
+        b_cell: Mapping[str, int],
+        c: Event,
+    ) -> "TwoCellTable":
+        """From each point's 1-based cell index under A and under B, shaped
+        like :attr:`DichotomousVariable.assignment`."""
+        space.validate_event(c)
+        whole, local = ([[Fraction(0)] * 2 for _ in range(2)] for _ in range(2))
+        try:
+            for masses, points in ((whole, space.points), (local, c.members)):
+                for p in points:
+                    masses[a_cell[p] - 1][b_cell[p] - 1] += space.weights[p]
+        except KeyError as exc:
+            raise PartialAssignmentError(f"point {exc} lies in no cell") from exc
+        rows = [sum(row) for row in local]
+        if not all(rows):
+            raise NotAContextError(
+                f"{c.label()} is not a context for the variable pair"
+            )
+        total = sum(rows)
+        return cls(
+            a_given_c=tuple(r / total for r in rows),
+            b_given_c=tuple((local[0][j] + local[1][j]) / total for j in range(2)),
+            b_given_a=tuple(tuple(m / sum(row) for m in row) for row in whole),
         )
-    return LambdaCoefficient(squared=share * share / (4 * radicand), sign=_sign(share))
 
+    def delta(self, j: int) -> Fraction:
+        p, t = self.a_given_c, self.b_given_a
+        return self.b_given_c[j] - (p[0] * t[0][j] + p[1] * t[1][j])
 
-def _sign(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
+    def coefficient(self, j: int) -> LambdaCoefficient:
+        p, t = self.a_given_c, self.b_given_a
+        radicand = p[0] * t[0][j] * p[1] * t[1][j]
+        return LambdaCoefficient.of(self.delta(j), radicand)
 
+    def coefficients(self) -> tuple[LambdaCoefficient, LambdaCoefficient]:
+        return (self.coefficient(0), self.coefficient(1))
 
-def phase(coefficient: LambdaCoefficient) -> float:
-    return coefficient.phase
+    @property
+    def incompatible(self) -> bool:
+        """Every cell intersection A_i & B_j carries positive probability."""
+        return all(p > 0 for row in self.b_given_a for p in row)
+
+    @property
+    def mappable(self) -> bool:
+        """No squared coefficient exceeds one: the context has an amplitude."""
+        return all(k.squared <= 1 for k in self.coefficients())
+
+    @property
+    def classification(self) -> Classification:
+        return Classification.of([k.squared for k in self.coefficients()])
 
 
 def classify(
@@ -193,18 +272,11 @@ def classify(
     every squared coefficient with 1."""
     if len(a_partition) != 2 or len(b_partition) != 2:
         raise ValueError("classification is defined for dichotomous pairs only")
-    _require_context(space, c, a_partition)
-    squares = [
-        lambda_coefficient(space, b_cell, a_partition, c).squared
-        for b_cell in b_partition.cells
-    ]
-    if all(s < 1 for s in squares):
-        return Classification.TRIGONOMETRIC
-    if all(s > 1 for s in squares):
-        return Classification.HYPERBOLIC
-    if any(s == 1 for s in squares):
-        return Classification.BOUNDARY
-    return Classification.MIXED
+    a_cell, b_cell = (
+        {p: n for n, cell in enumerate(part.cells, 1) for p in cell.members}
+        for part in (a_partition, b_partition)
+    )
+    return TwoCellTable.of(space, a_cell, b_cell, c).classification
 
 
 def reconstruct_total_probability(
@@ -314,18 +386,17 @@ def analyze_context(
 ) -> ContextAnalysis:
     """Full per-outcome disturbance analysis of one context against a
     dichotomous variable pair."""
-    a_part = a_var.partition(space)
-    b_part = b_var.partition(space)
+    table = TwoCellTable.of(space, a_var.assignment, b_var.assignment, c)
+    coeffs = table.coefficients()
     reports = []
-    for j, b_cell in enumerate(b_part.cells):
-        d = delta(space, b_cell, a_part, c)
-        coeff = lambda_coefficient(space, b_cell, a_part, c)
+    for j, coeff in enumerate(coeffs):
+        d = table.delta(j)
         reports.append(
             DisturbanceReport(
                 context=c,
                 outcome=b_var.values[j],
                 delta=d,
-                pairwise={(0, 1): pairwise_delta(space, b_cell, a_part, c, 0, 1)},
+                pairwise={(0, 1): d},
                 lambda_squared=coeff.squared,
                 lambda_sign=coeff.sign,
                 lambda_value=coeff.value,
@@ -336,5 +407,5 @@ def analyze_context(
     return ContextAnalysis(
         context=c,
         outcomes=tuple(reports),
-        classification=classify(space, a_part, b_part, c),
+        classification=Classification.of([k.squared for k in coeffs]),
     )

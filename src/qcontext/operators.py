@@ -26,13 +26,10 @@ from .hilbert import (
     SignConvention,
     StateVector,
     TransitionMatrix,
-    a_basis,
     amplitude,
-    context_basis,
-    extend_to_cells,
     is_double_stochastic,
-    mappable_contexts,
     phase_normalized,
+    represented_states,
     transition_matrix,
 )
 from .prob import (
@@ -98,8 +95,7 @@ def op_scale(s: float, x: HermitianOperator) -> HermitianOperator:
 def b_operator(b_var: DichotomousVariable) -> HermitianOperator:
     """Multiplication operator diag(b1, b2): each canonical basis vector is an
     eigenvector for its own value."""
-    b1, b2 = (float(v) for v in b_var.values)
-    return HermitianOperator(((b1 + 0j, 0j), (0j, b2 + 0j)))
+    return function_of_b(b_var, {v: v for v in b_var.values})
 
 
 def function_of_b(
@@ -109,31 +105,12 @@ def function_of_b(
     return HermitianOperator(((g1 + 0j, 0j), (0j, g2 + 0j)))
 
 
-def _rotated_diagonal(
-    values: tuple[float, float], transition: TransitionMatrix
-) -> HermitianOperator:
-    # Conjugation of diag(values) by the real orthogonal matrix with columns
-    # (q1, q2) and (-q2, q1).
-    q1sq = float(transition.entries[0][0])
-    q2sq = float(transition.entries[0][1])
-    q1q2 = math.sqrt(q1sq * q2sq)
-    v1, v2 = values
-    d11 = v1 * q1sq + v2 * q2sq
-    d22 = v1 * q2sq + v2 * q1sq
-    d12 = (v1 - v2) * q1q2
-    return HermitianOperator(((d11 + 0j, d12 + 0j), (d12 + 0j, d22 + 0j)))
-
-
 def a_operator(
     a_var: DichotomousVariable, transition: TransitionMatrix
 ) -> HermitianOperator:
     """Real symmetric representation of a in the b-basis; requires an exactly
     doubly stochastic transition matrix."""
-    if not is_double_stochastic(transition):
-        raise NotDoubleStochasticError(
-            "representing a in the b-basis needs a doubly stochastic matrix"
-        )
-    return _rotated_diagonal(tuple(float(v) for v in a_var.values), transition)
+    return function_of_a(a_var, transition, {v: v for v in a_var.values})
 
 
 def function_of_a(
@@ -146,9 +123,16 @@ def function_of_a(
         raise NotDoubleStochasticError(
             "representing a in the b-basis needs a doubly stochastic matrix"
         )
-    return _rotated_diagonal(
-        tuple(float(f[v]) for v in a_var.values), transition
-    )
+    # Conjugation of diag(f(a1), f(a2)) by the real orthogonal matrix with
+    # columns (q1, q2) and (-q2, q1).
+    q1sq = float(transition.entries[0][0])
+    q2sq = float(transition.entries[0][1])
+    q1q2 = math.sqrt(q1sq * q2sq)
+    v1, v2 = (float(f[v]) for v in a_var.values)
+    d11 = v1 * q1sq + v2 * q2sq
+    d22 = v1 * q2sq + v2 * q1sq
+    d12 = (v1 - v2) * q1q2
+    return HermitianOperator(((d11 + 0j, d12 + 0j), (d12 + 0j, d22 + 0j)))
 
 
 def commutator(x: HermitianOperator, y: HermitianOperator) -> Matrix:
@@ -350,27 +334,6 @@ def classical_distribution(
     for p in c.members:
         dist[obs.value_at(p)] += space.weights[p] / pc
     return dict(sorted(dist.items()))
-
-
-def represented_states(
-    space: FiniteProbabilitySpace,
-    a_var: DichotomousVariable,
-    b_var: DichotomousVariable,
-    signs: SignConvention = SignConvention(),
-) -> tuple[tuple[Event, StateVector], ...]:
-    """(event, state) pairs for every mappable context plus the two a-cells."""
-    trans = transition_matrix(space, a_var, b_var)
-    if is_double_stochastic(trans):
-        basis = a_basis(space, a_var, b_var, signs=signs)
-    else:
-        basis = context_basis(space, a_var, b_var, signs=signs)
-    pairs = [
-        (c, amplitude(space, a_var, b_var, c, signs))
-        for c in mappable_contexts(space, a_var, b_var)
-    ]
-    pairs.extend(extend_to_cells(space, a_var, basis).items())
-    pairs.sort(key=lambda item: (len(item[0].members), item[0].members))
-    return tuple(pairs)
 
 
 def mean_preservation_gap(

@@ -339,29 +339,19 @@ def run_checks(
             check("boundary_coefficients_on_cells", boundary_cells)
 
             def cells_map_to_basis() -> tuple[bool, str]:
-                basis = hilbert.a_basis(space, a_var, b_var)
                 worst = 0.0
-                for i, cell in enumerate(b_part.cells):
-                    state = hilbert.amplitude(space, a_var, b_var, cell)
-                    target = basis.e_b[i]
-                    worst = max(
-                        worst,
-                        max(
-                            abs(x - y)
-                            for x, y in zip(state.components, target.components)
-                        ),
-                    )
-                reverse_basis = hilbert.a_basis(space, b_var, a_var)
-                for i, cell in enumerate(a_part.cells):
-                    state = hilbert.amplitude(space, b_var, a_var, cell)
-                    target = reverse_basis.e_b[i]
-                    worst = max(
-                        worst,
-                        max(
-                            abs(x - y)
-                            for x, y in zip(state.components, target.components)
-                        ),
-                    )
+                for x_var, y_var in ((a_var, b_var), (b_var, a_var)):
+                    basis = hilbert.a_basis(space, x_var, y_var)
+                    for i, cell in enumerate(y_var.partition(space).cells):
+                        state = hilbert.amplitude(space, x_var, y_var, cell)
+                        target = basis.e_b[i]
+                        worst = max(
+                            worst,
+                            max(
+                                abs(x - y)
+                                for x, y in zip(state.components, target.components)
+                            ),
+                        )
                 return worst <= AMPLITUDE_TOL, _worst("max_abs_error", worst)
 
             check("cells_map_to_basis_states", cells_map_to_basis)

@@ -25,8 +25,15 @@ from qcontext.hilbert import (
     phase_gap_constancy_check,
     transition_matrix,
 )
-from qcontext.interference import delta, delta_outcome_sum, lambda_coefficient
-from qcontext.model_io import kq_model
+from qcontext.interference import (
+    Classification,
+    TwoCellTable,
+    classify,
+    delta,
+    delta_outcome_sum,
+    lambda_coefficient,
+)
+from qcontext.model_io import kq_model, parse_model
 from qcontext.operators import (
     CompositeObservable,
     a_operator,
@@ -67,6 +74,28 @@ def _passed(line: str) -> None:
 def _mixed_random_model(rng):
     cap = rng.choice([6, 7, 8, 8, 8, 10])
     return random_incompatible_model(rng, max_points=cap)
+
+
+def _assert_table_matches_reference(space, a, b, c, first, second):
+    """The two-cell table of ``c`` equals the Event-level delta and
+    coefficients exactly, and so do its mappability and classification."""
+    ap, bp = a.partition(space), b.partition(space)
+    table = TwoCellTable.of(space, a.assignment, b.assignment, c)
+    for j, coeff in enumerate((first, second)):
+        assert table.delta(j) == delta(space, bp.cells[j], ap, c)
+        assert table.coefficient(j) == coeff
+    squares = [first.squared, second.squared]
+    assert table.mappable == all(s <= 1 for s in squares)
+    if all(s < 1 for s in squares):
+        expected = Classification.TRIGONOMETRIC
+    elif all(s > 1 for s in squares):
+        expected = Classification.HYPERBOLIC
+    elif 1 in squares:
+        expected = Classification.BOUNDARY
+    else:
+        expected = Classification.MIXED
+    assert table.classification is expected
+    assert classify(space, ap, bp, c) is expected
 
 
 def test_01_reference_family_closed_forms():
@@ -133,9 +162,12 @@ def test_02_disturbance_sum_vanishes_on_random_models():
 def test_03_weighted_balance_and_cosine_antisymmetry():
     """Outcome coefficients carry opposite signs with exactly balanced
     weighted squares; under doubly stochastic transitions the cosines are
-    antisymmetric within 1e-12."""
+    antisymmetric within 1e-12.  On every context of the first models of each
+    kind, and of the hyperbolic witness, the two-cell table agrees exactly
+    with the Event-level reference."""
+    table_models = 50
     rng = random.Random(1003)
-    for _ in range(500):
+    for i in range(500):
         space, a, b = _mixed_random_model(rng)
         ap, bp = a.partition(space), b.partition(space)
         p11 = conditional(space, bp.cells[0], ap.cells[0])
@@ -147,8 +179,10 @@ def test_03_weighted_balance_and_cosine_antisymmetry():
             second = lambda_coefficient(space, bp.cells[1], ap, c)
             assert first.squared * p11 * p21 == second.squared * p12 * p22
             assert first.sign == -second.sign
+            if i < table_models:
+                _assert_table_matches_reference(space, a, b, c, first, second)
     rng = random.Random(2003)
-    for _ in range(250):
+    for i in range(250):
         space, a, b = random_double_stochastic_model(rng)
         ap, bp = a.partition(space), b.partition(space)
         for c in contexts_of(space, ap):
@@ -158,6 +192,15 @@ def test_03_weighted_balance_and_cosine_antisymmetry():
                 assert abs(
                     math.cos(first.phase) + math.cos(second.phase)
                 ) <= AMPLITUDE_TOL
+            if i < table_models:
+                _assert_table_matches_reference(space, a, b, c, first, second)
+    witness = parse_model((DATA / "hyperbolic_witness.json").read_text())
+    space, a, b = witness.space, witness.variables["a"], witness.variables["b"]
+    ap, bp = a.partition(space), b.partition(space)
+    for c in contexts_of(space, ap):
+        first = lambda_coefficient(space, bp.cells[0], ap, c)
+        second = lambda_coefficient(space, bp.cells[1], ap, c)
+        _assert_table_matches_reference(space, a, b, c, first, second)
     _passed("03 weighted coefficient balance and cosine antisymmetry")
 
 
@@ -181,8 +224,6 @@ def test_04_born_rule_in_both_bases():
                     abs(probs[j] - float(conditional(space, cell, c)))
                     <= AMPLITUDE_TOL
                 )
-    from qcontext.model_io import parse_model
-
     witness = parse_model(
         (DATA / "non_double_stochastic_witness.json").read_text()
     )

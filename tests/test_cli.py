@@ -1,7 +1,10 @@
 """End-to-end CLI behaviour: exit codes, determinism, formats."""
 
 import json
+from fractions import Fraction
 from pathlib import Path
+
+import pytest
 
 from qcontext import cli, verify
 from qcontext.model_io import kq_model, serialize_model
@@ -13,6 +16,28 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _overflow_model(tmp_path) -> str:
+    """Valid five-point model whose squared coefficients exceed the float
+    range: a point of weight 1e-400 alone in its a-cell intersection."""
+    last = Fraction(1, 4) - Fraction(1, 10**400)
+    weights = ["1e-400", "1/4", "1/4", "1/4", str(last)]
+    doc = {
+        "points": [{"id": f"p{i}", "weight": w} for i, w in enumerate(weights, 1)],
+        "variables": {
+            name: {
+                "values": ["1", "-1"],
+                "assignment": {
+                    f"p{i}": 1 if i in first else 2 for i in range(1, 6)
+                },
+            }
+            for name, first in (("a", {1, 2, 5}), ("b", {1, 3, 5}))
+        },
+    }
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
 
 
 class TestAnalyze:
@@ -237,8 +262,29 @@ class TestOtherCommands:
         assert code == 0
         assert json.loads(target.read_text())["kind"] == "analysis"
 
+    def test_out_into_missing_directory(self, capsys, tmp_path):
+        target = tmp_path / "no" / "such" / "dir" / "x.json"
+        code, out, err = run(capsys, "analyze", "--kq", "1/4", "--out", str(target))
+        assert code == 1 and not out
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_same_argv_same_bytes(self, capsys):
         code1, out1, _ = run(capsys, "represent", "--kq", "3/8")
         code2, out2, _ = run(capsys, "represent", "--kq", "3/8")
         assert code1 == code2 == 0
         assert out1 == out2
+
+
+class TestFloatRange:
+    @pytest.mark.parametrize("command", ["analyze", "verify"])
+    def test_overflowing_coefficient_is_an_error(self, capsys, tmp_path, command):
+        code, out, err = run(capsys, command, "--model", _overflow_model(tmp_path))
+        assert code == 1 and not out
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command", ["represent", "operators", "compare-dist", "dispersion-free"]
+    )
+    def test_other_commands_succeed(self, capsys, tmp_path, command):
+        code, out, err = run(capsys, command, "--model", _overflow_model(tmp_path))
+        assert code == 0 and out and not err
