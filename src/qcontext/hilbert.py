@@ -560,8 +560,9 @@ def cell_duality_check(
     exactly when the reverse matrix is doubly stochastic as well.
 
     Returns True when that biconditional holds on this model and the closed
-    form -(m1^2 + m2^2) / (2 m1 m2) reproduces the directly computed
-    coefficient of the opposite cell.
+    form -(m_1 + m_2) / (2 sqrt(m_1 m_2)), m_n = P(A_n|C) P(B_other|A_n),
+    reproduces the directly computed coefficient of the opposite cell; both
+    are compared exactly, as sign and square.
     """
     if not is_double_stochastic(transition_matrix(space, a_var, b_var)):
         raise NotDoubleStochasticError(
@@ -577,14 +578,9 @@ def cell_duality_check(
         if not table.mappable:
             cells_mappable = False
         other = 1 - i
-        mu = [
-            math.sqrt(float(table.a_given_c[n] * table.b_given_a[n][other]))
-            for n in range(2)
-        ]
-        direct = lambda_coefficient(
-            space, b_part.cells[other], a_part, b_cell
-        ).value
-        formula = -(mu[0] ** 2 + mu[1] ** 2) / (2 * mu[0] * mu[1])
-        if abs(direct - formula) > 1e-10:
+        m = [table.a_given_c[n] * table.b_given_a[n][other] for n in range(2)]
+        direct = lambda_coefficient(space, b_part.cells[other], a_part, b_cell)
+        squared = (m[0] + m[1]) ** 2 / (4 * m[0] * m[1])
+        if direct.sign != -1 or direct.squared != squared:
             closed_form_ok = False
     return closed_form_ok and (cells_mappable == reverse_ds)

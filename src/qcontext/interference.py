@@ -216,11 +216,12 @@ class TwoCellTable:
         """From each point's 1-based cell index under A and under B, shaped
         like :attr:`DichotomousVariable.assignment`."""
         space.validate_event(c)
-        whole, local = ([[Fraction(0)] * 2 for _ in range(2)] for _ in range(2))
+        masses = space._masses
+        whole, local = ([[0, 0], [0, 0]] for _ in range(2))
         try:
-            for masses, points in ((whole, space.points), (local, c.members)):
+            for table, points in ((whole, space.points), (local, c.members)):
                 for p in points:
-                    masses[a_cell[p] - 1][b_cell[p] - 1] += space.weights[p]
+                    table[a_cell[p] - 1][b_cell[p] - 1] += masses[p]
         except KeyError as exc:
             raise PartialAssignmentError(f"point {exc} lies in no cell") from exc
         rows = [sum(row) for row in local]
@@ -230,9 +231,13 @@ class TwoCellTable:
             )
         total = sum(rows)
         return cls(
-            a_given_c=tuple(r / total for r in rows),
-            b_given_c=tuple((local[0][j] + local[1][j]) / total for j in range(2)),
-            b_given_a=tuple(tuple(m / sum(row) for m in row) for row in whole),
+            a_given_c=tuple(Fraction(r, total) for r in rows),
+            b_given_c=tuple(
+                Fraction(local[0][j] + local[1][j], total) for j in range(2)
+            ),
+            b_given_a=tuple(
+                tuple(Fraction(m, sum(row)) for m in row) for row in whole
+            ),
         )
 
     def delta(self, j: int) -> Fraction:

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Mapping
+from typing import Callable, Iterable, Mapping
 
 from .errors import NotDoubleStochasticError, ZeroConditionError
 from .hilbert import (
@@ -38,7 +38,6 @@ from .prob import (
     FiniteProbabilitySpace,
     all_events,
     as_fraction,
-    probability,
 )
 
 HERMITIAN_TOL = 1e-12
@@ -304,36 +303,61 @@ def to_operator(
     return symmetrized_product(a_operator(obs.a, trans), b_operator(obs.b))
 
 
+def _masses_by_value(
+    space: FiniteProbabilitySpace, value_of: Callable[[str], Fraction], c: Event
+) -> tuple[dict[Fraction, int], int]:
+    """Integer point masses of ``c`` summed per value, and their total;
+    raises :class:`ZeroConditionError` when ``c`` is empty."""
+    space.validate_event(c)
+    masses = space._masses
+    grouped: dict[Fraction, int] = {}
+    for p in c.members:
+        value = value_of(p)
+        grouped[value] = grouped.get(value, 0) + masses[p]
+    total = sum(grouped.values())
+    if total == 0:
+        raise ZeroConditionError(f"{c.label()} has measure zero")
+    return grouped, total
+
+
+def _conditional_mean(grouped: Mapping[Fraction, int], total: int) -> Fraction:
+    return sum((v * n for v, n in grouped.items()), start=Fraction(0)) / total
+
+
 def classical_mean(
     space: FiniteProbabilitySpace, obs: CompositeObservable, c: Event
 ) -> Fraction:
     """Exact conditional expectation of the observable: sum of values weighted
     by the conditional point masses."""
-    pc = probability(space, c)
-    if pc == 0:
-        raise ZeroConditionError(f"{c.label()} has measure zero")
-    return (
-        sum(
-            (obs.value_at(p) * space.weights[p] for p in c.members),
-            start=Fraction(0),
-        )
-        / pc
-    )
+    return _conditional_mean(*_masses_by_value(space, obs.value_at, c))
 
 
 def classical_distribution(
     space: FiniteProbabilitySpace, obs: CompositeObservable, c: Event
 ) -> dict[Fraction, Fraction]:
     """Exact pushforward of the conditional measure under the observable."""
-    pc = probability(space, c)
-    if pc == 0:
-        raise ZeroConditionError(f"{c.label()} has measure zero")
+    grouped, total = _masses_by_value(space, obs.value_at, c)
     dist: dict[Fraction, Fraction] = {
         obs.value_at(p): Fraction(0) for p in space.points
     }
-    for p in c.members:
-        dist[obs.value_at(p)] += space.weights[p] / pc
+    for value, mass in grouped.items():
+        dist[value] = Fraction(mass, total)
     return dict(sorted(dist.items()))
+
+
+def max_mean_gap(
+    space: FiniteProbabilitySpace,
+    obs: CompositeObservable,
+    op: HermitianOperator,
+    states: Iterable[tuple[Event, StateVector]],
+) -> float:
+    """Largest |quantum mean of ``op`` - exact conditional mean of ``obs``|
+    over (context, state) pairs."""
+    worst = 0.0
+    for c, state in states:
+        gap = abs(quantum_mean(op, state) - float(classical_mean(space, obs, c)))
+        worst = max(worst, gap)
+    return worst
 
 
 def mean_preservation_gap(
@@ -348,11 +372,9 @@ def mean_preservation_gap(
     every represented context, including the two a-cells."""
     obs = CompositeObservable.sum_of(a_var, b_var, f, g)
     op = to_operator(space, obs)
-    worst = 0.0
-    for c, state in represented_states(space, a_var, b_var, signs):
-        gap = abs(quantum_mean(op, state) - float(classical_mean(space, obs, c)))
-        worst = max(worst, gap)
-    return worst
+    return max_mean_gap(
+        space, obs, op, represented_states(space, a_var, b_var, signs)
+    )
 
 
 @dataclass(frozen=True)
@@ -451,19 +473,11 @@ def conditional_variance(
     space: FiniteProbabilitySpace, values: Mapping[str, Fraction], c: Event
 ) -> Fraction:
     """Exact conditional variance of an arbitrary point-valued map."""
-    pc = probability(space, c)
-    if pc == 0:
-        raise ZeroConditionError(f"{c.label()} has measure zero")
-    mean = (
-        sum((values[p] * space.weights[p] for p in c.members), start=Fraction(0))
-        / pc
-    )
+    grouped, total = _masses_by_value(space, values.__getitem__, c)
+    mean = _conditional_mean(grouped, total)
     return (
-        sum(
-            ((values[p] - mean) ** 2 * space.weights[p] for p in c.members),
-            start=Fraction(0),
-        )
-        / pc
+        sum(((v - mean) ** 2 * n for v, n in grouped.items()), start=Fraction(0))
+        / total
     )
 
 

@@ -1,9 +1,11 @@
 """Exact finite probability spaces, events, contexts and partitions.
 
-Everything in this module is computed with :class:`fractions.Fraction`, so
-probabilistic identities hold as rational equalities rather than within a
-floating tolerance.  All types are immutable after construction and all
-operations are pure functions of their inputs.
+A space keeps each point weight as an integer mass over one common
+denominator, so every sum of weights is a plain integer sum; each returned
+probability is an exact :class:`fractions.Fraction` built once from such
+sums.  Probabilistic identities therefore hold as rational equalities
+rather than within a floating tolerance.  All types are immutable after
+construction and all operations are pure functions of their inputs.
 
 Terminology used throughout the package:
 
@@ -16,7 +18,8 @@ Terminology used throughout the package:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
@@ -89,10 +92,18 @@ class FiniteProbabilitySpace:
 
     Invariants enforced at construction: unique point identifiers, every
     weight strictly positive, weights summing exactly to one.
+
+    Construction also derives the package-internal integer view of the
+    weights: ``_denominator`` is the least common multiple D of the weight
+    denominators and ``_masses`` maps each point to the integer w * D, so
+    a sum of masses divided by D is the exact probability.
     """
 
     points: tuple[str, ...]
     weights: Mapping[str, Fraction]
+    _denominator: int = field(init=False, repr=False, compare=False)
+    _masses: Mapping[str, int] = field(init=False, repr=False, compare=False)
+    _ids: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(set(self.points)) != len(self.points):
@@ -105,8 +116,16 @@ class FiniteProbabilitySpace:
                 raise ValueError(f"weight of {p!r} must be strictly positive")
         if sum(weights.values()) != 1:
             raise ValueError("weights must sum exactly to one")
+        denominator = math.lcm(*(w.denominator for w in weights.values()))
+        masses = {
+            p: w.numerator * (denominator // w.denominator)
+            for p, w in weights.items()
+        }
         object.__setattr__(self, "points", tuple(self.points))
         object.__setattr__(self, "weights", MappingProxyType(weights))
+        object.__setattr__(self, "_denominator", denominator)
+        object.__setattr__(self, "_masses", MappingProxyType(masses))
+        object.__setattr__(self, "_ids", frozenset(self.points))
 
     @classmethod
     def from_pairs(
@@ -124,10 +143,9 @@ class FiniteProbabilitySpace:
         return evt
 
     def validate_event(self, evt: Event) -> None:
-        known = set(self.points)
-        for p in evt.members:
-            if p not in known:
-                raise ForeignPointError(f"unknown point identifier {p!r}")
+        if not self._ids.issuperset(evt.members):
+            foreign = next(p for p in evt.members if p not in self._ids)
+            raise ForeignPointError(f"unknown point identifier {foreign!r}")
 
     def omega(self) -> Event:
         return Event.of(self.points)
@@ -233,7 +251,8 @@ class DichotomousVariable:
 def probability(space: FiniteProbabilitySpace, evt: Event) -> Fraction:
     """Total weight of ``evt``; exact, by finite additivity."""
     space.validate_event(evt)
-    return sum((space.weights[p] for p in evt.members), start=Fraction(0))
+    masses = space._masses
+    return Fraction(sum(masses[p] for p in evt.members), space._denominator)
 
 
 def conditional(space: FiniteProbabilitySpace, a: Event, c: Event) -> Fraction:
@@ -243,18 +262,23 @@ def conditional(space: FiniteProbabilitySpace, a: Event, c: Event) -> Fraction:
     probability; silent NaN propagation would corrupt every classification
     built downstream.
     """
-    pc = probability(space, c)
-    if pc == 0:
+    space.validate_event(c)
+    masses = space._masses
+    total = sum(masses[p] for p in c.members)
+    if total == 0:
         raise ZeroConditionError(f"conditioning event {c.label()} has measure zero")
-    return probability(space, a.intersect(c)) / pc
+    inside = set(a.members)
+    return Fraction(sum(masses[p] for p in c.members if p in inside), total)
 
 
 def is_context(space: FiniteProbabilitySpace, c: Event, partition: Partition) -> bool:
-    """True iff ``c`` meets every cell of ``partition`` with positive weight."""
+    """True iff ``c`` meets every cell of ``partition`` with positive weight.
+
+    Every point weight is strictly positive, so a cell carries positive
+    weight inside ``c`` exactly when the two share a point."""
     space.validate_event(c)
-    return all(
-        probability(space, cell.intersect(c)) > 0 for cell in partition.cells
-    )
+    inside = set(c.members)
+    return all(not inside.isdisjoint(cell.members) for cell in partition.cells)
 
 
 def variables_incompatible(

@@ -241,6 +241,7 @@ def run_checks(
 
         def mean_preservation() -> tuple[bool, str]:
             rng = random.Random(seed)
+            states = operators.represented_states(space, a_var, b_var)
             worst = 0.0
             for _ in range(fg_pairs):
                 f = {
@@ -251,9 +252,10 @@ def run_checks(
                     v: Fraction(rng.randint(-20, 20), rng.randint(1, 9))
                     for v in b_var.values
                 }
+                obs = operators.CompositeObservable.sum_of(a_var, b_var, f, g)
+                op = operators.to_operator(space, obs)
                 worst = max(
-                    worst,
-                    operators.mean_preservation_gap(space, a_var, b_var, f, g),
+                    worst, operators.max_mean_gap(space, obs, op, states)
                 )
             return worst <= OPERATOR_TOL, _worst("max_abs_gap", worst)
 

@@ -288,3 +288,10 @@ class TestFloatRange:
     def test_other_commands_succeed(self, capsys, tmp_path, command):
         code, out, err = run(capsys, command, "--model", _overflow_model(tmp_path))
         assert code == 0 and out and not err
+
+    def test_verify_with_underflowing_cell_masses(self, capsys):
+        # The closed form of cell_duality is compared exactly, so masses
+        # that underflow a float leave every check passing.
+        code, out, err = run(capsys, "verify", "--kq", "1e-400")
+        assert code == 0 and not err
+        assert json.loads(out)["all_passed"] is True

@@ -432,7 +432,7 @@ class TestUnitarity:
 
 
 class TestCellDuality:
-    @pytest.mark.parametrize("q", QS)
+    @pytest.mark.parametrize("q", QS + ["1e-400"])
     def test_reference_family(self, q):
         space, a, b = _kq(q)
         assert cell_duality_check(space, a, b)
