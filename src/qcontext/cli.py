@@ -15,9 +15,9 @@ produce byte-identical output.  The environment variable CONTEXTUAL_SEED
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import hilbert, interference, operators, verify
@@ -30,7 +30,7 @@ from .model_io import (
     parse_model,
     sweep,
 )
-from .prob import Event, conditional, variables_incompatible
+from .prob import Event, as_fraction, conditional, variables_incompatible
 
 MAX_DEFAULT_ENUMERATION = 12
 
@@ -104,7 +104,7 @@ def _load_model(args: argparse.Namespace) -> ModelSpec:
         raise ModelError("exactly one of --model and --kq is required")
     if args.kq is not None:
         try:
-            q = Fraction(args.kq)
+            q = as_fraction(args.kq)
         except (ValueError, ZeroDivisionError) as exc:
             raise ModelError(f"bad rational {args.kq!r}") from exc
         return kq_model(q)
@@ -272,6 +272,10 @@ def _compare_bundle(spec: ModelSpec, a_var, b_var, args) -> dict:
             alignment = (float(scale_text), float(offset_text))
         except ValueError as exc:
             raise ModelError(f"bad --align value {args.align!r}") from exc
+        if not all(math.isfinite(x) for x in alignment):
+            raise ModelError(
+                f"--align needs a finite SCALE and OFFSET, got {args.align!r}"
+            )
     if args.context:
         targets = [space.event(args.context.split(","))]
     else:
@@ -324,7 +328,7 @@ def _sweep_bundle(args) -> dict:
     result = sweep(values)
     return {
         "kind": "sweep",
-        "grid": [Fraction(v) for v in values],
+        "grid": [row.q for row in result.rows],
         "theta_monotone": result.theta_monotone,
         "rows": list(result.rows),
     }

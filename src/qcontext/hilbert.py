@@ -444,8 +444,10 @@ class ImageSet:
     """Image of the representation over contexts plus the two a-cells.
 
     ``entries`` holds (event, state) pairs sorted by event; ``groups`` the
-    partition of events into classes with equal states up to global phase;
-    ``collisions`` only those classes with at least two members.
+    partition of events into classes of equal states up to global phase, as
+    formed by :func:`group_states` (within ``STATE_TOL`` = 1e-12 per
+    component of the phase-normalised states, each class led by its first
+    member); ``collisions`` only those classes with at least two members.
     """
 
     entries: tuple[tuple[Event, StateVector], ...]
@@ -481,6 +483,36 @@ def represented_states(
     return tuple(pairs)
 
 
+def group_states(states: Sequence[StateVector]) -> tuple[tuple[int, ...], ...]:
+    """Indices of ``states`` grouped by equality up to global phase.
+
+    A state joins the earliest-created group whose first member lies within
+    ``STATE_TOL`` of it, per component, after phase normalisation; otherwise
+    it starts a new group.  Group leaders are indexed by
+    floor(Re(n0) / (4 STATE_TOL)), n0 the first normalised component.  Since
+    |Re z - Re w| <= |z - w|, a leader within tolerance lies in the same key
+    or an adjacent one, so only those three keys are searched; the margin
+    in the width absorbs the rounding of the quotient.
+    """
+    width = 4 * STATE_TOL
+    leaders: list[StateVector] = []
+    groups: list[list[int]] = []
+    by_key: dict[int, list[int]] = {}
+    for idx, state in enumerate(states):
+        norm = phase_normalized(state)
+        key = math.floor(norm.components[0].real / width)
+        near = sorted(g for k in (key - 1, key, key + 1) for g in by_key.get(k, ()))
+        for g in near:
+            if states_close(leaders[g], norm, up_to_phase=False):
+                groups[g].append(idx)
+                break
+        else:
+            by_key.setdefault(key, []).append(len(groups))
+            leaders.append(norm)
+            groups.append([idx])
+    return tuple(tuple(group) for group in groups)
+
+
 def image_set(
     space: FiniteProbabilitySpace,
     a_var: DichotomousVariable,
@@ -488,14 +520,7 @@ def image_set(
     signs: SignConvention = SignConvention(),
 ) -> ImageSet:
     entries = represented_states(space, a_var, b_var, signs)
-    groups: list[list[int]] = []
-    for idx, (_, state) in enumerate(entries):
-        for group in groups:
-            if states_close(entries[group[0]][1], state):
-                group.append(idx)
-                break
-        else:
-            groups.append([idx])
+    groups = group_states([state for _, state in entries])
     return ImageSet(
         entries=entries,
         groups=tuple(tuple(entries[i][0] for i in group) for group in groups),

@@ -57,9 +57,11 @@ def _parse_rational(value: Any, what: str) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         try:
-            return Fraction(value)
+            return as_fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise MalformedDocumentError(f"{what}: bad rational literal {value!r}") from exc
+        except MalformedDocumentError as exc:
+            raise MalformedDocumentError(f"{what}: {exc}") from exc
     raise MalformedDocumentError(f"{what} must be an int or a rational string")
 
 

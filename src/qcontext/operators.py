@@ -21,13 +21,14 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
-from .errors import NotDoubleStochasticError, ZeroConditionError
+from .errors import FloatRangeError, NotDoubleStochasticError, ZeroConditionError
 from .hilbert import (
     SignConvention,
     StateVector,
     TransitionMatrix,
     amplitude,
     is_double_stochastic,
+    mappable_contexts,
     phase_normalized,
     represented_states,
     transition_matrix,
@@ -392,13 +393,21 @@ class MismatchReport:
 def _total_variation(
     p: Mapping[float, float], q: Mapping[float, float], grid: float = 1e-9
 ) -> float:
+    def key(value: float) -> float:
+        steps = value / grid
+        if not math.isfinite(steps):
+            raise FloatRangeError(
+                f"support value {value!r} overflows the {grid:g} comparison grid"
+            )
+        return round(steps) * grid
+
     keys: dict[float, tuple[float, float]] = {}
     for value, mass in p.items():
-        k = round(value / grid) * grid
+        k = key(value)
         acc = keys.get(k, (0.0, 0.0))
         keys[k] = (acc[0] + mass, acc[1])
     for value, mass in q.items():
-        k = round(value / grid) * grid
+        k = key(value)
         acc = keys.get(k, (0.0, 0.0))
         keys[k] = (acc[0], acc[1] + mass)
     return 0.5 * sum(abs(a - b) for a, b in keys.values())
@@ -520,7 +529,11 @@ def dispersion_free_search(
         if all(conditional_variance(space, ind, evt) == 0 for ind in indicators)
     ]
     free.sort(key=lambda e: (len(e.members), e.members))
-    represented = [evt for evt, _ in represented_states(space, a_var, b_var)]
+    represented = [
+        *mappable_contexts(space, a_var, b_var),
+        *a_var.partition(space).cells,
+    ]
+    represented.sort(key=lambda e: (len(e.members), e.members))
     membership = set(represented)
     inter = [evt for evt in free if evt in membership]
     return DispersionFreeReport(

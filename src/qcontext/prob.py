@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
@@ -26,6 +27,7 @@ from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     ForeignPointError,
+    MalformedDocumentError,
     PartialAssignmentError,
     ZeroConditionError,
 )
@@ -33,17 +35,35 @@ from .errors import (
 #: Exhaustive subset enumeration is capped at this many points (2**16 events).
 MAX_ENUMERATION_POINTS = 16
 
+#: Largest decimal exponent magnitude a literal may carry, equal to Python's
+#: default int-digit limit (``sys.int_info.default_max_str_digits``): an exact
+#: 10**e costs time superlinear in e, so "1e-4000000" would stall for seconds.
+MAX_DECIMAL_EXPONENT = 4300
+
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
 
 def as_fraction(value: Fraction | int | str | float) -> Fraction:
     """Coerce ``value`` to an exact rational.
 
     Strings accept both "p/q" and decimal literals; floats are converted via
-    their shortest decimal repr so that e.g. ``0.25`` means exactly 1/4.
+    their shortest decimal repr so that e.g. ``0.25`` means exactly 1/4.  A
+    decimal exponent beyond ``MAX_DECIMAL_EXPONENT`` in magnitude raises
+    :class:`MalformedDocumentError`.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, float):
         return Fraction(repr(value))
+    if isinstance(value, str):
+        match = _EXPONENT.search(value)
+        if match is not None:
+            digits = match.group(1).replace("_", "").lstrip("+-0")
+            limit = MAX_DECIMAL_EXPONENT
+            if len(digits) > len(str(limit)) or int(digits or 0) > limit:
+                raise MalformedDocumentError(
+                    f"decimal exponent of {value!r} exceeds {limit} in magnitude"
+                )
     return Fraction(value)
 
 

@@ -295,3 +295,43 @@ class TestFloatRange:
         code, out, err = run(capsys, "verify", "--kq", "1e-400")
         assert code == 0 and not err
         assert json.loads(out)["all_passed"] is True
+
+
+class TestHostileNumbers:
+    @pytest.mark.parametrize("align", ["inf,1", "1,1e400", "-inf,0", "nan,1", "1,nan"])
+    def test_non_finite_alignment_is_an_error(self, capsys, align):
+        code, out, err = run(
+            capsys, "compare-dist", "--kq", "1/4", f"--align={align}"
+        )
+        assert code == 1 and not out
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "finite" in err
+
+    @pytest.mark.parametrize("align", ["1e308,1", "1e300,0", "1,1e300"])
+    def test_alignment_beyond_the_grid_is_an_error(self, capsys, align):
+        code, out, err = run(capsys, "compare-dist", "--kq", "1/4", "--align", align)
+        assert code == 1 and not out
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "grid" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("analyze", "--kq", "1e-4000000"),
+            ("represent", "--kq", "1E+4301"),
+            ("sweep", "--grid", "1/4,1e-4000000"),
+        ],
+    )
+    def test_huge_decimal_exponent_is_an_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and not out
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "exponent" in err
+
+    def test_huge_decimal_exponent_in_a_model_file(self, capsys, tmp_path):
+        text = serialize_model(kq_model(Fraction(1, 4)))
+        path = tmp_path / "model.json"
+        path.write_text(text.replace('"1/4"', "25e-4302", 1))
+        code, out, err = run(capsys, "analyze", "--model", str(path))
+        assert code == 1 and not out
+        assert "exponent" in err and err.count("\n") == 1

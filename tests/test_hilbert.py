@@ -16,6 +16,7 @@ from qcontext.errors import (
     SingularBasisError,
 )
 from qcontext.hilbert import (
+    STATE_TOL,
     BasisPair,
     SignConvention,
     StateVector,
@@ -27,6 +28,7 @@ from qcontext.hilbert import (
     context_basis,
     dual_inner_products,
     extend_to_cells,
+    group_states,
     image_set,
     is_double_stochastic,
     mappable_contexts,
@@ -322,6 +324,85 @@ class TestImageSet:
                     assert states_close(seen[key], state)
                 else:
                     seen[key] = state
+
+
+def _scan_groups(states):
+    """The O(N^2) first-member scan that group_states must reproduce; each
+    state is phase-normalised once, as states_close would on every call."""
+    norms = [phase_normalized(state) for state in states]
+    groups = []
+    for idx, norm in enumerate(norms):
+        for group in groups:
+            if states_close(norms[group[0]], norm, up_to_phase=False):
+                group.append(idx)
+                break
+        else:
+            groups.append([idx])
+    return tuple(tuple(group) for group in groups)
+
+
+class TestGroupStates:
+    def test_image_groups_match_the_scan_on_random_models(self):
+        rng = random.Random(47)
+        collisions = 0
+        for make in (random_incompatible_model, random_double_stochastic_model):
+            for _ in range(120):
+                space, a, b = make(rng)
+                image = image_set(space, a, b)
+                states = [state for _, state in image.entries]
+                expected = tuple(
+                    tuple(image.entries[i][0] for i in group)
+                    for group in _scan_groups(states)
+                )
+                assert image.groups == expected
+                collisions += len(image.collisions)
+        assert collisions > 0
+
+    def test_close_states_across_a_key_boundary_merge(self):
+        width = 4 * STATE_TOL
+        boundary = (math.floor(0.6 / width) + 1) * width
+        rotation = cmath.exp(0.7j)
+        left = StateVector((boundary - 0.3 * STATE_TOL, 0.8 + 0j))
+        right = StateVector(
+            (rotation * (boundary + 0.3 * STATE_TOL), rotation * 0.8)
+        )
+        keys = {
+            math.floor(phase_normalized(s).components[0].real / width)
+            for s in (left, right)
+        }
+        assert len(keys) == 2
+        assert states_close(left, right)
+        assert group_states([left, right]) == ((0, 1),)
+        # Almost a full tolerance apart: still in adjacent keys only because
+        # the key width exceeds the tolerance.
+        far = StateVector((0.6 + 0.99 * STATE_TOL, 0.8 + 0j))
+        assert group_states([StateVector((0.6 + 0j, 0.8 + 0j)), far]) == ((0, 1),)
+
+    def test_earliest_group_wins_across_keys(self):
+        width = 4 * STATE_TOL
+        boundary = (math.floor(0.6 / width) + 1) * width
+        probe = StateVector((boundary - 0.2 * STATE_TOL, 0.8 + 0j))
+        upper = StateVector((boundary + 0.6 * STATE_TOL, 0.8 + 0j))
+        lower = StateVector((boundary - 1.0 * STATE_TOL, 0.8 + 0j))
+        assert not states_close(upper, lower)
+        # Both leaders accept the probe; the one created first wins, in
+        # whichever of the two keys it sits.
+        assert group_states([upper, lower, probe]) == ((0, 2), (1,))
+        assert group_states([lower, upper, probe]) == ((0, 2), (1,))
+
+    def test_groups_are_led_by_their_first_member(self):
+        a = StateVector((0.6 + 0j, 0.8 + 0j))
+        b = StateVector((0.6 + 0.8 * STATE_TOL, 0.8 + 0j))
+        c = StateVector((0.6 + 1.6 * STATE_TOL, 0.8 + 0j))
+        assert states_close(a, b) and states_close(b, c)
+        assert not states_close(a, c)
+        # c is close to b but not to the leader a, so it starts a group; b
+        # joins the earliest-created group that accepts it.
+        assert group_states([a, b, c]) == ((0, 1), (2,))
+        assert group_states([a, c, b]) == ((0, 2), (1,))
+        assert group_states([c, b, a]) == ((0, 1), (2,))
+        for order in ([a, b, c], [a, c, b], [c, a, b], [b, c, a]):
+            assert group_states(order) == _scan_groups(order)
 
 
 class TestDualInnerProducts:

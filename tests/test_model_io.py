@@ -25,7 +25,12 @@ from qcontext.model_io import (
     serialize_model,
     sweep,
 )
-from qcontext.prob import probability, variables_incompatible
+from qcontext.prob import (
+    MAX_DECIMAL_EXPONENT,
+    as_fraction,
+    probability,
+    variables_incompatible,
+)
 
 
 MINIMAL = """
@@ -99,6 +104,33 @@ class TestParse:
         doc["variables"]["a"]["values"] = [2, 2]
         with pytest.raises(MalformedDocumentError, match="distinct"):
             parse_model(json.dumps(doc))
+
+
+class TestDecimalExponentBound:
+    def test_literals_within_the_bound_are_exact(self):
+        assert as_fraction("1e-400") == Fraction(1, 10**400)
+        assert as_fraction(f"1e-{MAX_DECIMAL_EXPONENT}") == Fraction(
+            1, 10**MAX_DECIMAL_EXPONENT
+        )
+        assert as_fraction(" 25E-2 ") == Fraction(1, 4)
+        assert as_fraction("1_0e0_1") == Fraction(100)
+        assert as_fraction("3/8") == Fraction(3, 8)
+
+    @pytest.mark.parametrize(
+        "literal", ["1e-4301", "1E+4301", "1e43_01", "1e-4000000", "1e" + "9" * 5000]
+    )
+    def test_larger_exponents_are_rejected(self, literal):
+        with pytest.raises(MalformedDocumentError, match="exponent"):
+            as_fraction(literal)
+
+    def test_document_weight_with_a_huge_exponent(self):
+        bad = MINIMAL.replace("0.25", "1e-5000")
+        with pytest.raises(MalformedDocumentError, match="weight of 'v'.*exponent"):
+            parse_model(bad)
+
+    def test_sweep_parameter_with_a_huge_exponent(self):
+        with pytest.raises(MalformedDocumentError, match="exponent"):
+            sweep(["1/4", "1e-4000000"])
 
 
 class TestReferenceFamily:

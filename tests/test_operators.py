@@ -34,7 +34,7 @@ from qcontext.operators import (
     to_operator,
 )
 from qcontext.prob import DichotomousVariable, FiniteProbabilitySpace
-from randmodels import random_double_stochastic_model
+from randmodels import random_double_stochastic_model, random_incompatible_model
 
 QS = [Fraction(1, 8), Fraction(1, 4), Fraction(3, 8)]
 
@@ -464,3 +464,11 @@ class TestDispersionFreeSearch:
             report = dispersion_free_search(space, a, b)
             assert set(report.dispersion_free) == set(space.atoms())
             assert report.intersection == ()
+
+    def test_representable_events_are_the_represented_family(self):
+        rng = random.Random(83)
+        for _ in range(10):
+            space, a, b = random_incompatible_model(rng)
+            report = dispersion_free_search(space, a, b)
+            expected = tuple(evt for evt, _ in represented_states(space, a, b))
+            assert report.representable == expected
