@@ -289,7 +289,7 @@ def _compare_bundle(spec: ModelSpec, a_var, b_var, args) -> dict:
         blocks.append(
             {
                 "context": c,
-                "classical": {str(k): v for k, v in report.classical.items()},
+                "classical": report.classical,
                 "quantum": {
                     format(k, ".12g"): v for k, v in report.quantum.items()
                 },

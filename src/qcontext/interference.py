@@ -15,14 +15,26 @@ whose magnitude decides how the context can be represented:
 * exactly 1 somewhere: boundary; mixtures are reported as mixed.
 
 Disturbances and squared coefficients are exact rationals; only the signed
-square root and the phases are floating point.
+square root and the phases are floating point.  Each is built as one
+Fraction from the integer point masses of the space: with R_n, r_n, W_n and
+l_n the masses of A_n, A_n & C, B & A_n and B & A_n & C, M the mass of C and
+k the number of cells,
+
+    delta                  = sum_n (l_n R_n - r_n W_n) / (M R_n),
+    pairwise share (n, m)  = N / ((k - 1) M R_n R_m),
+    squared coefficient    = N^2 / (4 (k - 1)^2 R_n R_m r_n r_m W_n W_m),
+    N = (l_n R_n - r_n W_n) R_m + (l_m R_m - r_m W_m) R_n,
+
+and the coefficient's sign is the sign of N.  For two cells N is the N_j of
+:class:`TwoCellTable`, which computes the same numbers from its 2x2 masses.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -37,7 +49,6 @@ from .prob import (
     Event,
     FiniteProbabilitySpace,
     Partition,
-    conditional,
     is_context,
 )
 
@@ -69,6 +80,112 @@ def _require_context(
         )
 
 
+class _CellMasses:
+    """The integer masses behind one Event-level call for outcome B,
+    partition {A_n} and context C.
+
+    ``total`` is M, the mass of C; :meth:`cell` gives (R_n, r_n, W_n, l_n),
+    the masses of A_n, A_n & C, B & A_n and B & A_n & C.  A cell is
+    validated and summed once, when a formula first needs it, so a foreign
+    point surfaces at the same step as in the conditional-probability
+    definitions.
+    """
+
+    def __init__(
+        self,
+        space: FiniteProbabilitySpace,
+        b_outcome: Event,
+        partition: Partition,
+        c: Event,
+    ) -> None:
+        self._space = space
+        self._cells = partition.cells
+        self._b = set(b_outcome.members)
+        self._c = set(c.members)
+        self._found: dict[int, tuple[int, int, int, int]] = {}
+        masses = space._masses
+        self.total = sum(masses[p] for p in c.members)
+
+    def cell(self, n: int) -> tuple[int, int, int, int]:
+        found = self._found.get(n)
+        if found is None:
+            cell = self._cells[n]
+            self._space.validate_event(cell)
+            masses, b, c = self._space._masses, self._b, self._c
+            whole = local = b_whole = b_local = 0
+            for p in cell.members:
+                mass = masses[p]
+                whole += mass
+                if p in c:
+                    local += mass
+                if p in b:
+                    b_whole += mass
+                    if p in c:
+                        b_local += mass
+            found = self._found[n] = (whole, local, b_whole, b_local)
+        return found
+
+    def cells(self) -> list[tuple[int, int, int, int]]:
+        return [self.cell(n) for n in range(len(self._cells))]
+
+    def over_cells(self, terms: Sequence[tuple[int, int]]) -> Fraction:
+        """sum_n x_n / (M R_n) for the pairs (x_n, R_n), as one Fraction."""
+        common = math.prod(R for _, R in terms)
+        return Fraction(
+            sum(x * (common // R) for x, R in terms), self.total * common
+        )
+
+    def expansion(self) -> Fraction:
+        """sum_n P(A_n|C) P(B|A_n) = sum_n r_n W_n / (M R_n)."""
+        return self.over_cells([(r * W, R) for R, r, W, _ in self.cells()])
+
+    def share(self, n: int, m: int) -> int:
+        """N, the pairwise share (n, m) times (k - 1) M R_n R_m."""
+        Rn, rn, Wn, ln = self.cell(n)
+        Rm, rm, Wm, lm = self.cell(m)
+        return (ln * Rn - rn * Wn) * Rm + (lm * Rm - rm * Wm) * Rn
+
+    def coefficient(self, n: int, m: int) -> LambdaCoefficient:
+        Rn, rn, Wn, _ = self.cell(n)
+        Rm, rm, Wm, _ = self.cell(m)
+        scale = (len(self._cells) - 1) ** 2 * Rn * Rm
+        return LambdaCoefficient.of(self.share(n, m), scale * rn * rm * Wn * Wm)
+
+    def radicand(self, n: int, m: int) -> float:
+        """P(A_n|C) P(B|A_n) P(A_m|C) P(B|A_m) = r_n W_n r_m W_m / (M^2 R_n R_m),
+        as one correctly rounded division, which is the float of that Fraction."""
+        Rn, rn, Wn, _ = self.cell(n)
+        Rm, rm, Wm, _ = self.cell(m)
+        return (rn * Wn * rm * Wm) / (self.total**2 * Rn * Rm)
+
+
+def _masses(
+    space: FiniteProbabilitySpace,
+    b_outcome: Event,
+    partition: Partition,
+    c: Event,
+) -> _CellMasses:
+    _require_context(space, c, partition)
+    return _CellMasses(space, b_outcome, partition, c)
+
+
+def _pair_masses(
+    space: FiniteProbabilitySpace,
+    b_outcome: Event,
+    partition: Partition,
+    c: Event,
+    n: int,
+    m: int,
+) -> _CellMasses:
+    _require_context(space, c, partition)
+    k = len(partition)
+    if k < 2:
+        raise ValueError("pairwise disturbance needs at least two cells")
+    if not (0 <= n < k and 0 <= m < k and n != m):
+        raise ValueError(f"invalid cell pair ({n}, {m}) for {k} cells")
+    return _CellMasses(space, b_outcome, partition, c)
+
+
 def classical_part(
     space: FiniteProbabilitySpace,
     b_outcome: Event,
@@ -76,27 +193,7 @@ def classical_part(
     c: Event,
 ) -> Fraction:
     """Classical total-probability expansion sum_n P(A_n|C) P(B|A_n)."""
-    _require_context(space, c, partition)
-    return sum(
-        (
-            conditional(space, cell, c) * conditional(space, b_outcome, cell)
-            for cell in partition.cells
-        ),
-        start=Fraction(0),
-    )
-
-
-def _cell_term(
-    space: FiniteProbabilitySpace,
-    b_outcome: Event,
-    cell: Event,
-    c: Event,
-) -> Fraction:
-    """P(A|C) * (P(B|A&C) - P(B|A)) for one cell A."""
-    return conditional(space, cell, c) * (
-        conditional(space, b_outcome, cell.intersect(c))
-        - conditional(space, b_outcome, cell)
-    )
+    return _masses(space, b_outcome, partition, c).expansion()
 
 
 def delta(
@@ -105,12 +202,12 @@ def delta(
     partition: Partition,
     c: Event,
 ) -> Fraction:
-    """Exact disturbance of ``b_outcome`` by the partition in context ``c``."""
-    _require_context(space, c, partition)
+    """Exact disturbance of ``b_outcome`` by the partition in context ``c``:
+    sum_n P(A_n|C) (P(B|A_n & C) - P(B|A_n))."""
+    masses = _masses(space, b_outcome, partition, c)
     space.validate_event(b_outcome)
-    return sum(
-        (_cell_term(space, b_outcome, cell, c) for cell in partition.cells),
-        start=Fraction(0),
+    return masses.over_cells(
+        [(l * R - r * W, R) for R, r, W, l in masses.cells()]
     )
 
 
@@ -128,15 +225,10 @@ def pairwise_delta(
     :func:`delta` exactly; each cell term is divided by (k - 1) because a cell
     participates in k - 1 of the pairs.
     """
-    _require_context(space, c, partition)
-    k = len(partition)
-    if k < 2:
-        raise ValueError("pairwise disturbance needs at least two cells")
-    if not (0 <= n < k and 0 <= m < k and n != m):
-        raise ValueError(f"invalid cell pair ({n}, {m}) for {k} cells")
-    term_n = _cell_term(space, b_outcome, partition.cells[n], c)
-    term_m = _cell_term(space, b_outcome, partition.cells[m], c)
-    return (term_n + term_m) / (k - 1)
+    masses = _pair_masses(space, b_outcome, partition, c, n, m)
+    share = masses.share(n, m)
+    scale = (len(partition) - 1) * masses.total
+    return Fraction(share, scale * masses.cell(n)[0] * masses.cell(m)[0])
 
 
 @dataclass(frozen=True)
@@ -147,13 +239,19 @@ class LambdaCoefficient:
     sign: int
 
     @classmethod
-    def of(cls, share: Fraction, radicand: Fraction) -> "LambdaCoefficient":
-        """``share`` divided by twice the square root of ``radicand``."""
+    def of(cls, share: Fraction | int, radicand: Fraction | int) -> "LambdaCoefficient":
+        """``share`` divided by twice the square root of ``radicand``.
+
+        Scaling the share by s > 0 and the radicand by s^2 leaves the
+        coefficient unchanged, so both may be integers."""
         if radicand == 0:
             raise DegenerateRadicalError(
                 "a factor under the normalising radical vanishes"
             )
-        return cls(squared=share**2 / (4 * radicand), sign=(share > 0) - (share < 0))
+        return cls(
+            squared=Fraction(share * share, 4 * radicand),
+            sign=(share > 0) - (share < 0),
+        )
 
     @property
     def value(self) -> float:
@@ -185,25 +283,34 @@ def lambda_coefficient(
 ) -> LambdaCoefficient:
     """Disturbance share of cells ``(n, m)`` divided by twice the geometric
     mean of the four conditional probabilities under the radical."""
-    share = pairwise_delta(space, b_outcome, partition, c, n, m)
-    radicand = (
-        conditional(space, partition.cells[n], c)
-        * conditional(space, b_outcome, partition.cells[n])
-        * conditional(space, partition.cells[m], c)
-        * conditional(space, b_outcome, partition.cells[m])
-    )
-    return LambdaCoefficient.of(share, radicand)
+    return _pair_masses(space, b_outcome, partition, c, n, m).coefficient(n, m)
 
 
 @dataclass(frozen=True)
 class TwoCellTable:
-    """P(A_i|C), P(B_j|C) and the transition matrix P(B_j|A_i) of a context C
-    of a dichotomous pair (A, B), 0-based.  The disturbance is
-    delta_j = P(B_j|C) - sum_i P(A_i|C) P(B_j|A_i)."""
+    """One context C of a dichotomous pair (A, B), 0-based, as integer masses
+    over the space's common denominator: ``local[i][j]`` is l_ij, the mass
+    of A_i & B_j & C, and ``whole[i][j]`` is W_ij, that of A_i & B_j.
 
-    a_given_c: tuple[Fraction, Fraction]
-    b_given_c: tuple[Fraction, Fraction]
-    b_given_a: tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
+    With row sums r_i and R_i and M = r_0 + r_1, the disturbance
+    delta_j = P(B_j|C) - sum_i P(A_i|C) P(B_j|A_i) and the squared
+    coefficient are each one Fraction:
+
+        delta_j    = N_j / (M R_0 R_1),
+        lambda_j^2 = N_j^2 / (4 R_0 R_1 r_0 r_1 W_0j W_1j),
+        N_j = (l_0j + l_1j) R_0 R_1 - r_0 W_0j R_1 - r_1 W_1j R_0,
+
+    and the sign of lambda_j is the sign of N_j.  Each coefficient is
+    computed once per table; it raises :class:`DegenerateRadicalError`
+    exactly when W_0j W_1j = 0.  P(A_i|C), P(B_j|C) and the transition
+    matrix P(B_j|A_i) are derived on first use.
+    """
+
+    local: tuple[tuple[int, int], tuple[int, int]]
+    whole: tuple[tuple[int, int], tuple[int, int]]
+    _coefficients: dict[int, LambdaCoefficient] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @classmethod
     def of(
@@ -224,30 +331,59 @@ class TwoCellTable:
                     table[a_cell[p] - 1][b_cell[p] - 1] += masses[p]
         except KeyError as exc:
             raise PartialAssignmentError(f"point {exc} lies in no cell") from exc
-        rows = [sum(row) for row in local]
-        if not all(rows):
+        if not all(sum(row) for row in local):
             raise NotAContextError(
                 f"{c.label()} is not a context for the variable pair"
             )
-        total = sum(rows)
         return cls(
-            a_given_c=tuple(Fraction(r, total) for r in rows),
-            b_given_c=tuple(
-                Fraction(local[0][j] + local[1][j], total) for j in range(2)
-            ),
-            b_given_a=tuple(
-                tuple(Fraction(m, sum(row)) for m in row) for row in whole
-            ),
+            local=(tuple(local[0]), tuple(local[1])),
+            whole=(tuple(whole[0]), tuple(whole[1])),
+        )
+
+    @cached_property
+    def a_given_c(self) -> tuple[Fraction, Fraction]:
+        r0, r1 = map(sum, self.local)
+        return (Fraction(r0, r0 + r1), Fraction(r1, r0 + r1))
+
+    @cached_property
+    def b_given_c(self) -> tuple[Fraction, Fraction]:
+        (l00, l01), (l10, l11) = self.local
+        total = l00 + l01 + l10 + l11
+        return (Fraction(l00 + l10, total), Fraction(l01 + l11, total))
+
+    @cached_property
+    def b_given_a(
+        self,
+    ) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
+        return tuple(
+            (Fraction(w0, w0 + w1), Fraction(w1, w0 + w1)) for w0, w1 in self.whole
+        )
+
+    def _share(self, j: int) -> int:
+        """N_j, the disturbance delta_j times M R_0 R_1."""
+        local, whole = self.local, self.whole
+        r0, r1 = map(sum, local)
+        R0, R1 = map(sum, whole)
+        return (
+            (local[0][j] + local[1][j]) * R0 * R1
+            - r0 * whole[0][j] * R1
+            - r1 * whole[1][j] * R0
         )
 
     def delta(self, j: int) -> Fraction:
-        p, t = self.a_given_c, self.b_given_a
-        return self.b_given_c[j] - (p[0] * t[0][j] + p[1] * t[1][j])
+        R0, R1 = map(sum, self.whole)
+        total = sum(map(sum, self.local))
+        return Fraction(self._share(j), total * R0 * R1)
 
     def coefficient(self, j: int) -> LambdaCoefficient:
-        p, t = self.a_given_c, self.b_given_a
-        radicand = p[0] * t[0][j] * p[1] * t[1][j]
-        return LambdaCoefficient.of(self.delta(j), radicand)
+        found = self._coefficients.get(j)
+        if found is None:
+            r0, r1 = map(sum, self.local)
+            R0, R1 = map(sum, self.whole)
+            radicand = R0 * R1 * r0 * r1 * self.whole[0][j] * self.whole[1][j]
+            found = LambdaCoefficient.of(self._share(j), radicand)
+            self._coefficients[j] = found
+        return found
 
     def coefficients(self) -> tuple[LambdaCoefficient, LambdaCoefficient]:
         return (self.coefficient(0), self.coefficient(1))
@@ -255,7 +391,7 @@ class TwoCellTable:
     @property
     def incompatible(self) -> bool:
         """Every cell intersection A_i & B_j carries positive probability."""
-        return all(p > 0 for row in self.b_given_a for p in row)
+        return all(w > 0 for row in self.whole for w in row)
 
     @property
     def mappable(self) -> bool:
@@ -296,19 +432,13 @@ def reconstruct_total_probability(
     and +/- 2 cosh(theta) sqrt(prod) beyond it; the result must match the
     direct conditional probability.
     """
-    _require_context(space, c, partition)
-    total = float(classical_part(space, b_outcome, partition, c))
+    masses = _masses(space, b_outcome, partition, c)
+    total = float(masses.expansion())
     k = len(partition)
     for n in range(k):
         for m in range(n + 1, k):
-            coeff = lambda_coefficient(space, b_outcome, partition, c, n, m)
-            radicand = (
-                conditional(space, partition.cells[n], c)
-                * conditional(space, b_outcome, partition.cells[n])
-                * conditional(space, partition.cells[m], c)
-                * conditional(space, b_outcome, partition.cells[m])
-            )
-            root = math.sqrt(float(radicand))
+            coeff = masses.coefficient(n, m)
+            root = math.sqrt(masses.radicand(n, m))
             theta = coeff.phase
             if coeff.squared <= 1:
                 total += 2.0 * math.cos(theta) * root
@@ -342,17 +472,14 @@ def interference_cross_sum(
     by their radicals, added over outcomes and cell pairs."""
     total = 0.0
     k = len(a_partition)
+    if k < 2:
+        return total  # no cell pair: an empty sum
     for b_cell in b_partition.cells:
+        masses = _masses(space, b_cell, a_partition, c)
         for n in range(k):
             for m in range(n + 1, k):
-                coeff = lambda_coefficient(space, b_cell, a_partition, c, n, m)
-                radicand = (
-                    conditional(space, a_partition.cells[n], c)
-                    * conditional(space, a_partition.cells[m], c)
-                    * conditional(space, b_cell, a_partition.cells[n])
-                    * conditional(space, b_cell, a_partition.cells[m])
-                )
-                total += coeff.value * math.sqrt(float(radicand))
+                coeff = masses.coefficient(n, m)
+                total += coeff.value * math.sqrt(masses.radicand(n, m))
     return total
 
 
@@ -392,9 +519,8 @@ def analyze_context(
     """Full per-outcome disturbance analysis of one context against a
     dichotomous variable pair."""
     table = TwoCellTable.of(space, a_var.assignment, b_var.assignment, c)
-    coeffs = table.coefficients()
     reports = []
-    for j, coeff in enumerate(coeffs):
+    for j, coeff in enumerate(table.coefficients()):
         d = table.delta(j)
         reports.append(
             DisturbanceReport(
@@ -412,5 +538,5 @@ def analyze_context(
     return ContextAnalysis(
         context=c,
         outcomes=tuple(reports),
-        classification=Classification.of([k.squared for k in coeffs]),
+        classification=table.classification,
     )

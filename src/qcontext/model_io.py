@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, is_dataclass, fields as dc_fields
+from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 from typing import Any, Mapping, Sequence
@@ -159,12 +160,12 @@ def parse_model(text: str) -> ModelSpec:
 def model_document(spec: ModelSpec) -> dict:
     doc: dict[str, Any] = {
         "points": [
-            {"id": p, "weight": str(spec.space.weights[p])}
+            {"id": p, "weight": format_rational(spec.space.weights[p])}
             for p in spec.space.points
         ],
         "variables": {
             name: {
-                "values": [str(v) for v in var.values],
+                "values": [format_rational(v) for v in var.values],
                 "assignment": {p: var.assignment[p] for p in spec.space.points},
             }
             for name, var in spec.variables.items()
@@ -276,6 +277,19 @@ def sweep(q_values: Sequence[Fraction | int | str | float]) -> SweepResult:
     return SweepResult(rows=tuple(rows), theta_monotone=monotone)
 
 
+def format_rational(x: Fraction) -> str:
+    """``str(x)``, "p/q" or "p" for an integer, without Python's limit on the
+    digits of an int-to-string conversion: a rational the program computes,
+    such as a squared coefficient of a model with a weight near 1e-4300,
+    may need more digits than any literal it parsed.  Parsing keeps the
+    limit."""
+    try:
+        return str(x)
+    except ValueError:  # beyond the limit: Decimal prints every digit
+        numerator, denominator = Decimal(x.numerator), Decimal(x.denominator)
+        return f"{numerator}" if denominator == 1 else f"{numerator}/{denominator}"
+
+
 def format_float(x: float) -> str:
     """Fixed 17-significant-digit decimal form; +0.0 normalised."""
     return format(x + 0.0, ".17g")
@@ -292,7 +306,7 @@ def to_jsonable(obj: Any) -> Any:
     if isinstance(obj, float):
         return format_float(obj)
     if isinstance(obj, Fraction):
-        return str(obj)
+        return format_rational(obj)
     if isinstance(obj, complex):
         return [format_float(obj.real), format_float(obj.imag)]
     if isinstance(obj, Event):
@@ -319,7 +333,7 @@ def _key_str(key: Any) -> str:
     if isinstance(key, Event):
         return key.label()
     if isinstance(key, Fraction):
-        return str(key)
+        return format_rational(key)
     if isinstance(key, float):
         return format_float(key)
     if isinstance(key, tuple):
@@ -376,10 +390,10 @@ def emit_report(bundle: Mapping[str, Any], fmt: str = "json") -> str:
                 rows.append(
                     [
                         context.label(),
-                        str(rep.outcome),
+                        format_rational(rep.outcome),
                         rep.classification.value,
-                        str(rep.delta),
-                        str(rep.lambda_squared),
+                        format_rational(rep.delta),
+                        format_rational(rep.lambda_squared),
                         str(rep.lambda_sign),
                         format_float(rep.lambda_value),
                         format_float(rep.phase),
@@ -390,9 +404,12 @@ def emit_report(bundle: Mapping[str, Any], fmt: str = "json") -> str:
         rows = [["value", "probability"]]
         for block in bundle["distributions"]:
             for value, mass in block["entries"]:
-                value_text = format_float(value) if isinstance(value, float) else str(value)
-                mass_text = format_float(mass) if isinstance(mass, float) else str(mass)
-                rows.append([value_text, mass_text])
+                rows.append(
+                    [
+                        format_float(x) if isinstance(x, float) else format_rational(x)
+                        for x in (value, mass)
+                    ]
+                )
         return _csv(rows)
     if kind == "sweep":
         rows = [
@@ -401,7 +418,7 @@ def emit_report(bundle: Mapping[str, Any], fmt: str = "json") -> str:
         for row in bundle["rows"]:
             rows.append(
                 [
-                    str(row.q),
+                    format_rational(row.q),
                     str(row.distinct_states),
                     format_float(row.theta_first),
                     format_float(row.theta_second),

@@ -335,3 +335,56 @@ class TestHostileNumbers:
         code, out, err = run(capsys, "analyze", "--model", str(path))
         assert code == 1 and not out
         assert "exponent" in err and err.count("\n") == 1
+
+
+class TestReportsBeyondTheDigitLimit:
+    """Literals at the exponent bound parse, and the rationals the program
+    computes from them (about twice as many digits) are emitted in full."""
+
+    TINY = "1e-4300"
+    # The reference-family weights of q = 10**-4300, written out exactly.
+    W1 = "1/1" + "0" * 4300
+    W2 = "4" + "9" * 4299 + "/1" + "0" * 4300
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "analyze",
+            "represent",
+            "operators",
+            "compare-dist",
+            "verify",
+            "dispersion-free",
+        ],
+    )
+    def test_model_commands(self, capsys, command):
+        code, out, err = run(capsys, command, "--kq", self.TINY)
+        assert code == 0 and not err
+        report = json.loads(out)
+        weights = {p["id"]: p["weight"] for p in report["model"]["points"]}
+        assert weights == {
+            "w1": self.W1,
+            "w2": self.W2,
+            "w3": self.W1,
+            "w4": self.W2,
+        }
+        if command == "verify":
+            assert report["all_passed"] is True
+
+    def test_analyze_csv(self, capsys):
+        # CSV rows hold no model document: the long fields are computed.
+        code, out, err = run(capsys, "analyze", "--kq", self.TINY, "--format", "csv")
+        assert code == 0 and not err
+        assert max(len(field) for field in out.replace("\n", ",").split(",")) > 8600
+
+    def test_analyze_halfway_to_the_bound(self, capsys):
+        code, out, err = run(capsys, "analyze", "--kq", "1e-2200")
+        assert code == 0 and out and not err
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_sweep(self, capsys, fmt):
+        code, out, err = run(
+            capsys, "sweep", "--grid", f"1/8,{self.TINY}", "--format", fmt
+        )
+        assert code == 0 and not err
+        assert self.W1 in out

@@ -3,16 +3,32 @@
 Every function below that sums point masses must return exactly the
 Fraction the textbook definition gives when the weights themselves are
 added, on small random models and on a model whose weight denominators are
-huge and pairwise coprime.
+huge and pairwise coprime.  That includes the disturbance algebra: delta,
+the pairwise shares, the squared coefficients with their signs and the
+classical expansion, from both the two-cell table and the Event-level path.
 """
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from qcontext.errors import ForeignPointError, NotAContextError, ZeroConditionError
-from qcontext.interference import TwoCellTable
+from qcontext.errors import (
+    DegenerateRadicalError,
+    ForeignPointError,
+    NotAContextError,
+    ZeroConditionError,
+)
+from qcontext.interference import (
+    TwoCellTable,
+    classical_part,
+    delta,
+    interference_cross_sum,
+    lambda_coefficient,
+    pairwise_delta,
+    reconstruct_total_probability,
+)
 from qcontext.operators import (
     CompositeObservable,
     classical_distribution,
@@ -23,8 +39,10 @@ from qcontext.prob import (
     DichotomousVariable,
     Event,
     FiniteProbabilitySpace,
+    Partition,
     all_events,
     conditional,
+    contexts_of,
     is_context,
     probability,
 )
@@ -74,6 +92,51 @@ def ref_variance(space, values, c):
     return spread / ref_probability(space, c)
 
 
+def ref_classical_part(space, b, partition, c):
+    return sum(
+        (
+            ref_conditional(space, cell, c) * ref_conditional(space, b, cell)
+            for cell in partition.cells
+        ),
+        start=Fraction(0),
+    )
+
+
+def ref_delta(space, b, partition, c):
+    """P(B|C) minus its classical total-probability expansion."""
+    return ref_conditional(space, b, c) - ref_classical_part(space, b, partition, c)
+
+
+def ref_pairwise_delta(space, b, partition, c, n, m):
+    def term(cell):
+        return ref_conditional(space, cell, c) * (
+            ref_conditional(space, b, cell.intersect(c))
+            - ref_conditional(space, b, cell)
+        )
+
+    cells = partition.cells
+    return (term(cells[n]) + term(cells[m])) / (len(cells) - 1)
+
+
+def ref_radicand(space, b, partition, c, n, m):
+    cells = partition.cells
+    return (
+        ref_conditional(space, cells[n], c)
+        * ref_conditional(space, b, cells[n])
+        * ref_conditional(space, cells[m], c)
+        * ref_conditional(space, b, cells[m])
+    )
+
+
+def ref_lambda(space, b, partition, c, n, m):
+    """(squared coefficient, sign), or None where the radicand vanishes."""
+    share = ref_pairwise_delta(space, b, partition, c, n, m)
+    radicand = ref_radicand(space, b, partition, c, n, m)
+    if radicand == 0:
+        return None
+    return share**2 / (4 * radicand), (share > 0) - (share < 0)
+
+
 # ------------------------------------------------------------------ models
 
 
@@ -98,6 +161,17 @@ def models():
     found += [random_incompatible_model(rng, max_points=7) for _ in range(6)]
     found += [random_double_stochastic_model(rng) for _ in range(6)]
     return found
+
+
+def three_cell_partition(space, a):
+    """The a-partition with its largest cell split in two, or None."""
+    cells = list(a.partition(space).cells)
+    big = max(cells, key=len)
+    if len(big) < 2:
+        return None
+    i = cells.index(big)
+    cells[i : i + 1] = [Event(big.members[:1]), Event(big.members[1:])]
+    return Partition.of(space, cells)
 
 
 def _random_map(rng, keys):
@@ -185,3 +259,102 @@ def test_kernel_error_cases():
         classical_distribution(space, obs, empty)
     with pytest.raises(ZeroConditionError):
         conditional_variance(space, point_map, empty)
+
+
+def _assert_event_level_matches_reference(space, b, partition, c):
+    k = len(partition)
+    assert classical_part(space, b, partition, c) == ref_classical_part(
+        space, b, partition, c
+    )
+    assert delta(space, b, partition, c) == ref_delta(space, b, partition, c)
+    for n in range(k):
+        for m in range(k):
+            if n == m:
+                continue
+            want = ref_pairwise_delta(space, b, partition, c, n, m)
+            assert pairwise_delta(space, b, partition, c, n, m) == want
+            expected = ref_lambda(space, b, partition, c, n, m)
+            if expected is None:
+                with pytest.raises(DegenerateRadicalError):
+                    lambda_coefficient(space, b, partition, c, n, m)
+            else:
+                got = lambda_coefficient(space, b, partition, c, n, m)
+                assert (got.squared, got.sign) == expected
+
+
+@pytest.mark.parametrize("model", models())
+def test_disturbance_algebra_equals_the_textbook(model):
+    space, a, b = model
+    a_part, b_part = a.partition(space), b.partition(space)
+    for c in contexts_of(space, a_part):
+        table = TwoCellTable.of(space, a.assignment, b.assignment, c)
+        for j, outcome in enumerate(b_part.cells):
+            want_delta = ref_delta(space, outcome, a_part, c)
+            assert table.delta(j) == want_delta
+            assert ref_pairwise_delta(space, outcome, a_part, c, 0, 1) == want_delta
+            squared, sign = ref_lambda(space, outcome, a_part, c, 0, 1)
+            coeff = table.coefficient(j)
+            assert (coeff.squared, coeff.sign) == (squared, sign)
+            assert coeff is table.coefficient(j)
+            _assert_event_level_matches_reference(space, outcome, a_part, c)
+
+
+@pytest.mark.parametrize("model", models())
+def test_three_cell_partition_equals_the_textbook(model):
+    space, a, b = model
+    partition = three_cell_partition(space, a)
+    if partition is None:
+        pytest.skip("no a-cell with two points to split")
+    for c in contexts_of(space, partition):
+        for outcome in b.partition(space).cells:
+            _assert_event_level_matches_reference(space, outcome, partition, c)
+            if all(
+                ref_radicand(space, outcome, partition, c, n, m) > 0
+                for n in range(3)
+                for m in range(n + 1, 3)
+            ):
+                rebuilt = reconstruct_total_probability(space, outcome, partition, c)
+                direct = float(ref_conditional(space, outcome, c))
+                assert math.isclose(rebuilt, direct, abs_tol=1e-12)
+
+
+def test_disturbance_error_paths():
+    space, a, b = huge_denominator_model()
+    a_part, b_part = a.partition(space), b.partition(space)
+    outcome = b_part.cells[0]
+    c = space.omega()
+    non_context = a_part.cells[0]
+
+    # A compatible pair (b = a): a cell intersection is empty.
+    with pytest.raises(DegenerateRadicalError):
+        TwoCellTable.of(space, a.assignment, a.assignment, c).coefficient(0)
+    with pytest.raises(DegenerateRadicalError):
+        lambda_coefficient(space, a_part.cells[0], a_part, c)
+
+    # A partition built directly, past Partition.of, with a foreign point.
+    foreign = Partition((Event(a_part.cells[0].members + ("zz",)), a_part.cells[1]))
+    for call in (
+        lambda: classical_part(space, outcome, foreign, c),
+        lambda: delta(space, outcome, foreign, c),
+        lambda: pairwise_delta(space, outcome, foreign, c, 1, 0),
+        lambda: lambda_coefficient(space, outcome, foreign, c),
+        lambda: reconstruct_total_probability(space, outcome, foreign, c),
+        lambda: interference_cross_sum(space, foreign, b_part, c),
+    ):
+        with pytest.raises(ForeignPointError, match="'zz'"):
+            call()
+
+    # A non-context comes first, before a bad cell pair or a foreign point.
+    for n, m in ((0, 0), (0, 2), (-1, 1)):
+        with pytest.raises(NotAContextError):
+            pairwise_delta(space, outcome, a_part, non_context, n, m)
+        with pytest.raises(NotAContextError):
+            lambda_coefficient(space, outcome, a_part, non_context, n, m)
+        with pytest.raises(ValueError, match="invalid cell pair"):
+            pairwise_delta(space, outcome, a_part, c, n, m)
+    with pytest.raises(NotAContextError):
+        delta(space, Event.of(["zz"]), foreign, non_context)
+
+    # A foreign outcome.
+    with pytest.raises(ForeignPointError, match="'zz'"):
+        delta(space, Event.of(["p1", "zz"]), a_part, c)

@@ -20,6 +20,7 @@ from qcontext.model_io import (
     canonical_json,
     emit_report,
     format_float,
+    format_rational,
     kq_model,
     parse_model,
     serialize_model,
@@ -243,6 +244,31 @@ class TestEmission:
         text = emit_report(bundle, "csv")
         assert text.splitlines()[0] == "value,probability"
         assert "-2,1/7" in text
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            Fraction(0),
+            Fraction(-2),
+            Fraction(3, 7),
+            Fraction(-1, 10**400),
+            Fraction(2**61 - 1, 3),
+        ],
+    )
+    def test_rational_formatting_is_str(self, value):
+        assert format_rational(value) == str(value)
+
+    def test_rational_formatting_beyond_the_digit_limit(self):
+        digits = 9000
+        value = Fraction(-(10**digits - 1), 10**digits)
+        assert format_rational(value) == "-" + "9" * digits + "/1" + "0" * digits
+        assert format_rational(Fraction(10**digits)) == "1" + "0" * digits
+        assert "9" * digits in canonical_json({"ratio": value})
+
+    def test_parsing_keeps_the_digit_limit(self):
+        text = serialize_model(kq_model("1e-4300"))
+        with pytest.raises(MalformedDocumentError, match="bad rational literal"):
+            parse_model(text)
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
