@@ -9,6 +9,8 @@ Born's rule in one or both bases, Hermitian 2x2 operator representations with
 their commutator and spectral calculus, and a deterministic report CLI.
 """
 
+import importlib as _importlib
+
 from .errors import (
     DegenerateRadicalError,
     DuplicatePointError,
@@ -40,6 +42,7 @@ from .interference import (
 )
 from .hilbert import (
     BasisPair,
+    ContextAtlas,
     SignConvention,
     StateVector,
     TransitionMatrix,
@@ -106,6 +109,16 @@ from .prob import (
     probability,
     variables_incompatible,
 )
-from .verify import CheckResult, run_checks
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The check suite loads on first use, so that a CLI start that runs no
+# checks does not compile it.
+_LAZY = ("CheckResult", "run_checks", "verify")
+
+__all__ = [name for name in dir() if not name.startswith("_")] + list(_LAZY)
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        verify = _importlib.import_module(f"{__name__}.verify")
+        return verify if name == "verify" else getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

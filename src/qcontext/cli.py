@@ -20,7 +20,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import hilbert, interference, operators, verify
+from . import hilbert, interference, operators
 from .errors import ModelError
 from .model_io import (
     ModelSpec,
@@ -30,7 +30,14 @@ from .model_io import (
     parse_model,
     sweep,
 )
-from .prob import Event, as_fraction, conditional, variables_incompatible
+from .prob import (
+    Event,
+    as_fraction,
+    conditional,
+    is_context,
+    quoted,
+    variables_incompatible,
+)
 
 MAX_DEFAULT_ENUMERATION = 12
 
@@ -106,7 +113,7 @@ def _load_model(args: argparse.Namespace) -> ModelSpec:
         try:
             q = as_fraction(args.kq)
         except (ValueError, ZeroDivisionError) as exc:
-            raise ModelError(f"bad rational {args.kq!r}") from exc
+            raise ModelError(f"bad rational {quoted(args.kq)}") from exc
         return kq_model(q)
     path = Path(args.model)
     if not path.is_file():
@@ -126,34 +133,33 @@ def _resolve_pair(spec: ModelSpec, names: str):
     return a, b
 
 
-def _contexts_for(spec: ModelSpec, a_var) -> tuple[Event, ...]:
-    from .prob import contexts_of, is_context
-
-    part = a_var.partition(spec.space)
+def _contexts_for(spec: ModelSpec, a_var, command: str) -> tuple[Event, ...] | None:
+    """The model's listed contexts that are contexts for the pair, sorted by
+    (size, members); None when it lists none, for the atlas to enumerate."""
     if spec.contexts is not None:
+        part = a_var.partition(spec.space)
         chosen = tuple(
             c for c in spec.contexts if is_context(spec.space, c, part)
         )
         return tuple(
             sorted(chosen, key=lambda e: (len(e.members), e.members))
         )
-    if len(spec.space.points) > MAX_DEFAULT_ENUMERATION:
+    if command == "analyze" and len(spec.space.points) > MAX_DEFAULT_ENUMERATION:
         raise ModelError(
             "exhaustive enumeration is limited to "
             f"{MAX_DEFAULT_ENUMERATION} points; list contexts in the model file"
         )
-    return contexts_of(spec.space, part)
+    return None
 
 
-def _analysis_bundle(spec: ModelSpec, a_var, b_var) -> dict:
-    space = spec.space
-    a_part = a_var.partition(space)
+def _analysis_bundle(atlas: hilbert.ContextAtlas, args) -> dict:
+    space, b_var = atlas.space, atlas.b_var
+    a_part = atlas.a_var.partition(space)
     b_part = b_var.partition(space)
     analyses = []
-    for c in _contexts_for(spec, a_var):
-        analysis = interference.analyze_context(space, a_var, b_var, c)
-        mappable = all(rep.lambda_squared <= 1 for rep in analysis.outcomes)
-        state = hilbert.amplitude(space, a_var, b_var, c) if mappable else None
+    for entry in atlas.entries:
+        c = entry.context
+        analysis = interference.ContextAnalysis.of(c, entry.table, b_var.values)
         checks = {
             "disturbance_sum": interference.delta_outcome_sum(
                 space, a_part, b_part, c
@@ -173,85 +179,51 @@ def _analysis_bundle(spec: ModelSpec, a_var, b_var) -> dict:
                 "context": c,
                 "classification": analysis.classification,
                 "per_outcome": list(analysis.outcomes),
-                "state": state,
+                "state": entry.state,
                 "checks": checks,
             }
         )
-    return {
-        "kind": "analysis",
-        "model": model_document(spec),
-        "variables": [a_var.name, b_var.name],
-        "analyses": analyses,
-    }
+    return {"kind": "analysis", "analyses": analyses}
 
 
-def _represent_bundle(spec: ModelSpec, a_var, b_var) -> dict:
-    space = spec.space
-    trans = hilbert.transition_matrix(space, a_var, b_var)
-    forward_ds = hilbert.is_double_stochastic(trans)
-    basis = (
-        hilbert.a_basis(space, a_var, b_var)
-        if forward_ds
-        else hilbert.context_basis(space, a_var, b_var)
-    )
-    image = hilbert.image_set(space, a_var, b_var)
-    states = [
-        {"context": evt, "state": state} for evt, state in image.entries
-    ]
-    gaps = hilbert.phase_gap_profile(space, a_var, b_var, -1, +1)
+def _represent_bundle(atlas: hilbert.ContextAtlas, args) -> dict:
+    trans, basis, image = atlas.transition, atlas.basis, atlas.image_set()
+    gaps = atlas.phase_gap_profile(-1, +1)
     return {
         "kind": "representation",
-        "model": model_document(spec),
-        "variables": [a_var.name, b_var.name],
         "transition_matrix": [list(row) for row in trans.entries],
-        "double_stochastic": forward_ds,
+        "double_stochastic": hilbert.is_double_stochastic(trans),
         "a_basis": list(basis.e_a),
         "stripped_phase": basis.stripped_phase,
-        "states": states,
+        "states": [{"context": evt, "state": state} for evt, state in image.entries],
         "collisions": [list(group) for group in image.collisions],
         "distinct_states": image.distinct_count,
-        "phase_gaps": [
-            {"context": evt, "gap": gap} for evt, gap in gaps
-        ],
-        "nonsensitive_contexts": list(
-            hilbert.nonsensitive_contexts(space, a_var, b_var)
-        ),
+        "phase_gaps": [{"context": evt, "gap": gap} for evt, gap in gaps],
+        "nonsensitive_contexts": list(atlas.nonsensitive_contexts()),
     }
 
 
-def _operators_bundle(spec: ModelSpec, a_var, b_var) -> dict:
-    space = spec.space
-    trans = hilbert.transition_matrix(space, a_var, b_var)
-    a_op = operators.a_operator(a_var, trans)
+def _operators_bundle(atlas: hilbert.ContextAtlas, args) -> dict:
+    a_var, b_var = atlas.a_var, atlas.b_var
+    a_op = operators.a_operator(a_var, atlas.transition)
     b_op = operators.b_operator(b_var)
     com = operators.commutator(b_op, a_op)
-    rows = []
-    for evt, state in operators.represented_states(space, a_var, b_var):
-        rows.append(
-            {
-                "context": evt,
-                "mean_a_operator": operators.quantum_mean(a_op, state),
-                "mean_b_operator": operators.quantum_mean(b_op, state),
-                "mean_a_classical": operators.classical_mean(
-                    space,
-                    operators.CompositeObservable.of_a(
-                        a_var, b_var, {v: v for v in a_var.values}
-                    ),
-                    evt,
-                ),
-                "mean_b_classical": operators.classical_mean(
-                    space,
-                    operators.CompositeObservable.of_b(
-                        b_var, {v: v for v in b_var.values}
-                    ),
-                    evt,
-                ),
-            }
-        )
+    of_a = operators.CompositeObservable.of_a(
+        a_var, b_var, {v: v for v in a_var.values}
+    )
+    of_b = operators.CompositeObservable.of_b(b_var, {v: v for v in b_var.values})
+    rows = [
+        {
+            "context": entry.context,
+            "mean_a_operator": operators.quantum_mean(a_op, entry.state),
+            "mean_b_operator": operators.quantum_mean(b_op, entry.state),
+            "mean_a_classical": of_a.mean_on(entry.table.local),
+            "mean_b_classical": of_b.mean_on(entry.table.local),
+        }
+        for entry in atlas.represented
+    ]
     return {
         "kind": "operators",
-        "model": model_document(spec),
-        "variables": [a_var.name, b_var.name],
         "a_operator": [list(r) for r in a_op.entries],
         "b_operator": [list(r) for r in b_op.entries],
         "commutator": [list(r) for r in com],
@@ -259,33 +231,57 @@ def _operators_bundle(spec: ModelSpec, a_var, b_var) -> dict:
     }
 
 
-def _compare_bundle(spec: ModelSpec, a_var, b_var, args) -> dict:
-    space = spec.space
+def _alignment(args) -> tuple[float, float] | None:
+    if not args.align:
+        return None
+    try:
+        scale_text, offset_text = args.align.split(",")
+        alignment = (float(scale_text), float(offset_text))
+    except ValueError as exc:
+        raise ModelError(f"bad --align value {args.align!r}") from exc
+    if not all(math.isfinite(x) for x in alignment):
+        raise ModelError(
+            f"--align needs a finite SCALE and OFFSET, got {args.align!r}"
+        )
+    return alignment
+
+
+def _mismatch_reports(atlas: hilbert.ContextAtlas, obs, alignment, context):
+    """(context, report) for the --context event, or for every mappable
+    context of the atlas, with the operator's spectrum computed once."""
+    space = atlas.space
+    if context:
+        c = space.event(context.split(","))
+        report = operators.distribution_mismatch(
+            space, atlas.a_var, atlas.b_var, obs, c, alignment=alignment
+        )
+        return [(c, report)]
+    if not atlas.mappable:
+        return []
+    spectrum = operators.spectral_decomposition(operators.to_operator(space, obs))
+    whole = atlas.omega.whole
+    return [
+        (
+            e.context,
+            operators.MismatchReport.of(
+                obs.distribution_on(e.table.local, whole),
+                spectrum.distribution(e.state),
+                alignment,
+            ),
+        )
+        for e in atlas.mappable
+    ]
+
+
+def _compare_bundle(atlas: hilbert.ContextAtlas, args) -> dict:
+    a_var, b_var = atlas.a_var, atlas.b_var
     if args.observable == "sum":
         obs = operators.CompositeObservable.sum_of(a_var, b_var)
     else:
         obs = operators.CompositeObservable.product_of(a_var, b_var)
-    alignment = None
-    if args.align:
-        try:
-            scale_text, offset_text = args.align.split(",")
-            alignment = (float(scale_text), float(offset_text))
-        except ValueError as exc:
-            raise ModelError(f"bad --align value {args.align!r}") from exc
-        if not all(math.isfinite(x) for x in alignment):
-            raise ModelError(
-                f"--align needs a finite SCALE and OFFSET, got {args.align!r}"
-            )
-    if args.context:
-        targets = [space.event(args.context.split(","))]
-    else:
-        targets = list(hilbert.mappable_contexts(space, a_var, b_var))
     blocks = []
     distributions = []
-    for c in targets:
-        report = operators.distribution_mismatch(
-            space, a_var, b_var, obs, c, alignment=alignment
-        )
+    for c, report in _mismatch_reports(atlas, obs, _alignment(args), args.context):
         blocks.append(
             {
                 "context": c,
@@ -313,8 +309,6 @@ def _compare_bundle(spec: ModelSpec, a_var, b_var, args) -> dict:
         )
     return {
         "kind": "distribution",
-        "model": model_document(spec),
-        "variables": [a_var.name, b_var.name],
         "observable": args.observable,
         "comparisons": blocks,
         "distributions": distributions,
@@ -334,27 +328,54 @@ def _sweep_bundle(args) -> dict:
     }
 
 
-def _verify_bundle(spec: ModelSpec, a_var, b_var, seed: int) -> dict:
-    checks = verify.run_checks(spec.space, a_var, b_var, seed=seed)
+def _verify_bundle(atlas: hilbert.ContextAtlas, args) -> dict:
+    from . import verify  # loaded here only: no other subcommand needs it
+
+    seed = _seed_from_env()
+    checks = verify.run_checks(
+        atlas.space, atlas.a_var, atlas.b_var, seed=seed, atlas=atlas
+    )
     return {
         "kind": "verification",
-        "model": model_document(spec),
-        "variables": [a_var.name, b_var.name],
         "seed": seed,
         "checks": checks,
         "all_passed": all(c.passed for c in checks),
     }
 
 
-def _dispersion_bundle(spec: ModelSpec, a_var, b_var) -> dict:
-    report = operators.dispersion_free_search(spec.space, a_var, b_var)
+def _dispersion_bundle(atlas: hilbert.ContextAtlas, args) -> dict:
+    report = operators.dispersion_free_search(
+        atlas.space, atlas.a_var, atlas.b_var, atlas
+    )
     return {
         "kind": "dispersion",
-        "model": model_document(spec),
-        "variables": [a_var.name, b_var.name],
         "dispersion_free": list(report.dispersion_free),
         "representable": list(report.representable),
         "intersection": list(report.intersection),
+    }
+
+
+_BUNDLES = {
+    "analyze": _analysis_bundle,
+    "represent": _represent_bundle,
+    "operators": _operators_bundle,
+    "compare-dist": _compare_bundle,
+    "verify": _verify_bundle,
+    "dispersion-free": _dispersion_bundle,
+}
+
+
+def _model_bundle(args) -> dict:
+    """The report of a model subcommand, read from one atlas of the pair;
+    the atlas is released before the report is emitted."""
+    spec = _load_model(args)
+    a_var, b_var = _resolve_pair(spec, args.vars)
+    contexts = _contexts_for(spec, a_var, args.command)
+    atlas = hilbert.ContextAtlas.of(spec.space, a_var, b_var, contexts)
+    return {
+        "model": model_document(spec),
+        "variables": [a_var.name, b_var.name],
+        **_BUNDLES[args.command](atlas, args),
     }
 
 
@@ -375,25 +396,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.command == "sweep":
-            bundle = _sweep_bundle(args)
-        else:
-            spec = _load_model(args)
-            a_var, b_var = _resolve_pair(spec, args.vars)
-            if args.command == "analyze":
-                bundle = _analysis_bundle(spec, a_var, b_var)
-            elif args.command == "represent":
-                bundle = _represent_bundle(spec, a_var, b_var)
-            elif args.command == "operators":
-                bundle = _operators_bundle(spec, a_var, b_var)
-            elif args.command == "compare-dist":
-                bundle = _compare_bundle(spec, a_var, b_var, args)
-            elif args.command == "verify":
-                bundle = _verify_bundle(spec, a_var, b_var, _seed_from_env())
-            elif args.command == "dispersion-free":
-                bundle = _dispersion_bundle(spec, a_var, b_var)
-            else:  # pragma: no cover - argparse restricts the choices
-                raise ModelError(f"unknown command {args.command!r}")
+        bundle = _sweep_bundle(args) if args.command == "sweep" else _model_bundle(args)
         text = emit_report(bundle, args.fmt)
     except (ModelError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -14,6 +14,16 @@ needs its own coordinate expansion (see :func:`dual_inner_products`).
 
 Exact rationals decide every classification; amplitudes themselves are
 double-precision complex numbers.
+
+:class:`ContextAtlas` is the layer every report reads: for one pair it sums
+the whole-space 2x2 masses once and gives each context its two-cell table,
+coefficients, classification and amplitude, built once per run.  With r_i,
+R_i and W_ij the masses of A_i & C, A_i and A_i & B_j, and M that of C,
+each amplitude modulus sqrt(P(A_i|C) P(B_j|A_i)) is sqrt(r_i W_ij / (M R_i))
+from one correctly rounded integer division.  The functions that take a
+space and a pair (:func:`mappable_contexts`, :func:`amplitude`,
+:func:`represented_states`, :func:`image_set`, :func:`phase_gap_profile`,
+:func:`nonsensitive_contexts`) are views over an atlas built for the call.
 """
 
 from __future__ import annotations
@@ -22,21 +32,20 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from functools import cached_property
+from typing import NamedTuple, Sequence
 
 from .errors import (
     NotDoubleStochasticError,
     NotTrigonometricError,
     SingularBasisError,
 )
-from .interference import TwoCellTable, lambda_coefficient
+from .interference import Masses, TwoCellTable, lambda_coefficient, mass_table
 from .prob import (
     DichotomousVariable,
     Event,
     FiniteProbabilitySpace,
-    conditional,
-    contexts_of,
-    variables_incompatible,
+    require_enumerable,
 )
 
 STATE_TOL = 1e-12
@@ -152,6 +161,26 @@ def _phases(table: TwoCellTable, failure: str) -> tuple[float, float]:
     return (coeffs[0].phase, coeffs[1].phase)
 
 
+def _amplitude(table: TwoCellTable, signs: SignConvention) -> StateVector | None:
+    """phi(x_j) = sqrt(r_0 W_0j / (M R_0))
+                  + exp(i eps_j theta_j) sqrt(r_1 W_1j / (M R_1)),
+    or None when a squared coefficient exceeds one.  Each quotient is one
+    correctly rounded integer division, the float of that Fraction."""
+    if not table.mappable:
+        return None
+    theta = [k.phase for k in table.coefficients()]
+    (r0, r1), whole = map(sum, table.local), table.whole
+    R0, R1 = map(sum, whole)
+    components = []
+    for j in range(2):
+        first = math.sqrt(r0 * whole[0][j] / ((r0 + r1) * R0))
+        second = math.sqrt(r1 * whole[1][j] / ((r0 + r1) * R1))
+        components.append(
+            first + cmath.exp(1j * signs.eps(j) * theta[j]) * second
+        )
+    return StateVector(tuple(components))
+
+
 def mappable_contexts(
     space: FiniteProbabilitySpace,
     a_var: DichotomousVariable,
@@ -159,13 +188,7 @@ def mappable_contexts(
 ) -> tuple[Event, ...]:
     """Contexts whose squared coefficients never exceed one (trigonometric,
     boundary included); exactly these receive amplitudes."""
-    if not variables_incompatible(space, a_var, b_var):
-        raise ValueError("context enumeration requires an incompatible pair")
-    return tuple(
-        c
-        for c in contexts_of(space, a_var.partition(space))
-        if TwoCellTable.of(space, a_var.assignment, b_var.assignment, c).mappable
-    )
+    return tuple(e.context for e in ContextAtlas.of(space, a_var, b_var).mappable)
 
 
 def amplitude(
@@ -180,21 +203,7 @@ def amplitude(
     Raises :class:`NotTrigonometricError` when some squared coefficient
     exceeds one, and :class:`NotAContextError` when conditioning is undefined.
     """
-    table = TwoCellTable.of(space, a_var.assignment, b_var.assignment, c)
-    if not table.incompatible:
-        raise ValueError("amplitudes require an incompatible variable pair")
-    theta = _phases(
-        table, f"{c.label()} carries a coefficient beyond the trigonometric range"
-    )
-    pa, trans = table.a_given_c, table.b_given_a
-    components = []
-    for j in range(2):
-        first = math.sqrt(float(pa[0] * trans[0][j]))
-        second = math.sqrt(float(pa[1] * trans[1][j]))
-        components.append(
-            first + cmath.exp(1j * signs.eps(j) * theta[j]) * second
-        )
-    return StateVector(tuple(components))
+    return ContextAtlas.of(space, a_var, b_var, (c,), signs).amplitudes()[0]
 
 
 @dataclass(frozen=True)
@@ -353,25 +362,16 @@ def born_in_a_basis_check(
     doubly stochastic; failures are reported, never raised.
     """
     basis = context_basis(space, a_var, b_var, reference_context, signs)
-    a_cells = a_var.partition(space).cells
-    targets = (
-        tuple(contexts)
-        if contexts is not None
-        else mappable_contexts(space, a_var, b_var)
-    )
-    rows = []
-    for c in targets:
-        state = amplitude(space, a_var, b_var, c, signs)
-        for j, e in enumerate(basis.e_a):
-            rows.append(
-                BornRow(
-                    context=c,
-                    value=a_var.values[j],
-                    projected=abs(state.inner(e)) ** 2,
-                    expected=conditional(space, a_cells[j], c),
-                )
-            )
-    return tuple(rows)
+    atlas = ContextAtlas.of(space, a_var, b_var, contexts, signs)
+    if contexts is not None:
+        atlas.amplitudes()  # every listed context needs an amplitude
+    return atlas.born_rows(basis)
+
+
+def _gap(table: TwoCellTable, eps1: int, eps2: int) -> float:
+    theta = _phases(table, "phase gap needs a trigonometric context")
+    gap = eps1 * theta[0] - eps2 * theta[1]
+    return gap % (2.0 * math.pi)
 
 
 def phase_gap(
@@ -388,12 +388,9 @@ def phase_gap(
     Takes raw signs so that the drift under an equal-sign choice can be
     demonstrated; :class:`SignConvention` itself rejects equal signs.
     """
-    theta = _phases(
-        TwoCellTable.of(space, a_var.assignment, b_var.assignment, c),
-        "phase gap needs a trigonometric context",
+    return _gap(
+        TwoCellTable.of(space, a_var.assignment, b_var.assignment, c), eps1, eps2
     )
-    gap = eps1 * theta[0] - eps2 * theta[1]
-    return gap % (2.0 * math.pi)
 
 
 def phase_gap_profile(
@@ -403,10 +400,7 @@ def phase_gap_profile(
     eps1: int,
     eps2: int,
 ) -> tuple[tuple[Event, float], ...]:
-    return tuple(
-        (c, phase_gap(space, a_var, b_var, c, eps1, eps2))
-        for c in mappable_contexts(space, a_var, b_var)
-    )
+    return ContextAtlas.of(space, a_var, b_var).phase_gap_profile(eps1, eps2)
 
 
 def phase_gap_constancy_check(
@@ -431,12 +425,7 @@ def nonsensitive_contexts(
     """Contexts with exactly zero disturbance for every outcome; the whole
     space always qualifies.  Their phases are right angles and the second
     amplitude term is purely imaginary."""
-    found = []
-    for c in contexts_of(space, a_var.partition(space)):
-        table = TwoCellTable.of(space, a_var.assignment, b_var.assignment, c)
-        if table.delta(0) == table.delta(1) == 0:
-            found.append(c)
-    return tuple(found)
+    return ContextAtlas.of(space, a_var, b_var).nonsensitive_contexts()
 
 
 @dataclass(frozen=True)
@@ -469,18 +458,7 @@ def represented_states(
     signs: SignConvention = SignConvention(),
 ) -> tuple[tuple[Event, StateVector], ...]:
     """(event, state) pairs for every mappable context plus the two a-cells."""
-    trans = transition_matrix(space, a_var, b_var)
-    if is_double_stochastic(trans):
-        basis = a_basis(space, a_var, b_var, signs=signs)
-    else:
-        basis = context_basis(space, a_var, b_var, signs=signs)
-    pairs = [
-        (c, amplitude(space, a_var, b_var, c, signs))
-        for c in mappable_contexts(space, a_var, b_var)
-    ]
-    pairs.extend(extend_to_cells(space, a_var, basis).items())
-    pairs.sort(key=lambda item: (len(item[0].members), item[0].members))
-    return tuple(pairs)
+    return ContextAtlas.of(space, a_var, b_var, signs=signs).represented_states()
 
 
 def group_states(states: Sequence[StateVector]) -> tuple[tuple[int, ...], ...]:
@@ -519,12 +497,178 @@ def image_set(
     b_var: DichotomousVariable,
     signs: SignConvention = SignConvention(),
 ) -> ImageSet:
-    entries = represented_states(space, a_var, b_var, signs)
-    groups = group_states([state for _, state in entries])
-    return ImageSet(
-        entries=entries,
-        groups=tuple(tuple(entries[i][0] for i in group) for group in groups),
-    )
+    return ContextAtlas.of(space, a_var, b_var, signs=signs).image_set()
+
+
+class AtlasEntry(NamedTuple):
+    """An event with its two-cell table, which computes the coefficients
+    and classification once, and its amplitude: None when a squared
+    coefficient exceeds one or the pair is compatible."""
+
+    context: Event
+    table: TwoCellTable
+    state: StateVector | None
+
+
+class ContextAtlas:
+    """The contexts of one dichotomous pair, built once and read by every
+    report; each part is built on first use.
+
+    ``contexts`` None stands for every context of a's partition, built as
+    (nonempty subset of A_1) | (nonempty subset of A_2), each subset
+    carrying its masses in B_1 and B_2, in the (size, members) order of
+    :func:`prob.contexts_of`; otherwise the atlas holds the given events in
+    their order.  Every table shares the whole-space masses, summed once.
+    """
+
+    def __init__(
+        self,
+        space: FiniteProbabilitySpace,
+        a_var: DichotomousVariable,
+        b_var: DichotomousVariable,
+        contexts: Sequence[Event] | None = None,
+        signs: SignConvention = SignConvention(),
+    ) -> None:
+        self.space, self.a_var, self.b_var, self.signs = space, a_var, b_var, signs
+        self.listed = None if contexts is None else tuple(contexts)
+
+    @classmethod
+    def of(cls, *args, **kwargs) -> "ContextAtlas":
+        """The constructor, named like the package's other ``of`` methods."""
+        return cls(*args, **kwargs)
+
+    @cached_property
+    def omega(self) -> TwoCellTable:
+        """The whole space as a context: both tables hold its masses."""
+        a_cell, b_cell = self.a_var.assignment, self.b_var.assignment
+        whole = mass_table(self.space, a_cell, b_cell, self.space.points)
+        return TwoCellTable(local=whole, whole=whole)
+
+    @cached_property
+    def a_cells(self) -> tuple[Event, ...]:
+        return self.a_var.partition(self.space).cells
+
+    @cached_property
+    def entries(self) -> tuple[AtlasEntry, ...]:
+        whole = self.omega.whole
+        a_cell, b_cell = self.a_var.assignment, self.b_var.assignment
+        if self.listed is None:
+            tables = self._enumerate(whole)
+        else:
+            tables = [
+                (c, TwoCellTable.of(self.space, a_cell, b_cell, c, whole))
+                for c in self.listed
+            ]
+        live = self.omega.incompatible
+        return tuple(
+            AtlasEntry(c, t, _amplitude(t, self.signs) if live else None)
+            for c, t in tables
+        )
+
+    def _enumerate(self, whole: Masses) -> list[tuple[Event, TwoCellTable]]:
+        require_enumerable(self.space)
+        masses, b_cell = self.space._masses, self.b_var.assignment
+        halves = []
+        for cell in self.a_cells:
+            subsets: list[tuple[tuple[str, ...], tuple[int, int]]] = [((), (0, 0))]
+            for p in cell.members:
+                n, first = masses[p], b_cell[p] == 1
+                subsets += [
+                    (members + (p,), (b1 + n, b2) if first else (b1, b2 + n))
+                    for members, (b1, b2) in subsets
+                ]
+            halves.append(subsets[1:])
+        found = sorted(
+            (tuple(sorted(s + t)), (m, n))
+            for s, m in halves[0]
+            for t, n in halves[1]
+        )
+        found.sort(key=lambda item: len(item[0]))
+        return [(Event(c), TwoCellTable(local, whole)) for c, local in found]
+
+    @property
+    def contexts(self) -> tuple[Event, ...]:
+        return tuple(e.context for e in self.entries)
+
+    @cached_property
+    def mappable(self) -> tuple[AtlasEntry, ...]:
+        """The entries with an amplitude."""
+        if not self.omega.incompatible:
+            raise ValueError("context enumeration requires an incompatible pair")
+        return tuple(e for e in self.entries if e.state is not None)
+
+    def amplitudes(self) -> tuple[StateVector, ...]:
+        """Every entry's amplitude; raises as :func:`amplitude` does."""
+        entries = self.entries
+        if not self.omega.incompatible:
+            raise ValueError("amplitudes require an incompatible variable pair")
+        for e in entries:
+            if e.state is None:
+                raise NotTrigonometricError(
+                    f"{e.context.label()} carries a coefficient beyond the "
+                    "trigonometric range"
+                )
+        return tuple(e.state for e in entries)
+
+    @property
+    def transition(self) -> TransitionMatrix:
+        a_values, b_values = self.a_var.values, self.b_var.values
+        return TransitionMatrix(a_values, b_values, self.omega.b_given_a)
+
+    @cached_property
+    def basis(self) -> BasisPair:
+        """The a-basis of the represented states: phase-stripped when the
+        transition matrix is doubly stochastic."""
+        build = a_basis if is_double_stochastic(self.transition) else context_basis
+        return build(self.space, self.a_var, self.b_var, signs=self.signs)
+
+    @cached_property
+    def represented(self) -> tuple[AtlasEntry, ...]:
+        """The mappable entries plus the two a-cells, which carry the a-basis
+        vectors and their masses (a cell is no context: its table's
+        coefficients are undefined), sorted by (size, members)."""
+        whole, none = self.omega.whole, (0, 0)
+        cells = [
+            AtlasEntry(cell, TwoCellTable(local, whole), vector)
+            for (cell, vector), local in zip(
+                extend_to_cells(self.space, self.a_var, self.basis).items(),
+                ((whole[0], none), (none, whole[1])),
+            )
+        ]
+        ordered = sorted(
+            [*self.mappable, *cells],
+            key=lambda e: (len(e.context.members), e.context.members),
+        )
+        return tuple(ordered)
+
+    def represented_states(self) -> tuple[tuple[Event, StateVector], ...]:
+        return tuple((e.context, e.state) for e in self.represented)
+
+    def image_set(self) -> ImageSet:
+        entries = self.represented_states()
+        groups = group_states([state for _, state in entries])
+        return ImageSet(
+            entries=entries,
+            groups=tuple(tuple(entries[i][0] for i in group) for group in groups),
+        )
+
+    def phase_gap_profile(
+        self, eps1: int, eps2: int
+    ) -> tuple[tuple[Event, float], ...]:
+        return tuple((e.context, _gap(e.table, eps1, eps2)) for e in self.mappable)
+
+    def nonsensitive_contexts(self) -> tuple[Event, ...]:
+        quiet = (e for e in self.entries if e.table.delta(0) == e.table.delta(1) == 0)
+        return tuple(e.context for e in quiet)
+
+    def born_rows(self, basis: BasisPair) -> tuple[BornRow, ...]:
+        """Squared projections of every mappable amplitude onto ``basis``,
+        against the exact P(a_j|C)."""
+        return tuple(
+            BornRow(e.context, a_j, abs(e.state.inner(v)) ** 2, e.table.a_given_c[j])
+            for e in self.mappable
+            for j, (a_j, v) in enumerate(zip(self.a_var.values, basis.e_a))
+        )
 
 
 @dataclass(frozen=True)

@@ -286,6 +286,26 @@ def lambda_coefficient(
     return _pair_masses(space, b_outcome, partition, c, n, m).coefficient(n, m)
 
 
+Masses = tuple[tuple[int, int], tuple[int, int]]
+
+
+def mass_table(
+    space: FiniteProbabilitySpace,
+    a_cell: Mapping[str, int],
+    b_cell: Mapping[str, int],
+    points: Sequence[str],
+) -> Masses:
+    """Integer masses of ``points`` in each cell A_i & B_j, 0-based."""
+    masses = space._masses
+    table = [[0, 0], [0, 0]]
+    try:
+        for p in points:
+            table[a_cell[p] - 1][b_cell[p] - 1] += masses[p]
+    except KeyError as exc:
+        raise PartialAssignmentError(f"point {exc} lies in no cell") from exc
+    return (tuple(table[0]), tuple(table[1]))
+
+
 @dataclass(frozen=True)
 class TwoCellTable:
     """One context C of a dichotomous pair (A, B), 0-based, as integer masses
@@ -306,8 +326,8 @@ class TwoCellTable:
     matrix P(B_j|A_i) are derived on first use.
     """
 
-    local: tuple[tuple[int, int], tuple[int, int]]
-    whole: tuple[tuple[int, int], tuple[int, int]]
+    local: Masses
+    whole: Masses
     _coefficients: dict[int, LambdaCoefficient] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -319,26 +339,20 @@ class TwoCellTable:
         a_cell: Mapping[str, int],
         b_cell: Mapping[str, int],
         c: Event,
+        whole: Masses | None = None,
     ) -> "TwoCellTable":
         """From each point's 1-based cell index under A and under B, shaped
-        like :attr:`DichotomousVariable.assignment`."""
+        like :attr:`DichotomousVariable.assignment`; ``whole`` passes the
+        whole-space masses when they are already summed."""
         space.validate_event(c)
-        masses = space._masses
-        whole, local = ([[0, 0], [0, 0]] for _ in range(2))
-        try:
-            for table, points in ((whole, space.points), (local, c.members)):
-                for p in points:
-                    table[a_cell[p] - 1][b_cell[p] - 1] += masses[p]
-        except KeyError as exc:
-            raise PartialAssignmentError(f"point {exc} lies in no cell") from exc
-        if not all(sum(row) for row in local):
+        if whole is None:
+            whole = mass_table(space, a_cell, b_cell, space.points)
+        local = mass_table(space, a_cell, b_cell, c.members)
+        if not all(map(sum, local)):
             raise NotAContextError(
                 f"{c.label()} is not a context for the variable pair"
             )
-        return cls(
-            local=(tuple(local[0]), tuple(local[1])),
-            whole=(tuple(whole[0]), tuple(whole[1])),
-        )
+        return cls(local=local, whole=whole)
 
     @cached_property
     def a_given_c(self) -> tuple[Fraction, Fraction]:
@@ -509,6 +523,31 @@ class ContextAnalysis:
     outcomes: tuple[DisturbanceReport, ...]
     classification: Classification
 
+    @classmethod
+    def of(
+        cls, c: Event, table: TwoCellTable, b_values: Sequence[Fraction]
+    ) -> "ContextAnalysis":
+        """The analysis of context ``c`` read from its two-cell table."""
+        reports = []
+        for j, coeff in enumerate(table.coefficients()):
+            d = table.delta(j)
+            reports.append(
+                DisturbanceReport(
+                    context=c,
+                    outcome=b_values[j],
+                    delta=d,
+                    pairwise={(0, 1): d},
+                    lambda_squared=coeff.squared,
+                    lambda_sign=coeff.sign,
+                    lambda_value=coeff.value,
+                    classification=coeff.classification,
+                    phase=coeff.phase,
+                )
+            )
+        return cls(
+            context=c, outcomes=tuple(reports), classification=table.classification
+        )
+
 
 def analyze_context(
     space: FiniteProbabilitySpace,
@@ -519,24 +558,4 @@ def analyze_context(
     """Full per-outcome disturbance analysis of one context against a
     dichotomous variable pair."""
     table = TwoCellTable.of(space, a_var.assignment, b_var.assignment, c)
-    reports = []
-    for j, coeff in enumerate(table.coefficients()):
-        d = table.delta(j)
-        reports.append(
-            DisturbanceReport(
-                context=c,
-                outcome=b_var.values[j],
-                delta=d,
-                pairwise={(0, 1): d},
-                lambda_squared=coeff.squared,
-                lambda_sign=coeff.sign,
-                lambda_value=coeff.value,
-                classification=coeff.classification,
-                phase=coeff.phase,
-            )
-        )
-    return ContextAnalysis(
-        context=c,
-        outcomes=tuple(reports),
-        classification=table.classification,
-    )
+    return ContextAnalysis.of(c, table, b_var.values)

@@ -26,7 +26,13 @@ from .errors import (
 )
 from .hilbert import StateVector, image_set
 from .operators import CompositeObservable, distribution_mismatch
-from .prob import DichotomousVariable, Event, FiniteProbabilitySpace, as_fraction
+from .prob import (
+    DichotomousVariable,
+    Event,
+    FiniteProbabilitySpace,
+    as_fraction,
+    quoted,
+)
 
 
 @dataclass(frozen=True)
@@ -60,7 +66,9 @@ def _parse_rational(value: Any, what: str) -> Fraction:
         try:
             return as_fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
-            raise MalformedDocumentError(f"{what}: bad rational literal {value!r}") from exc
+            raise MalformedDocumentError(
+                f"{what}: bad rational literal {quoted(value)}"
+            ) from exc
         except MalformedDocumentError as exc:
             raise MalformedDocumentError(f"{what}: {exc}") from exc
     raise MalformedDocumentError(f"{what} must be an int or a rational string")

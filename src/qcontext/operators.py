@@ -11,6 +11,13 @@ Quantum means of f(a-op) + g(b-op) match the exact conditional expectations
 of f(a) + g(b) on all represented contexts; probability *distributions* match
 only for pure functions of a single variable.  Eigendecompositions use the
 closed-form 2x2 quadratic, not an iterative solver.
+
+A composite observable takes one value v_ij on each cell A_i & B_j, so its
+conditional law on an event C depends only on the integer masses l_ij of C
+in the four cells: the mean is sum l_ij v_ij / M, one Fraction over a common
+denominator, and the distribution and the variance group the cells by
+value.  Reports pass the masses an atlas already holds
+(:class:`hilbert.ContextAtlas`); the functions that take an event sum them.
 """
 
 from __future__ import annotations
@@ -19,20 +26,23 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterable, Mapping
 
 from .errors import FloatRangeError, NotDoubleStochasticError, ZeroConditionError
 from .hilbert import (
+    AtlasEntry,
+    ContextAtlas,
     SignConvention,
     StateVector,
     TransitionMatrix,
     amplitude,
     is_double_stochastic,
-    mappable_contexts,
     phase_normalized,
     represented_states,
     transition_matrix,
 )
+from .interference import Masses, mass_table
 from .prob import (
     DichotomousVariable,
     Event,
@@ -173,6 +183,17 @@ class SpectralDecomposition:
     eigenvectors: tuple[StateVector, StateVector]
     degenerate: bool
 
+    def distribution(self, state: StateVector) -> dict[float, float]:
+        """Spectral probabilities |<state, eigenvector>|^2, merged per
+        eigenvalue when the spectrum is degenerate; they sum to one."""
+        dist: dict[float, float] = {}
+        for k, vec in zip(self.eigenvalues, self.eigenvectors):
+            weight = abs(state.inner(vec)) ** 2
+            if self.degenerate:
+                k = self.eigenvalues[0]
+            dist[k] = dist.get(k, 0.0) + weight
+        return dict(sorted(dist.items()))
+
 
 def spectral_decomposition(op: HermitianOperator) -> SpectralDecomposition:
     e = op.entries
@@ -211,16 +232,7 @@ def spectral_decomposition(op: HermitianOperator) -> SpectralDecomposition:
 def observable_distribution(
     op: HermitianOperator, state: StateVector
 ) -> dict[float, float]:
-    """Spectral probabilities |<state, eigenvector>|^2, merged per eigenvalue
-    when the spectrum is degenerate; they sum to one."""
-    spec = spectral_decomposition(op)
-    dist: dict[float, float] = {}
-    for k, vec in zip(spec.eigenvalues, spec.eigenvectors):
-        weight = abs(state.inner(vec)) ** 2
-        if spec.degenerate:
-            k = spec.eigenvalues[0]
-        dist[k] = dist.get(k, 0.0) + weight
-    return dict(sorted(dist.items()))
+    return spectral_decomposition(op).distribution(state)
 
 
 class ObservableKind(Enum):
@@ -278,14 +290,71 @@ class CompositeObservable:
     ) -> "CompositeObservable":
         return CompositeObservable(ObservableKind.PRODUCT, a, b)
 
+    @cached_property
+    def cell_values(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        """v_ij, the value on the cell A_i & B_j, 0-based."""
+        kind, f, g = self.kind, self.f, self.g
+        xs = self.a.values if self.a is not None else (None, None)
+        return tuple(
+            tuple(
+                f[x] if kind is ObservableKind.F_OF_A
+                else g[y] if kind is ObservableKind.G_OF_B
+                else f[x] + g[y] if kind is ObservableKind.SUM
+                else x * y
+                for y in self.b.values
+            )
+            for x in xs
+        )
+
     def value_at(self, point: str) -> Fraction:
-        if self.kind is ObservableKind.F_OF_A:
-            return self.f[self.a.value_at(point)]
-        if self.kind is ObservableKind.G_OF_B:
-            return self.g[self.b.value_at(point)]
-        if self.kind is ObservableKind.SUM:
-            return self.f[self.a.value_at(point)] + self.g[self.b.value_at(point)]
-        return self.a.value_at(point) * self.b.value_at(point)
+        i = 0 if self.kind is ObservableKind.G_OF_B else self.a.assignment[point] - 1
+        j = 0 if self.kind is ObservableKind.F_OF_A else self.b.assignment[point] - 1
+        return self.cell_values[i][j]
+
+    @cached_property
+    def _scaled(self) -> tuple[int, Masses]:
+        """(d, n) with the value on cell (i, j) equal to n[i][j] / d."""
+        values = self.cell_values
+        scale = math.lcm(*(v.denominator for row in values for v in row))
+        return scale, tuple(
+            tuple(v.numerator * (scale // v.denominator) for v in row)
+            for row in values
+        )
+
+    def mean_on(self, local: Masses) -> Fraction:
+        """Exact mean given the masses of the event in the four cells:
+        sum l_ij v_ij / M, as one Fraction."""
+        scale, scaled = self._scaled
+        cells = zip((*local[0], *local[1]), (*scaled[0], *scaled[1]))
+        weighted = sum(n * v for n, v in cells)
+        return Fraction(weighted, sum(map(sum, local)) * scale)
+
+    @cached_property
+    def _levels(self) -> tuple[list[Fraction], Masses]:
+        """The distinct cell values, ascending, and each cell's index among
+        them."""
+        levels = sorted(set(self.cell_values[0] + self.cell_values[1]))
+        index = tuple(tuple(map(levels.index, row)) for row in self.cell_values)
+        return levels, index
+
+    def masses_by_value(self, masses: Masses) -> list[tuple[Fraction, int]]:
+        """(value, mass) for each distinct value, ascending, given the masses
+        of an event in the four cells."""
+        levels, index = self._levels
+        found = [0] * len(levels)
+        for row, marks in zip(masses, index):
+            for n, k in zip(row, marks):
+                found[k] += n
+        return list(zip(levels, found))
+
+    def distribution_on(
+        self, local: Masses, whole: Masses
+    ) -> dict[Fraction, Fraction]:
+        """Exact law given the masses of the event and of the whole space,
+        over every value the space takes."""
+        total, spread = sum(map(sum, local)), self.masses_by_value(whole)
+        found = zip(self.masses_by_value(local), spread)
+        return {v: Fraction(n, total) for (v, n), (_, w) in found if w}
 
 
 def to_operator(
@@ -321,42 +390,53 @@ def _masses_by_value(
     return grouped, total
 
 
-def _conditional_mean(grouped: Mapping[Fraction, int], total: int) -> Fraction:
-    return sum((v * n for v, n in grouped.items()), start=Fraction(0)) / total
+def _cell_masses(
+    space: FiniteProbabilitySpace, obs: CompositeObservable, c: Event
+) -> Masses:
+    """Integer masses of ``c`` in the cells of the variables the observable
+    reads; raises :class:`ZeroConditionError` when ``c`` is empty."""
+    space.validate_event(c)
+    one = dict.fromkeys(space.points, 1)
+    a_cell = one if obs.kind is ObservableKind.G_OF_B else obs.a.assignment
+    b_cell = one if obs.kind is ObservableKind.F_OF_A else obs.b.assignment
+    local = mass_table(space, a_cell, b_cell, c.members)
+    if not any(map(any, local)):
+        raise ZeroConditionError(f"{c.label()} has measure zero")
+    return local
+
+
+def _variance(grouped: Iterable[tuple[Fraction, int]], total: int) -> Fraction:
+    grouped = list(grouped)
+    mean = sum((v * n for v, n in grouped), start=Fraction(0)) / total
+    return (
+        sum(((v - mean) ** 2 * n for v, n in grouped), start=Fraction(0)) / total
+    )
 
 
 def classical_mean(
     space: FiniteProbabilitySpace, obs: CompositeObservable, c: Event
 ) -> Fraction:
     """Exact conditional expectation of the observable: sum of values weighted
-    by the conditional point masses."""
-    return _conditional_mean(*_masses_by_value(space, obs.value_at, c))
+    by the conditional cell masses."""
+    return obs.mean_on(_cell_masses(space, obs, c))
 
 
 def classical_distribution(
     space: FiniteProbabilitySpace, obs: CompositeObservable, c: Event
 ) -> dict[Fraction, Fraction]:
     """Exact pushforward of the conditional measure under the observable."""
-    grouped, total = _masses_by_value(space, obs.value_at, c)
-    dist: dict[Fraction, Fraction] = {
-        obs.value_at(p): Fraction(0) for p in space.points
-    }
-    for value, mass in grouped.items():
-        dist[value] = Fraction(mass, total)
-    return dict(sorted(dist.items()))
+    local = _cell_masses(space, obs, c)
+    return obs.distribution_on(local, _cell_masses(space, obs, space.omega()))
 
 
 def max_mean_gap(
-    space: FiniteProbabilitySpace,
-    obs: CompositeObservable,
-    op: HermitianOperator,
-    states: Iterable[tuple[Event, StateVector]],
+    obs: CompositeObservable, op: HermitianOperator, entries: Iterable[AtlasEntry]
 ) -> float:
     """Largest |quantum mean of ``op`` - exact conditional mean of ``obs``|
-    over (context, state) pairs."""
+    over atlas entries."""
     worst = 0.0
-    for c, state in states:
-        gap = abs(quantum_mean(op, state) - float(classical_mean(space, obs, c)))
+    for e in entries:
+        gap = abs(quantum_mean(op, e.state) - float(obs.mean_on(e.table.local)))
         worst = max(worst, gap)
     return worst
 
@@ -373,9 +453,8 @@ def mean_preservation_gap(
     every represented context, including the two a-cells."""
     obs = CompositeObservable.sum_of(a_var, b_var, f, g)
     op = to_operator(space, obs)
-    return max_mean_gap(
-        space, obs, op, represented_states(space, a_var, b_var, signs)
-    )
+    atlas = ContextAtlas.of(space, a_var, b_var, signs=signs)
+    return max_mean_gap(obs, op, atlas.represented)
 
 
 @dataclass(frozen=True)
@@ -388,6 +467,22 @@ class MismatchReport:
     quantum: dict[float, float]
     alignment: tuple[float, float] | None
     total_variation: float
+
+    @classmethod
+    def of(
+        cls,
+        classical: dict[Fraction, Fraction],
+        quantum: dict[float, float],
+        alignment: tuple[float, float] | None = None,
+    ) -> "MismatchReport":
+        if alignment is None:
+            mapped = {float(v): float(m) for v, m in classical.items()}
+        else:
+            scale, offset = alignment
+            mapped = {
+                scale * float(v) + offset: float(m) for v, m in classical.items()
+            }
+        return cls(classical, quantum, alignment, _total_variation(mapped, quantum))
 
 
 def _total_variation(
@@ -427,19 +522,7 @@ def distribution_mismatch(
     classical = classical_distribution(space, obs, c)
     state = amplitude(space, a_var, b_var, c, signs)
     quantum = observable_distribution(to_operator(space, obs), state)
-    if alignment is None:
-        mapped = {float(v): float(m) for v, m in classical.items()}
-    else:
-        scale, offset = alignment
-        mapped = {
-            scale * float(v) + offset: float(m) for v, m in classical.items()
-        }
-    return MismatchReport(
-        classical=classical,
-        quantum=quantum,
-        alignment=alignment,
-        total_variation=_total_variation(mapped, quantum),
-    )
+    return MismatchReport.of(classical, quantum, alignment)
 
 
 def hamiltonian(
@@ -483,19 +566,15 @@ def conditional_variance(
 ) -> Fraction:
     """Exact conditional variance of an arbitrary point-valued map."""
     grouped, total = _masses_by_value(space, values.__getitem__, c)
-    mean = _conditional_mean(grouped, total)
-    return (
-        sum(((v - mean) ** 2 * n for v, n in grouped.items()), start=Fraction(0))
-        / total
-    )
+    return _variance(grouped.items(), total)
 
 
 def dispersion(
     space: FiniteProbabilitySpace, obs: CompositeObservable, c: Event
 ) -> Fraction:
-    """Exact conditional variance of the observable."""
-    values = {p: obs.value_at(p) for p in space.points}
-    return conditional_variance(space, values, c)
+    """Exact conditional variance of the observable, from its cell masses."""
+    local = _cell_masses(space, obs, c)
+    return _variance(obs.masses_by_value(local), sum(map(sum, local)))
 
 
 @dataclass(frozen=True)
@@ -518,7 +597,10 @@ def dispersion_free_search(
     space: FiniteProbabilitySpace,
     a_var: DichotomousVariable,
     b_var: DichotomousVariable,
+    atlas: ContextAtlas | None = None,
 ) -> DispersionFreeReport:
+    """Brute force over every event; the represented family comes from
+    ``atlas``, built for the pair when not given."""
     indicators = [
         {p: Fraction(1 if p == q else 0) for p in space.points}
         for q in space.points
@@ -529,10 +611,9 @@ def dispersion_free_search(
         if all(conditional_variance(space, ind, evt) == 0 for ind in indicators)
     ]
     free.sort(key=lambda e: (len(e.members), e.members))
-    represented = [
-        *mappable_contexts(space, a_var, b_var),
-        *a_var.partition(space).cells,
-    ]
+    if atlas is None:
+        atlas = ContextAtlas.of(space, a_var, b_var)
+    represented = [*(e.context for e in atlas.mappable), *atlas.a_cells]
     represented.sort(key=lambda e: (len(e.members), e.members))
     membership = set(represented)
     inter = [evt for evt in free if evt in membership]

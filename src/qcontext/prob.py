@@ -43,6 +43,14 @@ MAX_DECIMAL_EXPONENT = 4300
 _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 
 
+def quoted(text: str, limit: int = 40) -> str:
+    """``repr(text)``, cut to its first ``limit`` characters plus the length
+    when longer, so an error line stays one short line."""
+    if len(text) <= limit:
+        return repr(text)
+    return f"{text[:limit]!r}... ({len(text)} characters)"
+
+
 def as_fraction(value: Fraction | int | str | float) -> Fraction:
     """Coerce ``value`` to an exact rational.
 
@@ -62,7 +70,7 @@ def as_fraction(value: Fraction | int | str | float) -> Fraction:
             limit = MAX_DECIMAL_EXPONENT
             if len(digits) > len(str(limit)) or int(digits or 0) > limit:
                 raise MalformedDocumentError(
-                    f"decimal exponent of {value!r} exceeds {limit} in magnitude"
+                    f"decimal exponent of {quoted(value)} exceeds {limit} in magnitude"
                 )
     return Fraction(value)
 
@@ -316,16 +324,20 @@ def variables_incompatible(
     )
 
 
+def require_enumerable(space: FiniteProbabilitySpace) -> None:
+    if len(space.points) > MAX_ENUMERATION_POINTS:
+        raise ValueError(
+            f"exhaustive enumeration supports at most {MAX_ENUMERATION_POINTS} points"
+        )
+
+
 def all_events(
     space: FiniteProbabilitySpace, *, nonempty: bool = True
 ) -> Iterator[Event]:
     """Every subset of the space, smallest first.  Capped at
     :data:`MAX_ENUMERATION_POINTS` points."""
+    require_enumerable(space)
     n = len(space.points)
-    if n > MAX_ENUMERATION_POINTS:
-        raise ValueError(
-            f"exhaustive enumeration supports at most {MAX_ENUMERATION_POINTS} points"
-        )
     start = 1 if nonempty else 0
     ordered = sorted(space.points)
     for size in range(start, n + 1):

@@ -19,10 +19,8 @@ from . import hilbert, interference, operators
 from .model_io import format_float
 from .prob import (
     DichotomousVariable,
-    Event,
     FiniteProbabilitySpace,
     conditional,
-    contexts_of,
     cover_overlap_report,
     probability,
     variables_incompatible,
@@ -49,15 +47,20 @@ def run_checks(
     b_var: DichotomousVariable,
     seed: int = 0,
     fg_pairs: int = 20,
+    atlas: hilbert.ContextAtlas | None = None,
 ) -> list[CheckResult]:
+    """Every check that applies to the pair, over the contexts of ``atlas``
+    (every context when it is not given)."""
     if not variables_incompatible(space, a_var, b_var):
         raise ValueError("verification requires an incompatible variable pair")
 
     a_part = a_var.partition(space)
     b_part = b_var.partition(space)
-    contexts = contexts_of(space, a_part)
-    mappable = hilbert.mappable_contexts(space, a_var, b_var)
-    trans = hilbert.transition_matrix(space, a_var, b_var)
+    if atlas is None:
+        atlas = hilbert.ContextAtlas.of(space, a_var, b_var)
+    contexts = atlas.contexts
+    mappable = atlas.mappable
+    trans = atlas.transition
     forward_ds = hilbert.is_double_stochastic(trans)
     reverse_ds = hilbert.is_double_stochastic(
         hilbert.transition_matrix(space, b_var, a_var)
@@ -92,8 +95,11 @@ def run_checks(
 
     def cross_sum() -> tuple[bool, str]:
         worst = max(
-            abs(interference.interference_cross_sum(space, a_part, b_part, c))
-            for c in contexts
+            (
+                abs(interference.interference_cross_sum(space, a_part, b_part, c))
+                for c in contexts
+            ),
+            default=0.0,
         )
         return worst <= AMPLITUDE_TOL, _worst("max_abs", worst)
 
@@ -130,21 +136,19 @@ def run_checks(
 
     def born_b_basis() -> tuple[bool, str]:
         worst = 0.0
-        for c in mappable:
-            state = hilbert.amplitude(space, a_var, b_var, c)
-            probs = state.probabilities()
+        for e in mappable:
+            probs = e.state.probabilities()
             worst = max(worst, abs(sum(probs) - 1.0))
             for j, cell in enumerate(b_part.cells):
-                worst = max(
-                    worst, abs(probs[j] - float(conditional(space, cell, c)))
-                )
+                direct = float(conditional(space, cell, e.context))
+                worst = max(worst, abs(probs[j] - direct))
         return worst <= AMPLITUDE_TOL, _worst("max_abs_error", worst)
 
     check("born_rule_b_basis", born_b_basis)
 
     def nonsensitive_right_angles() -> tuple[bool, str]:
         worst = 0.0
-        quiet = hilbert.nonsensitive_contexts(space, a_var, b_var)
+        quiet = atlas.nonsensitive_contexts()
         for c in quiet:
             for cell in b_part.cells:
                 coeff = interference.lambda_coefficient(space, cell, a_part, c)
@@ -162,22 +166,18 @@ def run_checks(
     check("unitarity_iff_double_stochastic", unitarity_iff_ds)
 
     def equal_marginals_equal_states() -> tuple[bool, str]:
-        groups: dict[tuple, Event] = {}
+        groups: dict[tuple, hilbert.StateVector] = {}
         bad = 0
-        for c in mappable:
+        for e in mappable:
             key = tuple(
-                conditional(space, cell, c)
+                conditional(space, cell, e.context)
                 for cell in a_part.cells + b_part.cells
             )
             if key in groups:
-                same = hilbert.states_close(
-                    hilbert.amplitude(space, a_var, b_var, c),
-                    hilbert.amplitude(space, a_var, b_var, groups[key]),
-                )
-                if not same:
+                if not hilbert.states_close(e.state, groups[key]):
                     bad += 1
             else:
-                groups[key] = c
+                groups[key] = e.state
         return bad == 0, f"contexts={len(mappable)} violations={bad}"
 
     check("equal_marginals_equal_states", equal_marginals_equal_states)
@@ -199,16 +199,17 @@ def run_checks(
         check("cosine_antisymmetry", cosine_antisymmetry)
 
         def born_a_basis() -> tuple[bool, str]:
-            rows = hilbert.born_in_a_basis_check(space, a_var, b_var)
-            worst = max(row.error for row in rows)
+            rows = atlas.born_rows(hilbert.context_basis(space, a_var, b_var))
+            worst = max((row.error for row in rows), default=0.0)
             return worst <= AMPLITUDE_TOL, _worst("max_abs_error", worst)
 
         check("born_rule_a_basis", born_a_basis)
 
         def phase_gap_constant() -> tuple[bool, str]:
-            ok, profile = hilbert.phase_gap_constancy_check(space, a_var, b_var)
-            worst = max(abs(gap - math.pi) for _, gap in profile)
-            return ok, _worst("max_gap_from_pi", worst)
+            signs = hilbert.SignConvention()
+            profile = atlas.phase_gap_profile(signs.eps1, signs.eps2)
+            worst = max((abs(gap - math.pi) for _, gap in profile), default=0.0)
+            return worst <= AMPLITUDE_TOL, _worst("max_gap_from_pi", worst)
 
         check("phase_gap_constant", phase_gap_constant)
 
@@ -241,7 +242,7 @@ def run_checks(
 
         def mean_preservation() -> tuple[bool, str]:
             rng = random.Random(seed)
-            states = operators.represented_states(space, a_var, b_var)
+            entries = atlas.represented
             worst = 0.0
             for _ in range(fg_pairs):
                 f = {
@@ -254,9 +255,7 @@ def run_checks(
                 }
                 obs = operators.CompositeObservable.sum_of(a_var, b_var, f, g)
                 op = operators.to_operator(space, obs)
-                worst = max(
-                    worst, operators.max_mean_gap(space, obs, op, states)
-                )
+                worst = max(worst, operators.max_mean_gap(obs, op, entries))
             return worst <= OPERATOR_TOL, _worst("max_abs_gap", worst)
 
         check("mean_preservation", mean_preservation)
@@ -373,7 +372,7 @@ def run_checks(
     check("two_cell_overlap_equivalence", overlap_equivalence)
 
     def dispersion_free_atoms() -> tuple[bool, str]:
-        report = operators.dispersion_free_search(space, a_var, b_var)
+        report = operators.dispersion_free_search(space, a_var, b_var, atlas)
         atoms = set(space.atoms())
         ok = (
             set(report.dispersion_free) == atoms

@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 from qcontext import cli, verify
-from qcontext.model_io import kq_model, serialize_model
+from qcontext.model_io import ModelSpec, kq_model, parse_model, serialize_model
+from qcontext.prob import Event
 
 DATA = Path(__file__).parent / "data"
 
@@ -388,3 +389,85 @@ class TestReportsBeyondTheDigitLimit:
         )
         assert code == 0 and not err
         assert self.W1 in out
+
+
+class TestListedContexts:
+    """A model that lists its contexts is reported on those contexts alone,
+    by every subcommand."""
+
+    # model file (None: the reference family at q = 1/4), listed contexts,
+    # a-cells.  The first model is doubly stochastic, the second is not, so
+    # operators and compare-dist exit 1 on it by design.
+    CASES = {
+        "ds": (None, [["w1", "w2", "w3"], ["w1", "w3"]], ["w1+w2", "w3+w4"]),
+        "general": (
+            "non_double_stochastic_witness.json",
+            [["p1", "p4"], ["p1", "p2", "p3"]],
+            ["p1+p2", "p3+p4"],
+        ),
+    }
+
+    def _report(self, capsys, tmp_path, name, command):
+        source, rows, _ = self.CASES[name]
+        if source is None:
+            spec = kq_model("1/4")
+        else:
+            spec = parse_model((DATA / source).read_text())
+        listed = ModelSpec(
+            spec.space, spec.variables, tuple(Event.of(r) for r in rows)
+        )
+        path = tmp_path / f"{name}.json"
+        path.write_text(serialize_model(listed))
+        code, out, err = run(capsys, command, "--model", str(path))
+        assert code == 0 and not err
+        return json.loads(out)
+
+    def _listed(self, name):
+        rows = self.CASES[name][1]
+        return sorted(("+".join(r) for r in rows), key=lambda r: (len(r), r))
+
+    def _with_cells(self, name):
+        labels = [r.split("+") for r in self._listed(name) + self.CASES[name][2]]
+        return ["+".join(r) for r in sorted(labels, key=lambda r: (len(r), r))]
+
+    @pytest.mark.parametrize("name", ["ds", "general"])
+    def test_analyze(self, capsys, tmp_path, name):
+        doc = self._report(capsys, tmp_path, name, "analyze")
+        assert [_label(a["context"]) for a in doc["analyses"]] == self._listed(name)
+
+    @pytest.mark.parametrize("name", ["ds", "general"])
+    def test_represent(self, capsys, tmp_path, name):
+        doc = self._report(capsys, tmp_path, name, "represent")
+        assert [_label(s["context"]) for s in doc["states"]] == self._with_cells(name)
+        assert [_label(g["context"]) for g in doc["phase_gaps"]] == self._listed(name)
+        assert {_label(c) for c in doc["nonsensitive_contexts"]} <= set(
+            self._listed(name)
+        )
+
+    def test_operators(self, capsys, tmp_path):
+        doc = self._report(capsys, tmp_path, "ds", "operators")
+        assert [_label(m["context"]) for m in doc["means"]] == self._with_cells("ds")
+
+    def test_compare_dist(self, capsys, tmp_path):
+        doc = self._report(capsys, tmp_path, "ds", "compare-dist")
+        got = [_label(block["context"]) for block in doc["comparisons"]]
+        assert got == self._listed("ds")
+
+    @pytest.mark.parametrize("name", ["ds", "general"])
+    def test_verify(self, capsys, tmp_path, name):
+        doc = self._report(capsys, tmp_path, name, "verify")
+        assert doc["all_passed"] is True
+        details = {c["name"]: c["detail"] for c in doc["checks"]}
+        assert details["disturbance_sums_to_zero"] == "contexts=2 nonzero_sums=0"
+        assert details["equal_marginals_equal_states"] == "contexts=2 violations=0"
+        assert "representable=4 " in details["dispersion_free_exactly_atoms"]
+
+    @pytest.mark.parametrize("name", ["ds", "general"])
+    def test_dispersion_free(self, capsys, tmp_path, name):
+        doc = self._report(capsys, tmp_path, name, "dispersion-free")
+        got = [_label(e) for e in doc["representable"]]
+        assert got == self._with_cells(name)
+
+
+def _label(members: list[str]) -> str:
+    return "+".join(members)

@@ -124,6 +124,11 @@ class TestDecimalExponentBound:
         with pytest.raises(MalformedDocumentError, match="exponent"):
             as_fraction(literal)
 
+    def test_a_long_literal_is_quoted_in_short(self):
+        with pytest.raises(MalformedDocumentError) as info:
+            as_fraction("1" * 5000 + "e-5000")
+        assert len(str(info.value)) < 120 and "(5006 characters)" in str(info.value)
+
     def test_document_weight_with_a_huge_exponent(self):
         bad = MINIMAL.replace("0.25", "1e-5000")
         with pytest.raises(MalformedDocumentError, match="weight of 'v'.*exponent"):
@@ -269,6 +274,18 @@ class TestEmission:
         text = serialize_model(kq_model("1e-4300"))
         with pytest.raises(MalformedDocumentError, match="bad rational literal"):
             parse_model(text)
+
+    def test_an_unparsable_literal_is_quoted_in_short(self):
+        # w1 weighs "1/1" followed by 4300 zeros: one digit past the limit.
+        with pytest.raises(MalformedDocumentError) as info:
+            parse_model(serialize_model(kq_model("1e-4300")))
+        message = str(info.value)
+        assert len(message) < 120
+        assert "'1/1000" in message and "(4303 characters)" in message
+
+    def test_round_trip_within_the_digit_limit(self):
+        text = serialize_model(kq_model("1e-4200"))
+        assert serialize_model(parse_model(text)) == text
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
