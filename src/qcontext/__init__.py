@@ -43,7 +43,6 @@ from .interference import (
 from .hilbert import (
     BasisPair,
     ContextAtlas,
-    SignConvention,
     StateVector,
     TransitionMatrix,
     a_basis,

@@ -124,7 +124,7 @@ def _load_model(args: argparse.Namespace) -> ModelSpec:
 def _resolve_pair(spec: ModelSpec, names: str):
     parts = [p.strip() for p in names.split(",")]
     if len(parts) != 2 or not all(parts):
-        raise ModelError(f"--vars needs two names, got {names!r}")
+        raise ModelError(f"--vars needs two names, got {quoted(names)}")
     a, b = (spec.variable(p) for p in parts)
     if not variables_incompatible(spec.space, a, b):
         raise ModelError(
@@ -188,7 +188,7 @@ def _analysis_bundle(atlas: hilbert.ContextAtlas, args) -> dict:
 
 def _represent_bundle(atlas: hilbert.ContextAtlas, args) -> dict:
     trans, basis, image = atlas.transition, atlas.basis, atlas.image_set()
-    gaps = atlas.phase_gap_profile(-1, +1)
+    gaps = atlas.phase_gap_profile(*hilbert.SIGNS)
     return {
         "kind": "representation",
         "transition_matrix": [list(row) for row in trans.entries],
@@ -238,24 +238,23 @@ def _alignment(args) -> tuple[float, float] | None:
         scale_text, offset_text = args.align.split(",")
         alignment = (float(scale_text), float(offset_text))
     except ValueError as exc:
-        raise ModelError(f"bad --align value {args.align!r}") from exc
+        raise ModelError(f"bad --align value {quoted(args.align)}") from exc
     if not all(math.isfinite(x) for x in alignment):
         raise ModelError(
-            f"--align needs a finite SCALE and OFFSET, got {args.align!r}"
+            f"--align needs a finite SCALE and OFFSET, got {quoted(args.align)}"
         )
     return alignment
 
 
 def _mismatch_reports(atlas: hilbert.ContextAtlas, obs, alignment, context):
-    """(context, report) for the --context event, or for every mappable
-    context of the atlas, with the operator's spectrum computed once."""
+    """(context, report) for every mappable context of the atlas, or of an
+    atlas of the --context event alone, which must have an amplitude; the
+    operator's spectrum is computed once."""
     space = atlas.space
     if context:
         c = space.event(context.split(","))
-        report = operators.distribution_mismatch(
-            space, atlas.a_var, atlas.b_var, obs, c, alignment=alignment
-        )
-        return [(c, report)]
+        atlas = hilbert.ContextAtlas(space, atlas.a_var, atlas.b_var, (c,))
+        atlas.amplitudes()  # raises unless the event is a mappable context
     if not atlas.mappable:
         return []
     spectrum = operators.spectral_decomposition(operators.to_operator(space, obs))
@@ -371,7 +370,7 @@ def _model_bundle(args) -> dict:
     spec = _load_model(args)
     a_var, b_var = _resolve_pair(spec, args.vars)
     contexts = _contexts_for(spec, a_var, args.command)
-    atlas = hilbert.ContextAtlas.of(spec.space, a_var, b_var, contexts)
+    atlas = hilbert.ContextAtlas(spec.space, a_var, b_var, contexts)
     return {
         "model": model_document(spec),
         "variables": [a_var.name, b_var.name],
@@ -386,7 +385,9 @@ def _seed_from_env() -> int:
     try:
         return int(raw)
     except ValueError as exc:
-        raise ModelError(f"CONTEXTUAL_SEED must be an integer, got {raw!r}") from exc
+        raise ModelError(
+            f"CONTEXTUAL_SEED must be an integer, got {quoted(raw)}"
+        ) from exc
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -15,6 +15,10 @@ needs its own coordinate expansion (see :func:`dual_inner_products`).
 Exact rationals decide every classification; amplitudes themselves are
 double-precision complex numbers.
 
+The conventions are constants, not options: the phase signs
+eps(b_1), eps(b_2) are :data:`SIGNS` = (-1, +1) and states are compared
+within :data:`STATE_TOL` = 1e-12 per component.
+
 :class:`ContextAtlas` is the layer every report reads: for one pair it sums
 the whole-space 2x2 masses once and gives each context its two-cell table,
 coefficients, classification and amplitude, built once per run.  With r_i,
@@ -49,6 +53,12 @@ from .prob import (
 )
 
 STATE_TOL = 1e-12
+
+# eps(b_1), eps(b_2), the phase signs of the two b-values.  They must be
+# opposite: with equal signs the sign-weighted phase gap varies from context
+# to context and no context-independent a-basis exists (phase_gap_profile
+# with raw signs shows the drift).
+SIGNS = (-1, +1)
 
 
 @dataclass(frozen=True)
@@ -92,28 +102,6 @@ def is_double_stochastic(matrix: TransitionMatrix) -> bool:
 
 
 @dataclass(frozen=True)
-class SignConvention:
-    """Phase-sign choices for the two b-values.
-
-    The signs must be opposite: with equal signs the sign-weighted phase gap
-    varies from context to context and no context-independent a-basis exists
-    (see :func:`phase_gap_profile` for the demonstration).
-    """
-
-    eps1: int = -1
-    eps2: int = +1
-
-    def __post_init__(self) -> None:
-        if self.eps1 not in (-1, 1) or self.eps2 not in (-1, 1):
-            raise ValueError("signs must be +1 or -1")
-        if self.eps1 != -self.eps2:
-            raise ValueError("the two signs must be opposite")
-
-    def eps(self, outcome_index: int) -> int:
-        return self.eps1 if outcome_index == 0 else self.eps2
-
-
-@dataclass(frozen=True)
 class StateVector:
     """A two-component complex amplitude indexed by the b-values."""
 
@@ -131,25 +119,20 @@ class StateVector:
         return tuple(abs(z) ** 2 for z in self.components)
 
 
-def phase_normalized(state: StateVector, tol: float = 1e-14) -> StateVector:
+def phase_normalized(state: StateVector) -> StateVector:
     """Rotate a global phase so the first non-negligible component is real
     and positive; states equal up to phase normalise identically."""
     for z in state.components:
-        if abs(z) > tol:
+        if abs(z) > 1e-14:
             factor = z.conjugate() / abs(z)
             return StateVector(tuple(factor * w for w in state.components))
     return state
 
 
-def states_close(
-    x: StateVector,
-    y: StateVector,
-    tol: float = STATE_TOL,
-    up_to_phase: bool = True,
-) -> bool:
+def states_close(x: StateVector, y: StateVector, up_to_phase: bool = True) -> bool:
     a, b = (phase_normalized(x), phase_normalized(y)) if up_to_phase else (x, y)
     return all(
-        abs(za - zb) <= tol for za, zb in zip(a.components, b.components)
+        abs(za - zb) <= STATE_TOL for za, zb in zip(a.components, b.components)
     )
 
 
@@ -161,7 +144,7 @@ def _phases(table: TwoCellTable, failure: str) -> tuple[float, float]:
     return (coeffs[0].phase, coeffs[1].phase)
 
 
-def _amplitude(table: TwoCellTable, signs: SignConvention) -> StateVector | None:
+def _amplitude(table: TwoCellTable) -> StateVector | None:
     """phi(x_j) = sqrt(r_0 W_0j / (M R_0))
                   + exp(i eps_j theta_j) sqrt(r_1 W_1j / (M R_1)),
     or None when a squared coefficient exceeds one.  Each quotient is one
@@ -176,7 +159,7 @@ def _amplitude(table: TwoCellTable, signs: SignConvention) -> StateVector | None
         first = math.sqrt(r0 * whole[0][j] / ((r0 + r1) * R0))
         second = math.sqrt(r1 * whole[1][j] / ((r0 + r1) * R1))
         components.append(
-            first + cmath.exp(1j * signs.eps(j) * theta[j]) * second
+            first + cmath.exp(1j * SIGNS[j] * theta[j]) * second
         )
     return StateVector(tuple(components))
 
@@ -188,7 +171,7 @@ def mappable_contexts(
 ) -> tuple[Event, ...]:
     """Contexts whose squared coefficients never exceed one (trigonometric,
     boundary included); exactly these receive amplitudes."""
-    return tuple(e.context for e in ContextAtlas.of(space, a_var, b_var).mappable)
+    return tuple(e.context for e in ContextAtlas(space, a_var, b_var).mappable)
 
 
 def amplitude(
@@ -196,14 +179,13 @@ def amplitude(
     a_var: DichotomousVariable,
     b_var: DichotomousVariable,
     c: Event,
-    signs: SignConvention = SignConvention(),
 ) -> StateVector:
     """Amplitude of a trigonometric (or boundary) context.
 
     Raises :class:`NotTrigonometricError` when some squared coefficient
     exceeds one, and :class:`NotAContextError` when conditioning is undefined.
     """
-    return ContextAtlas.of(space, a_var, b_var, (c,), signs).amplitudes()[0]
+    return ContextAtlas(space, a_var, b_var, (c,)).amplitudes()[0]
 
 
 @dataclass(frozen=True)
@@ -227,7 +209,6 @@ def context_basis(
     a_var: DichotomousVariable,
     b_var: DichotomousVariable,
     reference_context: Event | None = None,
-    signs: SignConvention = SignConvention(),
 ) -> BasisPair:
     """a-basis read off from the amplitude of one reference context.
 
@@ -243,8 +224,8 @@ def context_basis(
     e1 = StateVector((u[0][0] + 0j, u[0][1] + 0j))
     e2 = StateVector(
         (
-            cmath.exp(1j * signs.eps1 * theta[0]) * u[1][0],
-            cmath.exp(1j * signs.eps2 * theta[1]) * u[1][1],
+            cmath.exp(1j * SIGNS[0] * theta[0]) * u[1][0],
+            cmath.exp(1j * SIGNS[1] * theta[1]) * u[1][1],
         )
     )
     return BasisPair(e_a=(e1, e2))
@@ -254,25 +235,22 @@ def a_basis(
     space: FiniteProbabilitySpace,
     a_var: DichotomousVariable,
     b_var: DichotomousVariable,
-    reference_context: Event | None = None,
-    signs: SignConvention = SignConvention(),
 ) -> BasisPair:
     """Phase-stripped real orthonormal a-basis (q1, q2), (-q2, q1).
 
     Requires an exactly doubly stochastic transition matrix, in which case
-    the reference phases contribute only a per-vector global factor; the
-    stripped factor is recorded for reproducibility.
+    the phases of the whole space contribute only a per-vector global
+    factor; the stripped factor is recorded for reproducibility.
     """
-    c0 = reference_context if reference_context is not None else space.omega()
-    table = TwoCellTable.of(space, a_var.assignment, b_var.assignment, c0)
+    table = TwoCellTable.of(space, a_var.assignment, b_var.assignment, space.omega())
     trans = TransitionMatrix(a_var.values, b_var.values, table.b_given_a)
     if not is_double_stochastic(trans):
         raise NotDoubleStochasticError(
             "a context-independent orthonormal a-basis needs a doubly "
             "stochastic transition matrix"
         )
-    raw = context_basis(space, a_var, b_var, reference_context, signs)
-    stripped = cmath.exp(1j * signs.eps2 * table.coefficient(1).phase)
+    raw = context_basis(space, a_var, b_var)
+    stripped = cmath.exp(1j * SIGNS[1] * table.coefficient(1).phase)
     q1 = math.sqrt(float(trans.entries[0][0]))
     q2 = math.sqrt(float(trans.entries[0][1]))
     basis = BasisPair(
@@ -310,10 +288,10 @@ def gram_matrix(basis: BasisPair) -> tuple[tuple[complex, complex], ...]:
     )
 
 
-def basis_is_orthonormal(basis: BasisPair, tol: float = STATE_TOL) -> bool:
+def basis_is_orthonormal(basis: BasisPair) -> bool:
     gram = gram_matrix(basis)
     return all(
-        abs(gram[i][j] - (1.0 if i == j else 0.0)) <= tol
+        abs(gram[i][j] - (1.0 if i == j else 0.0)) <= STATE_TOL
         for i in range(2)
         for j in range(2)
     )
@@ -323,14 +301,10 @@ def unitarity_check(
     space: FiniteProbabilitySpace,
     a_var: DichotomousVariable,
     b_var: DichotomousVariable,
-    reference_context: Event | None = None,
-    signs: SignConvention = SignConvention(),
-    tol: float = STATE_TOL,
 ) -> tuple[bool, bool]:
-    """(basis change is unitary within tol, transition matrix is exactly
-    doubly stochastic); the two agree for every incompatible pair."""
-    basis = context_basis(space, a_var, b_var, reference_context, signs)
-    unitary = basis_is_orthonormal(basis, tol)
+    """(basis change is unitary within ``STATE_TOL``, transition matrix is
+    exactly doubly stochastic); the two agree for every incompatible pair."""
+    unitary = basis_is_orthonormal(context_basis(space, a_var, b_var))
     ds = is_double_stochastic(transition_matrix(space, a_var, b_var))
     return unitary, ds
 
@@ -352,17 +326,15 @@ def born_in_a_basis_check(
     a_var: DichotomousVariable,
     b_var: DichotomousVariable,
     contexts: Sequence[Event] | None = None,
-    reference_context: Event | None = None,
-    signs: SignConvention = SignConvention(),
 ) -> tuple[BornRow, ...]:
-    """Squared projections onto the a-basis of one fixed reference context,
+    """Squared projections onto the a-basis read off the whole space,
     compared against the direct conditional probabilities of a.
 
     The rows agree within tolerance exactly when the transition matrix is
     doubly stochastic; failures are reported, never raised.
     """
-    basis = context_basis(space, a_var, b_var, reference_context, signs)
-    atlas = ContextAtlas.of(space, a_var, b_var, contexts, signs)
+    basis = context_basis(space, a_var, b_var)
+    atlas = ContextAtlas(space, a_var, b_var, contexts)
     if contexts is not None:
         atlas.amplitudes()  # every listed context needs an amplitude
     return atlas.born_rows(basis)
@@ -386,7 +358,7 @@ def phase_gap(
     modulo 2 pi into [0, 2 pi).
 
     Takes raw signs so that the drift under an equal-sign choice can be
-    demonstrated; :class:`SignConvention` itself rejects equal signs.
+    demonstrated; amplitudes always use the opposite :data:`SIGNS`.
     """
     return _gap(
         TwoCellTable.of(space, a_var.assignment, b_var.assignment, c), eps1, eps2
@@ -400,20 +372,19 @@ def phase_gap_profile(
     eps1: int,
     eps2: int,
 ) -> tuple[tuple[Event, float], ...]:
-    return ContextAtlas.of(space, a_var, b_var).phase_gap_profile(eps1, eps2)
+    return ContextAtlas(space, a_var, b_var).phase_gap_profile(eps1, eps2)
 
 
 def phase_gap_constancy_check(
     space: FiniteProbabilitySpace,
     a_var: DichotomousVariable,
     b_var: DichotomousVariable,
-    signs: SignConvention = SignConvention(),
-    tol: float = STATE_TOL,
 ) -> tuple[bool, tuple[tuple[Event, float], ...]]:
-    """With opposite signs and a doubly stochastic matrix the gap is pi
-    (mod 2 pi) on every mappable context; returns (all within tol, profile)."""
-    profile = phase_gap_profile(space, a_var, b_var, signs.eps1, signs.eps2)
-    ok = all(abs(gap - math.pi) <= tol for _, gap in profile)
+    """With the opposite :data:`SIGNS` and a doubly stochastic matrix the gap
+    is pi (mod 2 pi) on every mappable context; returns (all within
+    ``STATE_TOL``, profile)."""
+    profile = phase_gap_profile(space, a_var, b_var, *SIGNS)
+    ok = all(abs(gap - math.pi) <= STATE_TOL for _, gap in profile)
     return ok, profile
 
 
@@ -425,7 +396,7 @@ def nonsensitive_contexts(
     """Contexts with exactly zero disturbance for every outcome; the whole
     space always qualifies.  Their phases are right angles and the second
     amplitude term is purely imaginary."""
-    return ContextAtlas.of(space, a_var, b_var).nonsensitive_contexts()
+    return ContextAtlas(space, a_var, b_var).nonsensitive_contexts()
 
 
 @dataclass(frozen=True)
@@ -455,10 +426,9 @@ def represented_states(
     space: FiniteProbabilitySpace,
     a_var: DichotomousVariable,
     b_var: DichotomousVariable,
-    signs: SignConvention = SignConvention(),
 ) -> tuple[tuple[Event, StateVector], ...]:
     """(event, state) pairs for every mappable context plus the two a-cells."""
-    return ContextAtlas.of(space, a_var, b_var, signs=signs).represented_states()
+    return ContextAtlas(space, a_var, b_var).represented_states()
 
 
 def group_states(states: Sequence[StateVector]) -> tuple[tuple[int, ...], ...]:
@@ -495,9 +465,8 @@ def image_set(
     space: FiniteProbabilitySpace,
     a_var: DichotomousVariable,
     b_var: DichotomousVariable,
-    signs: SignConvention = SignConvention(),
 ) -> ImageSet:
-    return ContextAtlas.of(space, a_var, b_var, signs=signs).image_set()
+    return ContextAtlas(space, a_var, b_var).image_set()
 
 
 class AtlasEntry(NamedTuple):
@@ -527,15 +496,9 @@ class ContextAtlas:
         a_var: DichotomousVariable,
         b_var: DichotomousVariable,
         contexts: Sequence[Event] | None = None,
-        signs: SignConvention = SignConvention(),
     ) -> None:
-        self.space, self.a_var, self.b_var, self.signs = space, a_var, b_var, signs
+        self.space, self.a_var, self.b_var = space, a_var, b_var
         self.listed = None if contexts is None else tuple(contexts)
-
-    @classmethod
-    def of(cls, *args, **kwargs) -> "ContextAtlas":
-        """The constructor, named like the package's other ``of`` methods."""
-        return cls(*args, **kwargs)
 
     @cached_property
     def omega(self) -> TwoCellTable:
@@ -561,7 +524,7 @@ class ContextAtlas:
             ]
         live = self.omega.incompatible
         return tuple(
-            AtlasEntry(c, t, _amplitude(t, self.signs) if live else None)
+            AtlasEntry(c, t, _amplitude(t) if live else None)
             for c, t in tables
         )
 
@@ -620,7 +583,7 @@ class ContextAtlas:
         """The a-basis of the represented states: phase-stripped when the
         transition matrix is doubly stochastic."""
         build = a_basis if is_double_stochastic(self.transition) else context_basis
-        return build(self.space, self.a_var, self.b_var, signs=self.signs)
+        return build(self.space, self.a_var, self.b_var)
 
     @cached_property
     def represented(self) -> tuple[AtlasEntry, ...]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, is_dataclass, fields as dc_fields
 from decimal import Decimal
 from enum import Enum
@@ -47,7 +48,7 @@ class ModelSpec:
     def variable(self, name: str) -> DichotomousVariable:
         if name not in self.variables:
             raise MalformedDocumentError(
-                f"variable {name!r} is not defined by the model"
+                f"variable {quoted(name)} is not defined by the model"
             )
         return self.variables[name]
 
@@ -85,6 +86,11 @@ def parse_model(text: str) -> ModelSpec:
         doc = json.loads(text, parse_float=str)
     except json.JSONDecodeError as exc:
         raise MalformedDocumentError(f"not valid JSON: {exc}") from exc
+    except ValueError as exc:  # int() refused a JSON integer literal
+        limit = sys.get_int_max_str_digits()
+        raise MalformedDocumentError(
+            f"an integer literal exceeds the {limit}-digit limit"
+        ) from exc
     _require(isinstance(doc, dict), "top level must be an object")
     _require("points" in doc, "missing required key 'points'")
     _require("variables" in doc, "missing required key 'variables'")
@@ -137,7 +143,10 @@ def parse_model(text: str) -> ModelSpec:
         cleaned: dict[str, int] = {}
         for pid, idx in assignment.items():
             _require(pid in weights, f"assignment of {name!r} names unknown point {pid!r}")
-            _require(idx in (1, 2), f"assignment of {name!r} at {pid!r} must be 1 or 2")
+            _require(
+                idx in (1, 2) and not isinstance(idx, bool),
+                f"assignment of {name!r} at {pid!r} must be 1 or 2",
+            )
             cleaned[pid] = idx
         try:
             variables[name] = DichotomousVariable(

@@ -33,7 +33,6 @@ from .errors import FloatRangeError, NotDoubleStochasticError, ZeroConditionErro
 from .hilbert import (
     AtlasEntry,
     ContextAtlas,
-    SignConvention,
     StateVector,
     TransitionMatrix,
     amplitude,
@@ -53,6 +52,9 @@ from .prob import (
 
 HERMITIAN_TOL = 1e-12
 
+# Support values closer than this count as one value in a total variation.
+SUPPORT_GRID = 1e-9
+
 Matrix = tuple[tuple[complex, complex], tuple[complex, complex]]
 
 
@@ -62,7 +64,6 @@ class HermitianOperator:
     the b-basis."""
 
     entries: Matrix
-    basis: str = "b"
 
     def __post_init__(self) -> None:
         e = self.entries
@@ -447,14 +448,12 @@ def mean_preservation_gap(
     b_var: DichotomousVariable,
     f: Mapping[Fraction, Fraction],
     g: Mapping[Fraction, Fraction],
-    signs: SignConvention = SignConvention(),
 ) -> float:
     """Largest |quantum mean - exact conditional mean| of f(a) + g(b) over
     every represented context, including the two a-cells."""
     obs = CompositeObservable.sum_of(a_var, b_var, f, g)
     op = to_operator(space, obs)
-    atlas = ContextAtlas.of(space, a_var, b_var, signs=signs)
-    return max_mean_gap(obs, op, atlas.represented)
+    return max_mean_gap(obs, op, ContextAtlas(space, a_var, b_var).represented)
 
 
 @dataclass(frozen=True)
@@ -485,16 +484,15 @@ class MismatchReport:
         return cls(classical, quantum, alignment, _total_variation(mapped, quantum))
 
 
-def _total_variation(
-    p: Mapping[float, float], q: Mapping[float, float], grid: float = 1e-9
-) -> float:
+def _total_variation(p: Mapping[float, float], q: Mapping[float, float]) -> float:
     def key(value: float) -> float:
-        steps = value / grid
+        steps = value / SUPPORT_GRID
         if not math.isfinite(steps):
             raise FloatRangeError(
-                f"support value {value!r} overflows the {grid:g} comparison grid"
+                f"support value {value!r} overflows the {SUPPORT_GRID:g} "
+                "comparison grid"
             )
-        return round(steps) * grid
+        return round(steps) * SUPPORT_GRID
 
     keys: dict[float, tuple[float, float]] = {}
     for value, mass in p.items():
@@ -514,13 +512,12 @@ def distribution_mismatch(
     b_var: DichotomousVariable,
     obs: CompositeObservable,
     c: Event,
-    signs: SignConvention = SignConvention(),
     alignment: tuple[float, float] | None = None,
 ) -> MismatchReport:
     if obs.kind not in (ObservableKind.SUM, ObservableKind.PRODUCT):
         raise ValueError("mismatch reports cover sum and product observables")
     classical = classical_distribution(space, obs, c)
-    state = amplitude(space, a_var, b_var, c, signs)
+    state = amplitude(space, a_var, b_var, c)
     quantum = observable_distribution(to_operator(space, obs), state)
     return MismatchReport.of(classical, quantum, alignment)
 
@@ -612,7 +609,7 @@ def dispersion_free_search(
     ]
     free.sort(key=lambda e: (len(e.members), e.members))
     if atlas is None:
-        atlas = ContextAtlas.of(space, a_var, b_var)
+        atlas = ContextAtlas(space, a_var, b_var)
     represented = [*(e.context for e in atlas.mappable), *atlas.a_cells]
     represented.sort(key=lambda e: (len(e.members), e.members))
     membership = set(represented)

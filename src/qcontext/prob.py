@@ -43,12 +43,12 @@ MAX_DECIMAL_EXPONENT = 4300
 _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 
 
-def quoted(text: str, limit: int = 40) -> str:
-    """``repr(text)``, cut to its first ``limit`` characters plus the length
-    when longer, so an error line stays one short line."""
-    if len(text) <= limit:
+def quoted(text: str) -> str:
+    """``repr(text)``, cut to its first 40 characters plus the length when
+    longer, so an error line stays one short line."""
+    if len(text) <= 40:
         return repr(text)
-    return f"{text[:limit]!r}... ({len(text)} characters)"
+    return f"{text[:40]!r}... ({len(text)} characters)"
 
 
 def as_fraction(value: Fraction | int | str | float) -> Fraction:
@@ -331,16 +331,12 @@ def require_enumerable(space: FiniteProbabilitySpace) -> None:
         )
 
 
-def all_events(
-    space: FiniteProbabilitySpace, *, nonempty: bool = True
-) -> Iterator[Event]:
-    """Every subset of the space, smallest first.  Capped at
+def all_events(space: FiniteProbabilitySpace) -> Iterator[Event]:
+    """Every nonempty subset of the space, smallest first.  Capped at
     :data:`MAX_ENUMERATION_POINTS` points."""
     require_enumerable(space)
-    n = len(space.points)
-    start = 1 if nonempty else 0
     ordered = sorted(space.points)
-    for size in range(start, n + 1):
+    for size in range(1, len(ordered) + 1):
         for combo in itertools.combinations(ordered, size):
             yield Event(combo)
 

@@ -4,7 +4,8 @@ Every check is a universal statement about one model and one incompatible
 variable pair; checks whose hypotheses the model does not satisfy (for
 example doubly stochastic transitions) are not registered for it.  Exact
 statements compare rationals, floating statements use the pinned tolerances
-1e-12 (amplitude level) and 1e-10 (operator level).
+``hilbert.STATE_TOL`` = 1e-12 (amplitude level) and ``OPERATOR_TOL`` = 1e-10
+(operator level).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from fractions import Fraction
 from typing import Callable
 
 from . import hilbert, interference, operators
+from .hilbert import STATE_TOL
 from .model_io import format_float
 from .prob import (
     DichotomousVariable,
@@ -26,7 +28,6 @@ from .prob import (
     variables_incompatible,
 )
 
-AMPLITUDE_TOL = 1e-12
 OPERATOR_TOL = 1e-10
 
 
@@ -46,18 +47,18 @@ def run_checks(
     a_var: DichotomousVariable,
     b_var: DichotomousVariable,
     seed: int = 0,
-    fg_pairs: int = 20,
     atlas: hilbert.ContextAtlas | None = None,
 ) -> list[CheckResult]:
     """Every check that applies to the pair, over the contexts of ``atlas``
-    (every context when it is not given)."""
+    (every context when it is not given).  ``mean_preservation`` draws 20
+    random (f, g) pairs from ``seed``."""
     if not variables_incompatible(space, a_var, b_var):
         raise ValueError("verification requires an incompatible variable pair")
 
     a_part = a_var.partition(space)
     b_part = b_var.partition(space)
     if atlas is None:
-        atlas = hilbert.ContextAtlas.of(space, a_var, b_var)
+        atlas = hilbert.ContextAtlas(space, a_var, b_var)
     contexts = atlas.contexts
     mappable = atlas.mappable
     trans = atlas.transition
@@ -101,7 +102,7 @@ def run_checks(
             ),
             default=0.0,
         )
-        return worst <= AMPLITUDE_TOL, _worst("max_abs", worst)
+        return worst <= STATE_TOL, _worst("max_abs", worst)
 
     check("interference_cross_sum_vanishes", cross_sum)
 
@@ -114,7 +115,7 @@ def run_checks(
                     space, cell, a_part, c
                 )
                 worst = max(worst, abs(direct - rebuilt))
-        return worst <= AMPLITUDE_TOL, _worst("max_abs_error", worst)
+        return worst <= STATE_TOL, _worst("max_abs_error", worst)
 
     check("interference_reconstruction", reconstruction)
 
@@ -142,7 +143,7 @@ def run_checks(
             for j, cell in enumerate(b_part.cells):
                 direct = float(conditional(space, cell, e.context))
                 worst = max(worst, abs(probs[j] - direct))
-        return worst <= AMPLITUDE_TOL, _worst("max_abs_error", worst)
+        return worst <= STATE_TOL, _worst("max_abs_error", worst)
 
     check("born_rule_b_basis", born_b_basis)
 
@@ -153,7 +154,7 @@ def run_checks(
             for cell in b_part.cells:
                 coeff = interference.lambda_coefficient(space, cell, a_part, c)
                 worst = max(worst, abs(coeff.phase - math.pi / 2.0))
-        return worst <= AMPLITUDE_TOL, f"count={len(quiet)} " + _worst(
+        return worst <= STATE_TOL, f"count={len(quiet)} " + _worst(
             "max_phase_gap", worst
         )
 
@@ -194,22 +195,21 @@ def run_checks(
                     space, b_part.cells[1], a_part, c
                 )
                 worst = max(worst, abs(first.value + second.value))
-            return worst <= AMPLITUDE_TOL, _worst("max_abs", worst)
+            return worst <= STATE_TOL, _worst("max_abs", worst)
 
         check("cosine_antisymmetry", cosine_antisymmetry)
 
         def born_a_basis() -> tuple[bool, str]:
             rows = atlas.born_rows(hilbert.context_basis(space, a_var, b_var))
             worst = max((row.error for row in rows), default=0.0)
-            return worst <= AMPLITUDE_TOL, _worst("max_abs_error", worst)
+            return worst <= STATE_TOL, _worst("max_abs_error", worst)
 
         check("born_rule_a_basis", born_a_basis)
 
         def phase_gap_constant() -> tuple[bool, str]:
-            signs = hilbert.SignConvention()
-            profile = atlas.phase_gap_profile(signs.eps1, signs.eps2)
+            profile = atlas.phase_gap_profile(*hilbert.SIGNS)
             worst = max((abs(gap - math.pi) for _, gap in profile), default=0.0)
-            return worst <= AMPLITUDE_TOL, _worst("max_gap_from_pi", worst)
+            return worst <= STATE_TOL, _worst("max_gap_from_pi", worst)
 
         check("phase_gap_constant", phase_gap_constant)
 
@@ -244,7 +244,7 @@ def run_checks(
             rng = random.Random(seed)
             entries = atlas.represented
             worst = 0.0
-            for _ in range(fg_pairs):
+            for _ in range(20):
                 f = {
                     v: Fraction(rng.randint(-20, 20), rng.randint(1, 9))
                     for v in a_var.values
@@ -276,7 +276,7 @@ def run_checks(
                 abs(com[1][0] - expected),
                 abs(com[0][1] + expected),
             )
-            return worst <= AMPLITUDE_TOL, _worst("max_abs_error", worst)
+            return worst <= STATE_TOL, _worst("max_abs_error", worst)
 
         check("commutator_closed_form", commutator_closed_form)
 
@@ -314,7 +314,7 @@ def run_checks(
                 for i in range(2)
                 for j in range(2)
             )
-            ok = worst <= OPERATOR_TOL and gram_worst <= AMPLITUDE_TOL
+            ok = worst <= OPERATOR_TOL and gram_worst <= STATE_TOL
             return ok, (
                 _worst("max_entry_error", worst)
                 + " "
@@ -353,7 +353,7 @@ def run_checks(
                                 for x, y in zip(state.components, target.components)
                             ),
                         )
-                return worst <= AMPLITUDE_TOL, _worst("max_abs_error", worst)
+                return worst <= STATE_TOL, _worst("max_abs_error", worst)
 
             check("cells_map_to_basis_states", cells_map_to_basis)
 

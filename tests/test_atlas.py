@@ -22,8 +22,8 @@ import pytest
 
 from qcontext.errors import NotAContextError, NotTrigonometricError
 from qcontext.hilbert import (
+    SIGNS,
     ContextAtlas,
-    SignConvention,
     amplitude,
     born_in_a_basis_check,
     mappable_contexts,
@@ -65,7 +65,7 @@ MODELS = list(_models())
 # ------------------------------------------------------------ references
 
 
-def ref_amplitude(table, signs=SignConvention()):
+def ref_amplitude(table):
     """The amplitude as built before the atlas, from a table of its own:
     square roots of the floats of the Fractions P(A_i|C) P(B_j|A_i)."""
     pa, trans = table.a_given_c, table.b_given_a
@@ -74,7 +74,7 @@ def ref_amplitude(table, signs=SignConvention()):
     for j in range(2):
         first = math.sqrt(float(pa[0] * trans[0][j]))
         second = math.sqrt(float(pa[1] * trans[1][j]))
-        components.append(first + cmath.exp(1j * signs.eps(j) * theta[j]) * second)
+        components.append(first + cmath.exp(1j * SIGNS[j] * theta[j]) * second)
     return tuple(components)
 
 
@@ -128,7 +128,7 @@ def observables(rng, index, a, b):
 def test_atlas_equals_the_per_context_path(index):
     space, a, b = MODELS[index]
     ap = a.partition(space)
-    atlas = ContextAtlas.of(space, a, b)
+    atlas = ContextAtlas(space, a, b)
     assert atlas.contexts == contexts_of(space, ap)
     for e in atlas.entries:
         table = TwoCellTable.of(space, a.assignment, b.assignment, e.context)
@@ -155,7 +155,7 @@ def test_atlas_equals_the_per_context_path(index):
 @pytest.mark.parametrize("index", range(len(MODELS)))
 def test_composite_laws_equal_point_sums(index):
     space, a, b = MODELS[index]
-    atlas = ContextAtlas.of(space, a, b)
+    atlas = ContextAtlas(space, a, b)
     rng = random.Random(index)
     entries = list(atlas.entries)
     if atlas.mappable:
@@ -174,7 +174,7 @@ def test_composite_laws_equal_point_sums(index):
 
 def test_the_represented_family_is_sorted_and_carries_the_cells():
     for space, a, b in MODELS[FIRST : FIRST + 10]:
-        atlas = ContextAtlas.of(space, a, b)
+        atlas = ContextAtlas(space, a, b)
         states = represented_states(space, a, b)
         events = [c for c, _ in states]
         assert events == sorted(events, key=lambda e: (len(e.members), e.members))
@@ -188,13 +188,13 @@ def test_listed_contexts_keep_their_order_and_errors():
     space, a, b = MODELS[FIRST + 3]
     every = contexts_of(space, a.partition(space))
     listed = (every[-1], every[0], every[len(every) // 2])
-    atlas = ContextAtlas.of(space, a, b, listed)
+    atlas = ContextAtlas(space, a, b, listed)
     assert atlas.contexts == listed
     for e in atlas.entries:
         assert e.table == TwoCellTable.of(space, a.assignment, b.assignment, e.context)
     cell = a.partition(space).cells[0]
     with pytest.raises(NotAContextError):
-        ContextAtlas.of(space, a, b, (cell,)).entries
+        ContextAtlas(space, a, b, (cell,)).entries
     with pytest.raises(NotAContextError):
         amplitude(space, a, b, cell)
 
@@ -202,7 +202,7 @@ def test_listed_contexts_keep_their_order_and_errors():
 def test_amplitude_and_born_rows_raise_on_a_hyperbolic_context():
     space, a, b = MODELS[-1]
     hyperbolic = next(
-        e.context for e in ContextAtlas.of(space, a, b).entries if e.state is None
+        e.context for e in ContextAtlas(space, a, b).entries if e.state is None
     )
     with pytest.raises(NotTrigonometricError, match=re.escape(hyperbolic.label())):
         amplitude(space, a, b, hyperbolic)
@@ -212,7 +212,7 @@ def test_amplitude_and_born_rows_raise_on_a_hyperbolic_context():
 
 def test_a_compatible_pair_has_contexts_but_no_amplitudes():
     space, a, _ = MODELS[0]
-    atlas = ContextAtlas.of(space, a, a)
+    atlas = ContextAtlas(space, a, a)
     assert all(e.state is None for e in atlas.entries)
     assert nonsensitive_contexts(space, a, a) == tuple(
         e.context for e in atlas.entries if e.table.delta(0) == e.table.delta(1) == 0

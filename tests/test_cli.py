@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: exit codes, determinism, formats."""
 
+import hashlib
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -158,6 +159,14 @@ class TestVerify:
         assert code == 1
         assert "CONTEXTUAL_SEED" in err
 
+    def test_long_seed_is_quoted_in_short(self, capsys, monkeypatch):
+        # 5000 digits: beyond int()'s default limit, so not an integer.
+        monkeypatch.setenv("CONTEXTUAL_SEED", "1" * 5000)
+        code, out, err = run(capsys, "verify", "--kq", "1/8")
+        assert code == 1 and not out
+        assert err.startswith("error: CONTEXTUAL_SEED") and err.count("\n") == 1
+        assert len(err) < 120 and "(5000 characters)" in err
+
     def test_exit_two_on_failed_check(self, capsys, monkeypatch):
         failing = [verify.CheckResult(name="synthetic", passed=False, detail="x")]
         monkeypatch.setattr(verify, "run_checks", lambda *a, **k: failing)
@@ -298,6 +307,65 @@ class TestFloatRange:
         assert json.loads(out)["all_passed"] is True
 
 
+class TestCompareDistContext:
+    """``compare-dist --context`` reports one event through the same path as
+    the every-context report; outputs recorded before that merge."""
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ("--kq", "1/8", "--context", "w2,w3,w4", "--align", "1.0,-1.0"),
+                "2184dda27f02d4f1f4a360f305a502df7c62141ef7804fe4cf583ef817ee8231",
+            ),
+            (
+                ("--kq", "1/4", "--context", "w1,w2,w3", "--observable", "product"),
+                "b791a03ebaa171a85a8ea1e0fd9e3bb4abfe4988605ce346287d3b5f504ef8ef",
+            ),
+        ],
+    )
+    def test_report_bytes(self, capsys, argv, digest):
+        code, out, err = run(capsys, "compare-dist", *argv)
+        assert code == 0 and not err
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_csv_rows(self, capsys):
+        code, out, _ = run(
+            capsys, "compare-dist", "--kq", "1/8", "--context", "w2,w3,w4",
+            "--align", "1.0,-1.0", "--format", "csv",
+        )
+        assert code == 0
+        assert out.splitlines() == [
+            "value,probability",
+            "-2,1/7",
+            "0,6/7",
+            "2,0",
+            "-1,0.6428571428571429",
+            "1,0.3571428571428571",
+        ]
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (
+                ("--model", str(DATA / "hyperbolic_witness.json"), "--context", "p1,p3"),
+                "error: p1+p3 carries a coefficient beyond the trigonometric range",
+            ),
+            (
+                ("--kq", "1/8", "--context", "w1,w2"),
+                "error: w1+w2 is not a context for the variable pair",
+            ),
+            (
+                ("--kq", "1/8", "--context", "w1,w9"),
+                "error: unknown point identifier 'w9'",
+            ),
+        ],
+    )
+    def test_errors(self, capsys, argv, line):
+        code, out, err = run(capsys, "compare-dist", *argv)
+        assert (code, out, err) == (1, "", line + "\n")
+
+
 class TestHostileNumbers:
     @pytest.mark.parametrize("align", ["inf,1", "1,1e400", "-inf,0", "nan,1", "1,nan"])
     def test_non_finite_alignment_is_an_error(self, capsys, align):
@@ -314,6 +382,21 @@ class TestHostileNumbers:
         assert code == 1 and not out
         assert err.startswith("error:") and err.count("\n") == 1
         assert "grid" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("compare-dist", "--kq", "1/4", "--align", "x" * 5000),
+            ("compare-dist", "--kq", "1/4", "--align", "1," + "1" * 5000),
+            ("analyze", "--kq", "1/4", "--vars", "a," + "b" * 5000),
+            ("analyze", "--kq", "1/4", "--vars", "a,b," + "c" * 5000),
+        ],
+    )
+    def test_long_arguments_are_quoted_in_short(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and not out
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert len(err) < 120 and "characters)" in err
 
     @pytest.mark.parametrize(
         "argv",

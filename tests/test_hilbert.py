@@ -16,9 +16,9 @@ from qcontext.errors import (
     SingularBasisError,
 )
 from qcontext.hilbert import (
+    SIGNS,
     STATE_TOL,
     BasisPair,
-    SignConvention,
     StateVector,
     a_basis,
     amplitude,
@@ -94,18 +94,8 @@ class TestTransitionMatrix:
         assert is_double_stochastic(sym)
 
 
-class TestSignConvention:
-    def test_default_signs(self):
-        signs = SignConvention()
-        assert (signs.eps1, signs.eps2) == (-1, 1)
-
-    def test_equal_signs_rejected(self):
-        with pytest.raises(ValueError, match="opposite"):
-            SignConvention(eps1=1, eps2=1)
-
-    def test_non_unit_signs_rejected(self):
-        with pytest.raises(ValueError):
-            SignConvention(eps1=0, eps2=1)
+def test_signs_are_the_opposite_pair_of_the_paper():
+    assert SIGNS == (-1, 1)
 
 
 class TestAmplitude:

@@ -87,6 +87,22 @@ class TestParse:
         with pytest.raises(MalformedDocumentError, match="1 or 2"):
             parse_model(json.dumps(doc))
 
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_boolean_assignment_index_rejected(self, flag):
+        # JSON true equals the int 1 in Python, so it must be refused by type.
+        doc = json.loads(MINIMAL)
+        doc["variables"]["a"]["assignment"]["u"] = flag
+        with pytest.raises(MalformedDocumentError, match="1 or 2"):
+            parse_model(json.dumps(doc))
+
+    def test_integer_literal_beyond_the_digit_limit(self):
+        bad = MINIMAL.replace('"1/3"', "1" + "0" * 5000, 1)
+        with pytest.raises(MalformedDocumentError) as info:
+            parse_model(bad)
+        message = str(info.value)
+        assert "4300-digit limit" in message and len(message) < 120
+        assert "set_int_max_str_digits" not in message
+
     def test_context_with_unknown_point(self):
         doc = json.loads(MINIMAL)
         doc["contexts"] = [["u", "zz"]]
