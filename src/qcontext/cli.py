@@ -10,6 +10,10 @@ Exit codes: 0 success, 1 validation or usage error, 2 at least one failed
 check in verify.  Reports are deterministic: the same argv and model bytes
 produce byte-identical output.  The environment variable CONTEXTUAL_SEED
 (integer, default 0) seeds the randomised parts of verify.
+
+Each code path imports the layers it runs when it runs: ``--help`` and usage
+errors load no layer, ``analyze`` and ``represent`` never load
+``operators``, and only ``verify`` loads the check suite.
 """
 
 from __future__ import annotations
@@ -19,25 +23,14 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import hilbert, interference, operators
-from .errors import ModelError
-from .model_io import (
-    ModelSpec,
-    emit_report,
-    kq_model,
-    model_document,
-    parse_model,
-    sweep,
-)
-from .prob import (
-    Event,
-    as_fraction,
-    conditional,
-    is_context,
-    quoted,
-    variables_incompatible,
-)
+from .errors import ModelError, quoted
+
+if TYPE_CHECKING:
+    from .hilbert import ContextAtlas
+    from .model_io import ModelSpec
+    from .prob import Event
 
 MAX_DEFAULT_ENUMERATION = 12
 
@@ -109,10 +102,13 @@ def _load_model(args: argparse.Namespace) -> ModelSpec:
     given = [src for src in (args.model, args.kq) if src is not None]
     if len(given) != 1:
         raise ModelError("exactly one of --model and --kq is required")
+    from .model_io import kq_model, parse_model
+    from .prob import as_fraction
+
     if args.kq is not None:
         try:
             q = as_fraction(args.kq)
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             raise ModelError(f"bad rational {quoted(args.kq)}") from exc
         return kq_model(q)
     path = Path(args.model)
@@ -122,13 +118,16 @@ def _load_model(args: argparse.Namespace) -> ModelSpec:
 
 
 def _resolve_pair(spec: ModelSpec, names: str):
+    from .prob import variables_incompatible
+
     parts = [p.strip() for p in names.split(",")]
     if len(parts) != 2 or not all(parts):
         raise ModelError(f"--vars needs two names, got {quoted(names)}")
     a, b = (spec.variable(p) for p in parts)
     if not variables_incompatible(spec.space, a, b):
         raise ModelError(
-            f"variables {parts[0]!r} and {parts[1]!r} are not incompatible"
+            f"variables {quoted(parts[0])} and {quoted(parts[1])} are not "
+            "incompatible"
         )
     return a, b
 
@@ -137,6 +136,8 @@ def _contexts_for(spec: ModelSpec, a_var, command: str) -> tuple[Event, ...] | N
     """The model's listed contexts that are contexts for the pair, sorted by
     (size, members); None when it lists none, for the atlas to enumerate."""
     if spec.contexts is not None:
+        from .prob import is_context
+
         part = a_var.partition(spec.space)
         chosen = tuple(
             c for c in spec.contexts if is_context(spec.space, c, part)
@@ -152,7 +153,10 @@ def _contexts_for(spec: ModelSpec, a_var, command: str) -> tuple[Event, ...] | N
     return None
 
 
-def _analysis_bundle(atlas: hilbert.ContextAtlas, args) -> dict:
+def _analysis_bundle(atlas: ContextAtlas, args) -> dict:
+    from . import interference
+    from .prob import conditional
+
     space, b_var = atlas.space, atlas.b_var
     a_part = atlas.a_var.partition(space)
     b_part = b_var.partition(space)
@@ -186,7 +190,9 @@ def _analysis_bundle(atlas: hilbert.ContextAtlas, args) -> dict:
     return {"kind": "analysis", "analyses": analyses}
 
 
-def _represent_bundle(atlas: hilbert.ContextAtlas, args) -> dict:
+def _represent_bundle(atlas: ContextAtlas, args) -> dict:
+    from . import hilbert
+
     trans, basis, image = atlas.transition, atlas.basis, atlas.image_set()
     gaps = atlas.phase_gap_profile(*hilbert.SIGNS)
     return {
@@ -203,7 +209,9 @@ def _represent_bundle(atlas: hilbert.ContextAtlas, args) -> dict:
     }
 
 
-def _operators_bundle(atlas: hilbert.ContextAtlas, args) -> dict:
+def _operators_bundle(atlas: ContextAtlas, args) -> dict:
+    from . import operators
+
     a_var, b_var = atlas.a_var, atlas.b_var
     a_op = operators.a_operator(a_var, atlas.transition)
     b_op = operators.b_operator(b_var)
@@ -246,10 +254,12 @@ def _alignment(args) -> tuple[float, float] | None:
     return alignment
 
 
-def _mismatch_reports(atlas: hilbert.ContextAtlas, obs, alignment, context):
+def _mismatch_reports(atlas: ContextAtlas, obs, alignment, context):
     """(context, report) for every mappable context of the atlas, or of an
     atlas of the --context event alone, which must have an amplitude; the
     operator's spectrum is computed once."""
+    from . import hilbert, operators
+
     space = atlas.space
     if context:
         c = space.event(context.split(","))
@@ -272,7 +282,9 @@ def _mismatch_reports(atlas: hilbert.ContextAtlas, obs, alignment, context):
     ]
 
 
-def _compare_bundle(atlas: hilbert.ContextAtlas, args) -> dict:
+def _compare_bundle(atlas: ContextAtlas, args) -> dict:
+    from . import operators
+
     a_var, b_var = atlas.a_var, atlas.b_var
     if args.observable == "sum":
         obs = operators.CompositeObservable.sum_of(a_var, b_var)
@@ -318,6 +330,8 @@ def _sweep_bundle(args) -> dict:
     values = [part.strip() for part in args.grid.split(",") if part.strip()]
     if not values:
         raise ModelError("--grid needs at least one rational")
+    from .model_io import sweep
+
     result = sweep(values)
     return {
         "kind": "sweep",
@@ -327,8 +341,8 @@ def _sweep_bundle(args) -> dict:
     }
 
 
-def _verify_bundle(atlas: hilbert.ContextAtlas, args) -> dict:
-    from . import verify  # loaded here only: no other subcommand needs it
+def _verify_bundle(atlas: ContextAtlas, args) -> dict:
+    from . import verify
 
     seed = _seed_from_env()
     checks = verify.run_checks(
@@ -342,7 +356,9 @@ def _verify_bundle(atlas: hilbert.ContextAtlas, args) -> dict:
     }
 
 
-def _dispersion_bundle(atlas: hilbert.ContextAtlas, args) -> dict:
+def _dispersion_bundle(atlas: ContextAtlas, args) -> dict:
+    from . import operators
+
     report = operators.dispersion_free_search(
         atlas.space, atlas.a_var, atlas.b_var, atlas
     )
@@ -367,10 +383,13 @@ _BUNDLES = {
 def _model_bundle(args) -> dict:
     """The report of a model subcommand, read from one atlas of the pair;
     the atlas is released before the report is emitted."""
+    from .hilbert import ContextAtlas
+    from .model_io import model_document
+
     spec = _load_model(args)
     a_var, b_var = _resolve_pair(spec, args.vars)
     contexts = _contexts_for(spec, a_var, args.command)
-    atlas = hilbert.ContextAtlas(spec.space, a_var, b_var, contexts)
+    atlas = ContextAtlas(spec.space, a_var, b_var, contexts)
     return {
         "model": model_document(spec),
         "variables": [a_var.name, b_var.name],
@@ -397,6 +416,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        from .model_io import emit_report
+
         bundle = _sweep_bundle(args) if args.command == "sweep" else _model_bundle(args)
         text = emit_report(bundle, args.fmt)
     except (ModelError, ValueError) as exc:

@@ -1,8 +1,11 @@
 """Exception hierarchy shared by every module in the package.
 
 All errors derive from :class:`ModelError` so callers (notably the CLI) can
-turn any domain failure into a single diagnostic path.
+turn any domain failure into a single diagnostic path.  :func:`quoted`
+keeps the values a message echoes short.
 """
+
+from typing import Iterable
 
 
 class ModelError(Exception):
@@ -63,3 +66,16 @@ class DuplicatePointError(MalformedDocumentError):
 
 class PartialAssignmentError(MalformedDocumentError):
     """A variable assignment does not cover every point of the space."""
+
+
+def quoted(text: str) -> str:
+    """``repr(text)``, cut to its first 40 characters plus the length when
+    longer, so an error line stays one short line."""
+    if len(text) <= 40:
+        return repr(text)
+    return f"{text[:40]!r}... ({len(text)} characters)"
+
+
+def quoted_list(texts: Iterable[str]) -> str:
+    """``str(list(texts))`` with each item through :func:`quoted`."""
+    return "[" + ", ".join(map(quoted, texts)) + "]"

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple, Sequence
@@ -51,6 +50,7 @@ from .prob import (
     FiniteProbabilitySpace,
     require_enumerable,
 )
+from .record import Record
 
 STATE_TOL = 1e-12
 
@@ -61,8 +61,7 @@ STATE_TOL = 1e-12
 SIGNS = (-1, +1)
 
 
-@dataclass(frozen=True)
-class TransitionMatrix:
+class TransitionMatrix(Record):
     """Exact 2x2 matrix of transition probabilities p[i][j] = P(b=b_j | a=a_i).
 
     Rows are labelled by the a-values, columns by the b-values; each row sums
@@ -101,11 +100,13 @@ def is_double_stochastic(matrix: TransitionMatrix) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class StateVector:
+class StateVector(Record):
     """A two-component complex amplitude indexed by the b-values."""
 
     components: tuple[complex, complex]
+
+    def __init__(self, components: tuple[complex, complex]) -> None:
+        self.__dict__["components"] = components
 
     def norm_squared(self) -> float:
         return sum(abs(z) ** 2 for z in self.components)
@@ -117,6 +118,10 @@ class StateVector:
 
     def probabilities(self) -> tuple[float, float]:
         return tuple(abs(z) ** 2 for z in self.components)
+
+    def _jsonable(self) -> tuple[complex, complex]:
+        """A report writes a state as its components."""
+        return self.components
 
 
 def phase_normalized(state: StateVector) -> StateVector:
@@ -188,8 +193,7 @@ def amplitude(
     return ContextAtlas(space, a_var, b_var, (c,)).amplitudes()[0]
 
 
-@dataclass(frozen=True)
-class BasisPair:
+class BasisPair(Record):
     """The canonical b-basis together with a (possibly non-orthonormal)
     a-basis expressed in b-coordinates."""
 
@@ -309,8 +313,7 @@ def unitarity_check(
     return unitary, ds
 
 
-@dataclass(frozen=True)
-class BornRow:
+class BornRow(Record):
     context: Event
     value: Fraction
     projected: float
@@ -399,8 +402,7 @@ def nonsensitive_contexts(
     return ContextAtlas(space, a_var, b_var).nonsensitive_contexts()
 
 
-@dataclass(frozen=True)
-class ImageSet:
+class ImageSet(Record):
     """Image of the representation over contexts plus the two a-cells.
 
     ``entries`` holds (event, state) pairs sorted by event; ``groups`` the
@@ -634,8 +636,7 @@ class ContextAtlas:
         )
 
 
-@dataclass(frozen=True)
-class DualCoordinates:
+class DualCoordinates(Record):
     """Expansion of a state in the b-basis and in a given a-basis.
 
     In the doubly stochastic case the a-coordinates coincide with ordinary

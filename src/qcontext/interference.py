@@ -32,7 +32,6 @@ and the coefficient's sign is the sign of N.  For two cells N is the N_j of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from fractions import Fraction
@@ -51,6 +50,7 @@ from .prob import (
     Partition,
     is_context,
 )
+from .record import Record
 
 
 class Classification(Enum):
@@ -231,12 +231,14 @@ def pairwise_delta(
     return Fraction(share, scale * masses.cell(n)[0] * masses.cell(m)[0])
 
 
-@dataclass(frozen=True)
-class LambdaCoefficient:
+class LambdaCoefficient(Record):
     """A normalised disturbance share, kept exact as (squared value, sign)."""
 
     squared: Fraction
     sign: int
+
+    def __init__(self, squared: Fraction, sign: int) -> None:
+        self.__dict__.update(squared=squared, sign=sign)
 
     @classmethod
     def of(cls, share: Fraction | int, radicand: Fraction | int) -> "LambdaCoefficient":
@@ -306,8 +308,7 @@ def mass_table(
     return (tuple(table[0]), tuple(table[1]))
 
 
-@dataclass(frozen=True)
-class TwoCellTable:
+class TwoCellTable(Record):
     """One context C of a dichotomous pair (A, B), 0-based, as integer masses
     over the space's common denominator: ``local[i][j]`` is l_ij, the mass
     of A_i & B_j & C, and ``whole[i][j]`` is W_ij, that of A_i & B_j.
@@ -328,9 +329,10 @@ class TwoCellTable:
 
     local: Masses
     whole: Masses
-    _coefficients: dict[int, LambdaCoefficient] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    _coefficients: dict[int, LambdaCoefficient]
+
+    def __init__(self, local: Masses, whole: Masses) -> None:
+        self.__dict__.update(local=local, whole=whole, _coefficients={})
 
     @classmethod
     def of(
@@ -497,8 +499,7 @@ def interference_cross_sum(
     return total
 
 
-@dataclass(frozen=True)
-class DisturbanceReport:
+class DisturbanceReport(Record):
     """Per-outcome disturbance record for one context.
 
     ``pairwise`` maps 0-based cell pairs to their exact shares; the exact
@@ -517,8 +518,7 @@ class DisturbanceReport:
     phase: float
 
 
-@dataclass(frozen=True)
-class ContextAnalysis:
+class ContextAnalysis(Record):
     context: Event
     outcomes: tuple[DisturbanceReport, ...]
     classification: Classification

@@ -12,11 +12,11 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, is_dataclass, fields as dc_fields
 from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
-from typing import Any, Mapping, Sequence
+from collections.abc import Mapping
+from typing import Any, Sequence
 
 from .errors import (
     DuplicatePointError,
@@ -24,20 +24,14 @@ from .errors import (
     PartialAssignmentError,
     QOutOfRangeError,
     WeightSumNotOneError,
-)
-from .hilbert import StateVector, image_set
-from .operators import CompositeObservable, distribution_mismatch
-from .prob import (
-    DichotomousVariable,
-    Event,
-    FiniteProbabilitySpace,
-    as_fraction,
     quoted,
+    quoted_list,
 )
+from .prob import DichotomousVariable, Event, FiniteProbabilitySpace, as_fraction
+from .record import Record
 
 
-@dataclass(frozen=True)
-class ModelSpec:
+class ModelSpec(Record):
     """A parsed model: the space, its named variables and optional explicit
     contexts (used instead of exhaustive enumeration on large spaces)."""
 
@@ -66,7 +60,7 @@ def _parse_rational(value: Any, what: str) -> Fraction:
     if isinstance(value, str):
         try:
             return as_fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             raise MalformedDocumentError(
                 f"{what}: bad rational literal {quoted(value)}"
             ) from exc
@@ -105,47 +99,51 @@ def parse_model(text: str) -> ModelSpec:
         pid = entry["id"]
         _require(isinstance(pid, str) and pid, "point ids must be nonempty strings")
         if pid in weights:
-            raise DuplicatePointError(f"duplicate point identifier {pid!r}")
-        w = _parse_rational(entry["weight"], f"weight of {pid!r}")
-        _require(w > 0, f"weight of {pid!r} must be strictly positive")
+            raise DuplicatePointError(f"duplicate point identifier {quoted(pid)}")
+        w = _parse_rational(entry["weight"], f"weight of {quoted(pid)}")
+        _require(w > 0, f"weight of {quoted(pid)} must be strictly positive")
         ids.append(pid)
         weights[pid] = w
     _require(ids, "a model needs at least one point")
     total = sum(weights.values())
     if total != 1:
-        raise WeightSumNotOneError(f"weights sum to {total}, expected 1")
+        raise WeightSumNotOneError(f"weights sum to {_shown(total)}, expected 1")
     space = FiniteProbabilitySpace(points=tuple(ids), weights=weights)
 
     variables: dict[str, DichotomousVariable] = {}
     for name, body in doc["variables"].items():
-        _require(isinstance(body, dict), f"variable {name!r} must be an object")
+        _require(isinstance(body, dict), f"variable {quoted(name)} must be an object")
         _require(
             "values" in body and "assignment" in body,
-            f"variable {name!r} needs 'values' and 'assignment'",
+            f"variable {quoted(name)} needs 'values' and 'assignment'",
         )
         values = body["values"]
         _require(
             isinstance(values, list) and len(values) == 2,
-            f"variable {name!r} needs exactly two values",
+            f"variable {quoted(name)} needs exactly two values",
         )
-        v1 = _parse_rational(values[0], f"first value of {name!r}")
-        v2 = _parse_rational(values[1], f"second value of {name!r}")
+        v1 = _parse_rational(values[0], f"first value of {quoted(name)}")
+        v2 = _parse_rational(values[1], f"second value of {quoted(name)}")
         assignment = body["assignment"]
         _require(
             isinstance(assignment, dict),
-            f"assignment of {name!r} must be an object",
+            f"assignment of {quoted(name)} must be an object",
         )
         missing = [p for p in ids if p not in assignment]
         if missing:
             raise PartialAssignmentError(
-                f"variable {name!r} leaves points {missing} unassigned"
+                f"variable {quoted(name)} leaves points {quoted_list(missing)} "
+                "unassigned"
             )
         cleaned: dict[str, int] = {}
         for pid, idx in assignment.items():
-            _require(pid in weights, f"assignment of {name!r} names unknown point {pid!r}")
+            _require(
+                pid in weights,
+                f"assignment of {quoted(name)} names unknown point {quoted(pid)}",
+            )
             _require(
                 idx in (1, 2) and not isinstance(idx, bool),
-                f"assignment of {name!r} at {pid!r} must be 1 or 2",
+                f"assignment of {quoted(name)} at {quoted(pid)} must be 1 or 2",
             )
             cleaned[pid] = idx
         try:
@@ -153,7 +151,7 @@ def parse_model(text: str) -> ModelSpec:
                 name=name, values=(v1, v2), assignment=cleaned
             )
         except ValueError as exc:
-            raise MalformedDocumentError(f"variable {name!r}: {exc}") from exc
+            raise MalformedDocumentError(f"variable {quoted(name)}: {exc}") from exc
 
     contexts: tuple[Event, ...] | None = None
     if "contexts" in doc and doc["contexts"] is not None:
@@ -166,7 +164,7 @@ def parse_model(text: str) -> ModelSpec:
             )
             _require(
                 all(p in weights for p in row),
-                f"context {row} names an unknown point",
+                f"context {quoted_list(row)} names an unknown point",
             )
             parsed.append(Event.of(row))
         contexts = tuple(parsed)
@@ -212,7 +210,9 @@ def kq_model(q: Fraction | int | str | float) -> ModelSpec:
     """
     q = as_fraction(q)
     if not (0 < q < Fraction(1, 2)):
-        raise QOutOfRangeError(f"parameter must lie strictly in (0, 1/2), got {q}")
+        raise QOutOfRangeError(
+            f"parameter must lie strictly in (0, 1/2), got {_shown(q)}"
+        )
     half_rest = (1 - 2 * q) / 2
     space = FiniteProbabilitySpace.from_pairs(
         [("w1", q), ("w2", half_rest), ("w3", q), ("w4", half_rest)]
@@ -230,8 +230,7 @@ def kq_model(q: Fraction | int | str | float) -> ModelSpec:
     return ModelSpec(space=space, variables={"a": a, "b": b})
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(Record):
     q: Fraction
     distinct_states: int
     theta_first: float
@@ -239,8 +238,7 @@ class SweepRow:
     mismatch_gap: float
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(Record):
     """Per-parameter bundle over the reference family.
 
     ``theta_second`` tracks the phase of the second outcome in the
@@ -253,7 +251,9 @@ class SweepResult:
 
 
 def sweep(q_values: Sequence[Fraction | int | str | float]) -> SweepResult:
+    from .hilbert import image_set
     from .interference import lambda_coefficient
+    from .operators import CompositeObservable, distribution_mismatch
 
     rows = []
     for raw in q_values:
@@ -307,6 +307,13 @@ def format_rational(x: Fraction) -> str:
         return f"{numerator}" if denominator == 1 else f"{numerator}/{denominator}"
 
 
+def _shown(x: Fraction) -> str:
+    """``format_rational(x)``, through :func:`errors.quoted` when longer than
+    40 characters, for an error line."""
+    text = format_rational(x)
+    return text if len(text) <= 40 else quoted(text)
+
+
 def format_float(x: float) -> str:
     """Fixed 17-significant-digit decimal form; +0.0 normalised."""
     return format(x + 0.0, ".17g")
@@ -316,7 +323,8 @@ def to_jsonable(obj: Any) -> Any:
     """Normalise domain values for deterministic JSON emission.
 
     Rationals become "p/q" strings, floats fixed 17-digit strings, complex
-    numbers (re, im) string pairs, events sorted id lists.
+    numbers (re, im) string pairs, events sorted id lists, records objects
+    of their fields (a state: its components).
     """
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
@@ -328,14 +336,13 @@ def to_jsonable(obj: Any) -> Any:
         return [format_float(obj.real), format_float(obj.imag)]
     if isinstance(obj, Event):
         return list(obj.members)
-    if isinstance(obj, StateVector):
-        return [to_jsonable(z) for z in obj.components]
     if isinstance(obj, Enum):
         return obj.value
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return {
-            f.name: to_jsonable(getattr(obj, f.name)) for f in dc_fields(obj)
-        }
+    if isinstance(obj, Record):
+        fields = obj._jsonable()
+        if isinstance(fields, dict):
+            return {name: to_jsonable(value) for name, value in fields.items()}
+        return [to_jsonable(value) for value in fields]
     if isinstance(obj, Mapping):
         return {_key_str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple, set, frozenset)):

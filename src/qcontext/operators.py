@@ -23,7 +23,6 @@ value.  Reports pass the masses an atlas already holds
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -38,6 +37,7 @@ from .hilbert import (
     amplitude,
     is_double_stochastic,
     phase_normalized,
+    # Unused here: perfbench/tracer.py traces operators.represented_states.
     represented_states,
     transition_matrix,
 )
@@ -49,6 +49,7 @@ from .prob import (
     all_events,
     as_fraction,
 )
+from .record import Record
 
 HERMITIAN_TOL = 1e-12
 
@@ -58,8 +59,7 @@ SUPPORT_GRID = 1e-9
 Matrix = tuple[tuple[complex, complex], tuple[complex, complex]]
 
 
-@dataclass(frozen=True)
-class HermitianOperator:
+class HermitianOperator(Record):
     """A 2x2 complex matrix equal to its conjugate transpose, expressed in
     the b-basis."""
 
@@ -171,8 +171,7 @@ def quantum_mean(op: HermitianOperator, state: StateVector) -> float:
     return value.real
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
+class SpectralDecomposition(Record):
     """Closed-form eigensystem of a 2x2 Hermitian matrix.
 
     Eigenvalues ascend; each eigenvector is normalised with its first
@@ -243,8 +242,7 @@ class ObservableKind(Enum):
     PRODUCT = "product"
 
 
-@dataclass(frozen=True)
-class CompositeObservable:
+class CompositeObservable(Record):
     """A random variable built from the fundamental pair.
 
     Supported shapes: f(a), g(b), f(a) + g(b) and the product a*b.  The first
@@ -456,8 +454,7 @@ def mean_preservation_gap(
     return max_mean_gap(obs, op, ContextAtlas(space, a_var, b_var).represented)
 
 
-@dataclass(frozen=True)
-class MismatchReport:
+class MismatchReport(Record):
     """Classical versus spectral distribution of one observable in one
     context, with the total-variation gap computed after an optional affine
     re-scaling value -> scale * value + offset of the classical support."""
@@ -574,8 +571,7 @@ def dispersion(
     return _variance(obs.masses_by_value(local), sum(map(sum, local)))
 
 
-@dataclass(frozen=True)
-class DispersionFreeReport:
+class DispersionFreeReport(Record):
     """Events of zero conditional variance for *every* random variable.
 
     Point indicators separate any two points, so exactly the atoms qualify.

@@ -17,10 +17,10 @@ Terminology used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
@@ -30,7 +30,10 @@ from .errors import (
     MalformedDocumentError,
     PartialAssignmentError,
     ZeroConditionError,
+    quoted,
+    quoted_list,
 )
+from .record import Record
 
 #: Exhaustive subset enumeration is capped at this many points (2**16 events).
 MAX_ENUMERATION_POINTS = 16
@@ -43,21 +46,15 @@ MAX_DECIMAL_EXPONENT = 4300
 _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 
 
-def quoted(text: str) -> str:
-    """``repr(text)``, cut to its first 40 characters plus the length when
-    longer, so an error line stays one short line."""
-    if len(text) <= 40:
-        return repr(text)
-    return f"{text[:40]!r}... ({len(text)} characters)"
-
-
 def as_fraction(value: Fraction | int | str | float) -> Fraction:
     """Coerce ``value`` to an exact rational.
 
     Strings accept both "p/q" and decimal literals; floats are converted via
     their shortest decimal repr so that e.g. ``0.25`` means exactly 1/4.  A
     decimal exponent beyond ``MAX_DECIMAL_EXPONENT`` in magnitude raises
-    :class:`MalformedDocumentError`.
+    :class:`MalformedDocumentError`.  A zero denominator, or an unparsable
+    literal longer than 40 characters, raises a ``ValueError`` that quotes
+    the literal through :func:`quoted`.
     """
     if isinstance(value, Fraction):
         return value
@@ -72,23 +69,54 @@ def as_fraction(value: Fraction | int | str | float) -> Fraction:
                 raise MalformedDocumentError(
                     f"decimal exponent of {quoted(value)} exceeds {limit} in magnitude"
                 )
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"bad rational literal {quoted(value)}") from exc
+    except ValueError as exc:
+        if isinstance(value, str) and len(value) > 40:
+            raise ValueError(f"bad rational literal {quoted(value)}") from exc
+        raise
 
 
-@dataclass(frozen=True, order=True)
+@functools.total_ordering
 class Event:
-    """An immutable subset of sample points, identified by sorted ids."""
+    """An immutable subset of sample points, identified by sorted ids.
 
+    Events compare, hash and order by their members."""
+
+    __slots__ = ("members",)
     members: tuple[str, ...]
+
+    def __init__(self, members: Iterable[str]) -> None:
+        object.__setattr__(self, "members", tuple(sorted(set(members))))
 
     @staticmethod
     def of(ids: Iterable[str]) -> "Event":
-        return Event(tuple(sorted(set(ids))))
+        return Event(ids)
 
-    def __post_init__(self) -> None:
-        ordered = tuple(sorted(set(self.members)))
-        if ordered != self.members:
-            object.__setattr__(self, "members", ordered)
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"Event(members={self.members!r})"
+
+    def __hash__(self) -> int:
+        return hash((self.members,))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Event:
+            return NotImplemented
+        return self.members == other.members
+
+    def __lt__(self, other) -> bool:
+        if other.__class__ is not Event:
+            return NotImplemented
+        return self.members < other.members
+
 
     def __contains__(self, point: str) -> bool:
         return point in self.members
@@ -114,8 +142,7 @@ class Event:
         return "+".join(self.members) if self.members else "(empty)"
 
 
-@dataclass(frozen=True)
-class FiniteProbabilitySpace:
+class FiniteProbabilitySpace(Record):
     """A finite sample space with strictly positive rational weights.
 
     Invariants enforced at construction: unique point identifiers, every
@@ -129,9 +156,9 @@ class FiniteProbabilitySpace:
 
     points: tuple[str, ...]
     weights: Mapping[str, Fraction]
-    _denominator: int = field(init=False, repr=False, compare=False)
-    _masses: Mapping[str, int] = field(init=False, repr=False, compare=False)
-    _ids: frozenset[str] = field(init=False, repr=False, compare=False)
+    _denominator: int
+    _masses: Mapping[str, int]
+    _ids: frozenset[str]
 
     def __post_init__(self) -> None:
         if len(set(self.points)) != len(self.points):
@@ -141,7 +168,7 @@ class FiniteProbabilitySpace:
             raise ValueError("weights must be given for exactly the points")
         for p, w in weights.items():
             if w <= 0:
-                raise ValueError(f"weight of {p!r} must be strictly positive")
+                raise ValueError(f"weight of {quoted(p)} must be strictly positive")
         if sum(weights.values()) != 1:
             raise ValueError("weights must sum exactly to one")
         denominator = math.lcm(*(w.denominator for w in weights.values()))
@@ -173,7 +200,7 @@ class FiniteProbabilitySpace:
     def validate_event(self, evt: Event) -> None:
         if not self._ids.issuperset(evt.members):
             foreign = next(p for p in evt.members if p not in self._ids)
-            raise ForeignPointError(f"unknown point identifier {foreign!r}")
+            raise ForeignPointError(f"unknown point identifier {quoted(foreign)}")
 
     def omega(self) -> Event:
         return Event.of(self.points)
@@ -186,8 +213,7 @@ class FiniteProbabilitySpace:
         return Event(tuple(p for p in sorted(self.points) if p not in inside))
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Record):
     """An ordered list of pairwise-disjoint nonempty events covering Omega."""
 
     cells: tuple[Event, ...]
@@ -216,8 +242,7 @@ class Partition:
         return len(self.cells)
 
 
-@dataclass(frozen=True)
-class DichotomousVariable:
+class DichotomousVariable(Record):
     """A total map from points onto one of two distinct rational values.
 
     ``assignment`` sends each point id to cell index 1 or 2; the preimages of
@@ -232,17 +257,17 @@ class DichotomousVariable:
     def __post_init__(self) -> None:
         values = (as_fraction(self.values[0]), as_fraction(self.values[1]))
         if values[0] == values[1]:
-            raise ValueError(f"variable {self.name!r} needs two distinct values")
+            raise ValueError(f"variable {quoted(self.name)} needs two distinct values")
         assignment = dict(self.assignment)
         for point, idx in assignment.items():
             if idx not in (1, 2):
                 raise ValueError(
-                    f"assignment of point {point!r} must be cell index 1 or 2"
+                    f"assignment of point {quoted(point)} must be cell index 1 or 2"
                 )
         present = set(assignment.values())
         if present != {1, 2}:
             raise ValueError(
-                f"variable {self.name!r} must take both of its values somewhere"
+                f"variable {quoted(self.name)} must take both of its values somewhere"
             )
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "assignment", MappingProxyType(assignment))
@@ -263,7 +288,7 @@ class DichotomousVariable:
         for cell in cells:
             if cell.is_empty:
                 raise ValueError(
-                    f"variable {self.name!r} never takes one of its values on "
+                    f"variable {quoted(self.name)} never takes one of its values on "
                     "this space"
                 )
         return Partition(cells)
@@ -272,7 +297,8 @@ class DichotomousVariable:
         missing = [p for p in space.points if p not in self.assignment]
         if missing:
             raise PartialAssignmentError(
-                f"variable {self.name!r} leaves points {missing} unassigned"
+                f"variable {quoted(self.name)} leaves points {quoted_list(missing)} "
+                "unassigned"
             )
 
 
@@ -353,8 +379,7 @@ def contexts_of(
     return tuple(found)
 
 
-@dataclass(frozen=True)
-class CoverOverlapReport:
+class CoverOverlapReport(Record):
     """Overlap structure of two covering families of sets.
 
     ``nonempty_intersections`` records whether every pairwise intersection

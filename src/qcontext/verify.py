@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -27,12 +26,12 @@ from .prob import (
     probability,
     variables_incompatible,
 )
+from .record import Record
 
 OPERATOR_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     name: str
     passed: bool
     detail: str

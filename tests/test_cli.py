@@ -421,6 +421,77 @@ class TestHostileNumbers:
         assert "exponent" in err and err.count("\n") == 1
 
 
+class TestLongValuesInErrorLines:
+    """Out-of-range and unparsable parameters, point ids and variable names
+    longer than 40 characters are quoted by their first 40 characters and
+    their length; shorter ones read as before."""
+
+    NINES = "9" * 3000
+    RANGE = "parameter must lie strictly in (0, 1/2)"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("analyze", "--kq", "1e4300"),
+            ("sweep", "--grid", "1e4300"),
+            ("analyze", "--kq", NINES),
+            ("sweep", "--grid", f"1/8,{NINES}"),
+        ],
+    )
+    def test_out_of_range_parameter(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {self.RANGE}")
+        assert err.count("\n") == 1 and len(err) < 120 and "characters)" in err
+
+    @pytest.mark.parametrize("literal", ["x" * 3000, "1/" + "x" * 3000])
+    def test_unparsable_sweep_parameter(self, capsys, literal):
+        code, out, err = run(capsys, "sweep", "--grid", literal)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: bad rational literal")
+        assert err.count("\n") == 1 and len(err) < 120 and "characters)" in err
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (("analyze", "--kq", "1/2"), f"{RANGE}, got 1/2"),
+            (("sweep", "--grid", "3/4"), f"{RANGE}, got 3/4"),
+            (("sweep", "--grid", "abc"), "Invalid literal for Fraction: 'abc'"),
+            (("sweep", "--grid", "1/0"), "bad rational literal '1/0'"),
+            (("analyze", "--kq", "abc"), "bad rational 'abc'"),
+            (("analyze", "--kq", "1/0"), "bad rational '1/0'"),
+        ],
+    )
+    def test_short_parameters(self, capsys, argv, line):
+        assert run(capsys, *argv) == (1, "", f"error: {line}\n")
+
+    def test_long_foreign_point_in_a_context(self, capsys):
+        code, out, err = run(
+            capsys, "compare-dist", "--kq", "1/8", "--context", "w1," + "w" * 5000
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: unknown point identifier")
+        assert err.count("\n") == 1 and len(err) < 120 and "characters)" in err
+
+    def test_long_names_of_a_compatible_pair(self, capsys, tmp_path):
+        spec = kq_model("1/4")
+        a = spec.variables["a"]
+        names = ("a" * 5000, "b" * 5000)
+        doc = json.loads(serialize_model(spec))
+        doc["variables"] = {
+            name: {"values": [1, -1], "assignment": dict(a.assignment)}
+            for name in names
+        }
+        path = tmp_path / "compatible.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(
+            capsys, "analyze", "--model", str(path), "--vars", ",".join(names)
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: variables") and err.endswith("incompatible\n")
+        assert err.count("\n") == 1 and len(err) < 200 and "characters)" in err
+
+
 class TestReportsBeyondTheDigitLimit:
     """Literals at the exponent bound parse, and the rationals the program
     computes from them (about twice as many digits) are emitted in full."""

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from qcontext.errors import (
     DuplicatePointError,
+    ForeignPointError,
     MalformedDocumentError,
     PartialAssignmentError,
     QOutOfRangeError,
@@ -121,6 +122,101 @@ class TestParse:
         doc["variables"]["a"]["values"] = [2, 2]
         with pytest.raises(MalformedDocumentError, match="distinct"):
             parse_model(json.dumps(doc))
+
+
+LONG = "u" * 5000
+
+
+def _long_doc() -> dict:
+    """MINIMAL with point "u" renamed to a 5000-character id."""
+    return json.loads(MINIMAL.replace('"u"', json.dumps(LONG)))
+
+
+def _message(doc: dict) -> str:
+    with pytest.raises(MalformedDocumentError) as info:
+        parse_model(json.dumps(doc))
+    return str(info.value)
+
+
+class TestLongIdsAndNames:
+    """Every error line quotes a long point id or variable name by its first
+    40 characters and its length; short ones read as before."""
+
+    def _short(self, message: str) -> None:
+        assert len(message) < 200 and "(5000 characters)" in message
+
+    def test_duplicate_point(self):
+        doc = _long_doc()
+        doc["points"][1]["id"] = LONG
+        with pytest.raises(DuplicatePointError) as info:
+            parse_model(json.dumps(doc))
+        self._short(str(info.value))
+
+    def test_unknown_point_in_an_assignment(self):
+        doc = json.loads(MINIMAL)
+        doc["variables"]["b"]["assignment"][LONG] = 1
+        self._short(_message(doc))
+
+    def test_partial_assignment(self):
+        doc = _long_doc()
+        del doc["variables"]["a"]["assignment"][LONG]
+        self._short(_message(doc))
+
+    def test_weight_of_a_long_point(self):
+        for weight in ("-1/3", "x", True):
+            doc = _long_doc()
+            doc["points"][0]["weight"] = weight
+            self._short(_message(doc))
+
+    def test_assignment_index_at_a_long_point(self):
+        doc = _long_doc()
+        doc["variables"]["a"]["assignment"][LONG] = 3
+        self._short(_message(doc))
+
+    def test_context_with_a_long_unknown_point(self):
+        doc = json.loads(MINIMAL)
+        doc["contexts"] = [["v", LONG]]
+        self._short(_message(doc))
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "not an object",
+            {"values": [1, -1]},
+            {"values": [1], "assignment": {}},
+            {"values": ["x", -1], "assignment": {}},
+            {"values": [1, -1], "assignment": []},
+            {"values": [1, 1], "assignment": {p: 1 for p in "uvwx"}},
+            {"values": [1, -1], "assignment": {p: 1 for p in "uvwx"}},
+            {"values": [1, -1], "assignment": {"u": 1, "v": 2}},
+        ],
+    )
+    def test_long_variable_name(self, body):
+        doc = json.loads(MINIMAL)
+        doc["variables"]["a" * 5000] = body
+        self._short(_message(doc))
+
+    def test_foreign_point_of_an_event(self):
+        space = parse_model(MINIMAL).space
+        with pytest.raises(ForeignPointError) as info:
+            space.event(["u", LONG])
+        self._short(str(info.value))
+
+    def test_short_ids_and_names_read_as_before(self):
+        doc = json.loads(MINIMAL)
+        doc["points"][1]["id"] = "u"
+        with pytest.raises(DuplicatePointError) as info:
+            parse_model(json.dumps(doc))
+        assert str(info.value) == "duplicate point identifier 'u'"
+        doc = json.loads(MINIMAL)
+        del doc["variables"]["a"]["assignment"]["x"]
+        assert _message(doc) == "variable 'a' leaves points ['x'] unassigned"
+        doc = json.loads(MINIMAL)
+        doc["variables"]["b"]["assignment"]["zz"] = 1
+        assert _message(doc) == "assignment of 'b' names unknown point 'zz'"
+        doc = json.loads(MINIMAL)
+        doc["contexts"] = [["u", "zz"]]
+        assert _message(doc) == "context ['u', 'zz'] names an unknown point"
 
 
 class TestDecimalExponentBound:
