@@ -154,28 +154,21 @@ def _contexts_for(spec: ModelSpec, a_var, command: str) -> tuple[Event, ...] | N
 
 
 def _analysis_bundle(atlas: ContextAtlas, args) -> dict:
+    """Each context's analysis and its two checks, read from its table: the
+    exact sum of both disturbances, and the largest gap between P(B_j|C)
+    and its interference-form reconstruction."""
     from . import interference
-    from .prob import conditional
 
-    space, b_var = atlas.space, atlas.b_var
-    a_part = atlas.a_var.partition(space)
-    b_part = b_var.partition(space)
     analyses = []
     for entry in atlas.entries:
-        c = entry.context
-        analysis = interference.ContextAnalysis.of(c, entry.table, b_var.values)
+        c, table = entry.context, entry.table
+        analysis = interference.ContextAnalysis.of(c, table, atlas.b_var.values)
+        first, second = analysis.outcomes
         checks = {
-            "disturbance_sum": interference.delta_outcome_sum(
-                space, a_part, b_part, c
-            ),
+            "disturbance_sum": first.delta + second.delta,
             "reconstruction_error": max(
-                abs(
-                    interference.reconstruct_total_probability(
-                        space, cell, a_part, c
-                    )
-                    - float(conditional(space, cell, c))
-                )
-                for cell in b_part.cells
+                abs(table.reconstructed(j) - float(table.b_given_c[j]))
+                for j in (0, 1)
             ),
         }
         analyses.append(

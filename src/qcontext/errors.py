@@ -2,7 +2,7 @@
 
 All errors derive from :class:`ModelError` so callers (notably the CLI) can
 turn any domain failure into a single diagnostic path.  :func:`quoted`
-keeps the values a message echoes short.
+and :func:`quoted_list` keep the values a message echoes short.
 """
 
 from typing import Iterable
@@ -76,6 +76,17 @@ def quoted(text: str) -> str:
     return f"{text[:40]!r}... ({len(text)} characters)"
 
 
+#: At most this many items of a list are echoed in an error line.
+MAX_QUOTED_ITEMS = 5
+
+
 def quoted_list(texts: Iterable[str]) -> str:
-    """``str(list(texts))`` with each item through :func:`quoted`."""
-    return "[" + ", ".join(map(quoted, texts)) + "]"
+    """``str(list(texts))`` with each item through :func:`quoted`; past
+    :data:`MAX_QUOTED_ITEMS` items, the first ones followed by how many
+    more there are."""
+    items = list(texts)
+    shown = ", ".join(map(quoted, items[:MAX_QUOTED_ITEMS]))
+    rest = len(items) - MAX_QUOTED_ITEMS
+    if rest > 0:
+        return f"[{shown}, ... and {rest} more]"
+    return f"[{shown}]"

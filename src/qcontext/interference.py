@@ -404,6 +404,21 @@ class TwoCellTable(Record):
     def coefficients(self) -> tuple[LambdaCoefficient, LambdaCoefficient]:
         return (self.coefficient(0), self.coefficient(1))
 
+    def reconstructed(self, j: int) -> float:
+        """P(B_j|C) rebuilt by the interference form of total probability:
+        the expansion sum_i P(A_i|C) P(B_j|A_i) plus the interference term
+        of lambda_j.  The expansion and the radicand are each one correctly
+        rounded integer division of the masses, the float of their
+        Fraction, so the result is bit for bit that of
+        :func:`reconstruct_total_probability`."""
+        r0, r1 = map(sum, self.local)
+        R0, R1 = map(sum, self.whole)
+        W0, W1 = self.whole[0][j], self.whole[1][j]
+        total = r0 + r1
+        expansion = (r0 * W0 * R1 + r1 * W1 * R0) / (total * R0 * R1)
+        radicand = (r0 * W0 * r1 * W1) / (total**2 * R0 * R1)
+        return expansion + _interference_term(self.coefficient(j), radicand)
+
     @property
     def incompatible(self) -> bool:
         """Every cell intersection A_i & B_j carries positive probability."""
@@ -436,6 +451,16 @@ def classify(
     return TwoCellTable.of(space, a_cell, b_cell, c).classification
 
 
+def _interference_term(coeff: LambdaCoefficient, radicand: float) -> float:
+    """One cell pair's share of the interference form of total probability:
+    2 cos(theta) sqrt(radicand) in the trigonometric range and
+    2 sign cosh(theta) sqrt(radicand) beyond it."""
+    root = math.sqrt(radicand)
+    if coeff.squared <= 1:
+        return 2.0 * math.cos(coeff.phase) * root
+    return 2.0 * coeff.sign * math.cosh(coeff.phase) * root
+
+
 def reconstruct_total_probability(
     space: FiniteProbabilitySpace,
     b_outcome: Event,
@@ -453,13 +478,9 @@ def reconstruct_total_probability(
     k = len(partition)
     for n in range(k):
         for m in range(n + 1, k):
-            coeff = masses.coefficient(n, m)
-            root = math.sqrt(masses.radicand(n, m))
-            theta = coeff.phase
-            if coeff.squared <= 1:
-                total += 2.0 * math.cos(theta) * root
-            else:
-                total += 2.0 * coeff.sign * math.cosh(theta) * root
+            total += _interference_term(
+                masses.coefficient(n, m), masses.radicand(n, m)
+            )
     return total
 
 

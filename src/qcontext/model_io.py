@@ -9,6 +9,7 @@ testing.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
@@ -16,7 +17,8 @@ from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 from collections.abc import Mapping
-from typing import Any, Sequence
+from json.encoder import encode_basestring
+from typing import Any, Callable, Sequence
 
 from .errors import (
     DuplicatePointError,
@@ -319,38 +321,6 @@ def format_float(x: float) -> str:
     return format(x + 0.0, ".17g")
 
 
-def to_jsonable(obj: Any) -> Any:
-    """Normalise domain values for deterministic JSON emission.
-
-    Rationals become "p/q" strings, floats fixed 17-digit strings, complex
-    numbers (re, im) string pairs, events sorted id lists, records objects
-    of their fields (a state: its components).
-    """
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
-    if isinstance(obj, float):
-        return format_float(obj)
-    if isinstance(obj, Fraction):
-        return format_rational(obj)
-    if isinstance(obj, complex):
-        return [format_float(obj.real), format_float(obj.imag)]
-    if isinstance(obj, Event):
-        return list(obj.members)
-    if isinstance(obj, Enum):
-        return obj.value
-    if isinstance(obj, Record):
-        fields = obj._jsonable()
-        if isinstance(fields, dict):
-            return {name: to_jsonable(value) for name, value in fields.items()}
-        return [to_jsonable(value) for value in fields]
-    if isinstance(obj, Mapping):
-        return {_key_str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        seq = sorted(obj) if isinstance(obj, (set, frozenset)) else obj
-        return [to_jsonable(v) for v in seq]
-    raise TypeError(f"cannot serialise {type(obj).__name__}")
-
-
 def _key_str(key: Any) -> str:
     if isinstance(key, str):
         return key
@@ -366,10 +336,98 @@ def _key_str(key: Any) -> str:
 
 
 def canonical_json(obj: Any) -> str:
-    return (
-        json.dumps(to_jsonable(obj), sort_keys=True, indent=2, ensure_ascii=False)
-        + "\n"
-    )
+    """``obj`` as canonical JSON text, written in one walk.
+
+    Domain values are normalised on the way: rationals become "p/q"
+    strings, floats fixed 17-digit strings, complex numbers (re, im) string
+    pairs, events sorted id lists, records objects of their fields (a
+    state: its components), sets sorted lists, and mapping keys strings
+    (of two keys that read alike, the later value stays).  Objects are
+    written with sorted keys, containers with a two-space indent, strings
+    as ``json.dumps(ensure_ascii=False)`` writes them, and the text ends in
+    one newline.
+    """
+    parts: list[str] = []
+    _write(obj, parts.append, "\n")
+    parts.append("\n")
+    return "".join(parts)
+
+
+_Out = Callable[[str], Any]
+_Writer = Callable[[Any, _Out, str], None]
+
+
+def _write(obj: Any, out: _Out, newline: str) -> None:
+    """Append the text of ``obj`` to ``out``; ``newline`` is a line break
+    followed by the indent of the line ``obj`` starts on."""
+    _writer(type(obj))(obj, out, newline)
+
+
+@functools.cache
+def _writer(kind: type) -> _Writer:
+    """The function that writes a value of type ``kind``: the first case
+    below that ``kind`` is a subclass of decides."""
+    for base, write in _WRITERS:
+        if issubclass(kind, base):
+            return write
+    raise TypeError(f"cannot serialise {kind.__name__}")
+
+
+def _write_array(items: Sequence[Any], out: _Out, newline: str) -> None:
+    if not items:
+        out("[]")
+        return
+    inner = newline + "  "
+    separator = "[" + inner
+    for item in items:
+        out(separator)
+        _writer(type(item))(item, out, inner)
+        separator = "," + inner
+    out(newline + "]")
+
+
+def _write_object(fields: dict[str, Any], out: _Out, newline: str) -> None:
+    """``fields`` with string keys, in key order."""
+    if not fields:
+        out("{}")
+        return
+    inner = newline + "  "
+    separator = "{" + inner
+    for key in sorted(fields):
+        value = fields[key]
+        out(f"{separator}{encode_basestring(key)}: ")
+        _writer(type(value))(value, out, inner)
+        separator = "," + inner
+    out(newline + "}")
+
+
+def _write_record(obj: Record, out: _Out, newline: str) -> None:
+    fields = obj._jsonable()
+    if isinstance(fields, dict):
+        _write_object(fields, out, newline)
+    else:
+        _write_array(fields, out, newline)
+
+
+def _write_mapping(obj: Mapping, out: _Out, newline: str) -> None:
+    _write_object({_key_str(k): v for k, v in obj.items()}, out, newline)
+
+
+_WRITERS: tuple[tuple[type | tuple[type, ...], _Writer], ...] = (
+    (str, lambda obj, out, newline: out(encode_basestring(obj))),
+    (type(None), lambda obj, out, newline: out("null")),
+    (bool, lambda obj, out, newline: out("true" if obj else "false")),
+    (int, lambda obj, out, newline: out(int.__repr__(obj))),
+    (Fraction, lambda obj, out, newline: out(f'"{format_rational(obj)}"')),
+    (float, lambda obj, out, newline: out(f'"{format_float(obj)}"')),
+    (complex, lambda obj, out, nl: _write_array((obj.real, obj.imag), out, nl)),
+    (Event, lambda obj, out, newline: _write_array(obj.members, out, newline)),
+    (Enum, lambda obj, out, newline: _write(obj.value, out, newline)),
+    (Record, _write_record),
+    (Mapping, _write_mapping),
+    ((list, tuple), _write_array),
+    ((set, frozenset), lambda obj, out, nl: _write_array(sorted(obj), out, nl)),
+)
 
 
 def _csv_escape(value: str) -> str:

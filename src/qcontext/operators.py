@@ -15,8 +15,9 @@ closed-form 2x2 quadratic, not an iterative solver.
 A composite observable takes one value v_ij on each cell A_i & B_j, so its
 conditional law on an event C depends only on the integer masses l_ij of C
 in the four cells: the mean is sum l_ij v_ij / M, one Fraction over a common
-denominator, and the distribution and the variance group the cells by
-value.  Reports pass the masses an atlas already holds
+denominator, the variance is (T sum n x^2 - (sum n x)^2) / (T L)^2 over
+the values x scaled by their common denominator L, and the distribution
+groups the cells by value.  Reports pass the masses an atlas already holds
 (:class:`hilbert.ContextAtlas`); the functions that take an event sum them.
 """
 
@@ -26,7 +27,7 @@ import math
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .errors import FloatRangeError, NotDoubleStochasticError, ZeroConditionError
 from .hilbert import (
@@ -372,23 +373,6 @@ def to_operator(
     return symmetrized_product(a_operator(obs.a, trans), b_operator(obs.b))
 
 
-def _masses_by_value(
-    space: FiniteProbabilitySpace, value_of: Callable[[str], Fraction], c: Event
-) -> tuple[dict[Fraction, int], int]:
-    """Integer point masses of ``c`` summed per value, and their total;
-    raises :class:`ZeroConditionError` when ``c`` is empty."""
-    space.validate_event(c)
-    masses = space._masses
-    grouped: dict[Fraction, int] = {}
-    for p in c.members:
-        value = value_of(p)
-        grouped[value] = grouped.get(value, 0) + masses[p]
-    total = sum(grouped.values())
-    if total == 0:
-        raise ZeroConditionError(f"{c.label()} has measure zero")
-    return grouped, total
-
-
 def _cell_masses(
     space: FiniteProbabilitySpace, obs: CompositeObservable, c: Event
 ) -> Masses:
@@ -404,12 +388,19 @@ def _cell_masses(
     return local
 
 
-def _variance(grouped: Iterable[tuple[Fraction, int]], total: int) -> Fraction:
-    grouped = list(grouped)
-    mean = sum((v * n for v, n in grouped), start=Fraction(0)) / total
-    return (
-        sum(((v - mean) ** 2 * n for v, n in grouped), start=Fraction(0)) / total
-    )
+def _variance(pairs: Iterable[tuple[Fraction, int]]) -> Fraction:
+    """Variance of the values v weighted by the integer masses n, as one
+    Fraction: with x = v L the values over their common denominator L and
+    T the total mass, (T sum n x^2 - (sum n x)^2) / (T L)^2."""
+    pairs = list(pairs)
+    scale = math.lcm(*(v.denominator for v, _ in pairs))
+    total = first = second = 0
+    for v, n in pairs:
+        x = v.numerator * (scale // v.denominator)
+        total += n
+        first += n * x
+        second += n * x * x
+    return Fraction(total * second - first * first, (total * scale) ** 2)
 
 
 def classical_mean(
@@ -558,9 +549,14 @@ def hamiltonian_observable(
 def conditional_variance(
     space: FiniteProbabilitySpace, values: Mapping[str, Fraction], c: Event
 ) -> Fraction:
-    """Exact conditional variance of an arbitrary point-valued map."""
-    grouped, total = _masses_by_value(space, values.__getitem__, c)
-    return _variance(grouped.items(), total)
+    """Exact conditional variance of an arbitrary point-valued map; raises
+    :class:`ZeroConditionError` when ``c`` is empty."""
+    space.validate_event(c)
+    masses = space._masses
+    pairs = [(values[p], masses[p]) for p in c.members]
+    if not pairs:
+        raise ZeroConditionError(f"{c.label()} has measure zero")
+    return _variance(pairs)
 
 
 def dispersion(
@@ -568,7 +564,8 @@ def dispersion(
 ) -> Fraction:
     """Exact conditional variance of the observable, from its cell masses."""
     local = _cell_masses(space, obs, c)
-    return _variance(obs.masses_by_value(local), sum(map(sum, local)))
+    values = obs.cell_values
+    return _variance(zip((*values[0], *values[1]), (*local[0], *local[1])))
 
 
 class DispersionFreeReport(Record):
@@ -579,6 +576,10 @@ class DispersionFreeReport(Record):
     contexts plus the two a-cells); for an incompatible pair the intersection
     is empty because each cell of a dichotomous pair needs two points and an
     atom meets only one cell.
+
+    The search stays a brute force over every event of the space: each
+    event is kept only if the exact conditional variance of every point
+    indicator on it is zero, so the atoms are found, not assumed.
     """
 
     dispersion_free: tuple[Event, ...]

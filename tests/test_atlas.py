@@ -7,7 +7,9 @@ exactly what the reference path gives context by context: the contexts of
 ``contexts_of`` in their order, the tables, coefficients and classification
 of ``TwoCellTable.of`` (which ``test_acceptance.test_03`` checks against the
 Event-level functions on the same models), amplitudes bit for bit equal to
-the Fraction formula they replaced, and composite means, distributions and
+the Fraction formula they replaced, the checks ``analyze`` reads from each
+table equal to the Event-level ``reconstruct_total_probability`` (bit for
+bit) and ``delta_outcome_sum``, and composite means, distributions and
 dispersions equal to plain Fraction sums over the points.
 """
 
@@ -31,7 +33,11 @@ from qcontext.hilbert import (
     phase_gap,
     represented_states,
 )
-from qcontext.interference import TwoCellTable
+from qcontext.interference import (
+    TwoCellTable,
+    delta_outcome_sum,
+    reconstruct_total_probability,
+)
 from qcontext.model_io import parse_model
 from qcontext.operators import (
     CompositeObservable,
@@ -127,7 +133,7 @@ def observables(rng, index, a, b):
 @pytest.mark.parametrize("index", range(len(MODELS)))
 def test_atlas_equals_the_per_context_path(index):
     space, a, b = MODELS[index]
-    ap = a.partition(space)
+    ap, bp = a.partition(space), b.partition(space)
     atlas = ContextAtlas(space, a, b)
     assert atlas.contexts == contexts_of(space, ap)
     for e in atlas.entries:
@@ -136,6 +142,13 @@ def test_atlas_equals_the_per_context_path(index):
         assert e.table.whole is atlas.omega.whole
         assert e.table.coefficients() == table.coefficients()
         assert e.table.classification == table.classification
+        assert [e.table.reconstructed(j).hex() for j in (0, 1)] == [
+            reconstruct_total_probability(space, cell, ap, e.context).hex()
+            for cell in bp.cells
+        ]
+        assert e.table.delta(0) + e.table.delta(1) == delta_outcome_sum(
+            space, ap, bp, e.context
+        )
         if table.mappable:
             assert [bits(z) for z in e.state.components] == [
                 bits(z) for z in ref_amplitude(table)

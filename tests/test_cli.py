@@ -492,6 +492,40 @@ class TestLongValuesInErrorLines:
         assert err.count("\n") == 1 and len(err) < 200 and "characters)" in err
 
 
+    @staticmethod
+    def _long_id_list(tmp_path, case: str) -> str:
+        """A 2000-point model whose variable b assigns only p0, or the
+        reference family listing one context of 2000 unknown points."""
+        if case == "unassigned":
+            ids = [f"p{i}" for i in range(2000)]
+            doc = {
+                "points": [{"id": p, "weight": "1/2000"} for p in ids],
+                "variables": {
+                    "a": {
+                        "values": [1, -1],
+                        "assignment": {p: 1 + i % 2 for i, p in enumerate(ids)},
+                    },
+                    "b": {"values": [1, -1], "assignment": {"p0": 1}},
+                },
+            }
+        else:
+            doc = json.loads(serialize_model(kq_model("1/4")))
+            doc["contexts"] = [[f"x{i}" for i in range(2000)]]
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "case, count", [("unassigned", "1994 more"), ("unknown", "1995 more")]
+    )
+    def test_long_id_lists_are_cut_short(self, capsys, tmp_path, case, count):
+        path = self._long_id_list(tmp_path, case)
+        code, out, err = run(capsys, "analyze", "--model", path)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert len(err.encode("utf-8")) < 200 and count in err
+
+
 class TestReportsBeyondTheDigitLimit:
     """Literals at the exponent bound parse, and the rationals the program
     computes from them (about twice as many digits) are emitted in full."""

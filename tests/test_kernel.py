@@ -34,6 +34,7 @@ from qcontext.operators import (
     classical_distribution,
     classical_mean,
     conditional_variance,
+    dispersion,
 )
 from qcontext.prob import (
     DichotomousVariable,
@@ -178,6 +179,22 @@ def _random_map(rng, keys):
     return {k: Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for k in keys}
 
 
+def _variance_maps(rng, space):
+    """Every point indicator, maps with negative values over mixed and huge
+    denominators, and a constant map."""
+    denominators = [1, 2, 3, 7, MERSENNE_61, 10**40]
+    maps = [{p: Fraction(int(p == q)) for p in space.points} for q in space.points]
+    maps += [
+        {
+            p: Fraction(rng.randint(-(10**6), 10**6), rng.choice(denominators))
+            for p in space.points
+        },
+        {p: Fraction(-rng.randint(1, 9), rng.randint(1, 9)) for p in space.points},
+        dict.fromkeys(space.points, Fraction(-5, 3)),
+    ]
+    return maps
+
+
 # ------------------------------------------------------------------- tests
 
 
@@ -194,7 +211,8 @@ def test_kernel_equals_fraction_sums(model):
         CompositeObservable.of_a(a, b, _random_map(rng, a.values)),
         CompositeObservable.product_of(a, b),
     ]
-    point_map = _random_map(rng, space.points)
+    point_maps = [_random_map(rng, space.points), *_variance_maps(rng, space)]
+    observables.append(CompositeObservable.of_b(b, _random_map(rng, b.values)))
     for c in events:
         assert probability(space, c) == ref_probability(space, c)
         assert type(probability(space, c)) is Fraction
@@ -225,9 +243,11 @@ def test_kernel_equals_fraction_sums(model):
             assert classical_distribution(space, obs, c) == ref_distribution(
                 space, values, c
             )
-        assert conditional_variance(space, point_map, c) == ref_variance(
-            space, point_map, c
-        )
+            assert dispersion(space, obs, c) == ref_variance(space, values, c)
+        for point_map in point_maps:
+            got = conditional_variance(space, point_map, c)
+            assert type(got) is Fraction
+            assert got == ref_variance(space, point_map, c)
 
 
 def test_kernel_error_cases():
@@ -259,6 +279,13 @@ def test_kernel_error_cases():
         classical_distribution(space, obs, empty)
     with pytest.raises(ZeroConditionError):
         conditional_variance(space, point_map, empty)
+    with pytest.raises(ZeroConditionError):
+        dispersion(space, obs, empty)
+    with pytest.raises(ForeignPointError):
+        dispersion(space, obs, foreign)
+    partial = {p: Fraction(1) for p in space.points[1:]}
+    with pytest.raises(KeyError):
+        conditional_variance(space, partial, space.omega())
 
 
 def _assert_event_level_matches_reference(space, b, partition, c):

@@ -2,12 +2,16 @@
 
 import json
 import math
+from collections.abc import Mapping
+from enum import Enum
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcontext import cli
 from qcontext.errors import (
     DuplicatePointError,
     ForeignPointError,
@@ -16,23 +20,34 @@ from qcontext.errors import (
     QOutOfRangeError,
     WeightSumNotOneError,
 )
-from qcontext.hilbert import is_double_stochastic, transition_matrix
+from qcontext.hilbert import (
+    ContextAtlas,
+    StateVector,
+    is_double_stochastic,
+    transition_matrix,
+)
+from qcontext.interference import Classification
 from qcontext.model_io import (
+    SweepRow,
     canonical_json,
     emit_report,
     format_float,
     format_rational,
     kq_model,
+    model_document,
     parse_model,
     serialize_model,
     sweep,
 )
 from qcontext.prob import (
     MAX_DECIMAL_EXPONENT,
+    Event,
     as_fraction,
     probability,
     variables_incompatible,
 )
+from qcontext.record import Record
+from qcontext.verify import CheckResult
 
 
 MINIMAL = """
@@ -402,3 +417,180 @@ class TestEmission:
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
             emit_report({"kind": "distribution", "distributions": []}, "xml")
+
+
+# ------------------------------------------- the two-step writer as oracle
+
+
+def reference_to_jsonable(obj):
+    """Plain JSON values of ``obj``, as the writer normalised them before
+    it wrote in one walk."""
+    if obj is None or isinstance(obj, (bool, int, str)):
+        return obj
+    if isinstance(obj, float):
+        return format_float(obj)
+    if isinstance(obj, Fraction):
+        return format_rational(obj)
+    if isinstance(obj, complex):
+        return [format_float(obj.real), format_float(obj.imag)]
+    if isinstance(obj, Event):
+        return list(obj.members)
+    if isinstance(obj, Enum):
+        return obj.value
+    if isinstance(obj, Record):
+        fields = obj._jsonable()
+        if isinstance(fields, dict):
+            return {name: reference_to_jsonable(v) for name, v in fields.items()}
+        return [reference_to_jsonable(v) for v in fields]
+    if isinstance(obj, Mapping):
+        return {reference_key(k): reference_to_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, set, frozenset)):
+        seq = sorted(obj) if isinstance(obj, (set, frozenset)) else obj
+        return [reference_to_jsonable(v) for v in seq]
+    raise TypeError(f"cannot serialise {type(obj).__name__}")
+
+
+def reference_key(key) -> str:
+    if isinstance(key, str):
+        return key
+    if isinstance(key, Event):
+        return key.label()
+    if isinstance(key, Fraction):
+        return format_rational(key)
+    if isinstance(key, float):
+        return format_float(key)
+    if isinstance(key, tuple):
+        return ",".join(reference_key(k) for k in key)
+    return str(key)
+
+
+def reference_json(obj) -> str:
+    text = json.dumps(
+        reference_to_jsonable(obj), sort_keys=True, indent=2, ensure_ascii=False
+    )
+    return text + "\n"
+
+
+def _bundle(*argv: str) -> dict:
+    args = cli.build_parser().parse_args(list(argv))
+    if args.command == "sweep":
+        return cli._sweep_bundle(args)
+    return cli._model_bundle(args)
+
+
+HYPERBOLIC = str(Path(__file__).parent / "data" / "hyperbolic_witness.json")
+BUNDLES = {
+    "analysis": ("analyze", "--kq", "1/4"),
+    "analysis-hyperbolic": ("analyze", "--model", HYPERBOLIC),
+    "representation": ("represent", "--kq", "1/8"),
+    "operators": ("operators", "--kq", "3/8"),
+    "distribution": ("compare-dist", "--kq", "1/4", "--align", "2,-1"),
+    "distribution-product": ("compare-dist", "--kq", "1/8", "--observable", "product"),
+    "verification": ("verify", "--kq", "1/4"),
+    "verification-hyperbolic": ("verify", "--model", HYPERBOLIC),
+    "dispersion": ("dispersion-free", "--kq", "1/4"),
+    "sweep": ("sweep", "--grid", "1/8,1/4,3/8"),
+}
+
+
+def _pair(q: str):
+    spec = kq_model(q)
+    return spec.space, spec.variable("a"), spec.variable("b")
+
+
+class Colour(Enum):
+    RED = "red"
+    PAIR = (1, "two")
+
+
+ODD_IDS = ['quote"d', "back\\slash", "line\nbreak", "\x00\x1f\x7f", "tab\t", " "]
+EDGE_CASES = {
+    "empty list": [],
+    "empty dict": {},
+    "empty event": Event([]),
+    "nested empties": {"a": [], "b": {}, "c": [[], {}, [[]]], "d": [{}], "e": set()},
+    "non-ascii": {"κλειδί": "ℵ₀ é 😀", "ünïcode": ["日本", "é"]},
+    "odd ids": {"event": Event(ODD_IDS), "keys": {i: i for i in ODD_IDS}},
+    "mixed keys": {
+        (0, 1): "tuple",
+        Event(["b", "a"]): "event",
+        Fraction(1, 3): "fraction",
+        0.5: "float",
+        -0.0: "negative zero",
+        7: "int",
+        True: "bool",
+        None: "none",
+    },
+    "keys alike": {(0, 1): "tuple", "0,1": "string", Event(["x"]): 1, "x": 2},
+    "sets": [{3, 1, 2}, frozenset({"b", "a"}), {Fraction(1, 2), Fraction(1, 3)}],
+    "scalars": [True, False, None, 0, -12, 10**300, 1.5, -0.0, math.inf, math.nan],
+    "enums": [Classification.HYPERBOLIC, Colour.RED, Colour.PAIR],
+    "complex": [complex(0.5, -0.25), 1j, complex(-0.0, 0.0)],
+    "records": [
+        StateVector((1 + 0j, 0.5j)),
+        CheckResult("x", True, "d\n\"quoted\""),
+        SweepRow(Fraction(1, 8), 3, 0.1, 0.2, 0.3),
+    ],
+    "named tuple": ContextAtlas(*_pair("1/4")).entries[0],
+    "huge rational": {"ratio": Fraction(-(10**4400 + 1), 3), "int": 10**4000},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BUNDLES))
+def test_writer_equals_the_two_step_form_on_every_bundle(kind):
+    bundle = _bundle(*BUNDLES[kind])
+    assert canonical_json(bundle) == reference_json(bundle)
+
+
+@pytest.mark.parametrize("q", ["1/4", "1e-4200"])
+def test_writer_equals_the_two_step_form_on_model_documents(q):
+    doc = model_document(kq_model(q))
+    assert serialize_model(kq_model(q)) == reference_json(doc)
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_CASES))
+def test_writer_equals_the_two_step_form_on_edge_cases(name):
+    value = EDGE_CASES[name]
+    assert canonical_json(value) == reference_json(value)
+    assert canonical_json([value, {"nested": value}]) == reference_json(
+        [value, {"nested": value}]
+    )
+
+
+def test_writer_prints_rationals_past_the_digit_limit():
+    value = Fraction(-(10**4400 + 1), 3)
+    assert canonical_json(value) == '"-1' + "0" * 4399 + '1/3"\n'
+
+
+@pytest.mark.parametrize("value", [object(), [1, object()], {"k": b"bytes"}])
+def test_writer_rejects_what_the_two_step_form_rejects(value):
+    with pytest.raises(TypeError):
+        reference_json(value)
+    with pytest.raises(TypeError, match="cannot serialise"):
+        canonical_json(value)
+
+
+_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.text(max_size=6)
+    | st.fractions()
+    | st.floats(allow_nan=True)
+    | st.complex_numbers(allow_nan=False)
+)
+_trees = st.recursive(
+    _leaves,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.tuples(inner, inner)
+    | st.dictionaries(
+        st.text(max_size=4) | st.fractions() | st.integers(), inner, max_size=4
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_trees)
+def test_writer_equals_the_two_step_form_on_random_trees(tree):
+    assert canonical_json(tree) == reference_json(tree)

@@ -225,7 +225,7 @@ class TestRecords:
             "name": "x", "passed": True, "detail": "d",
         }
         state = hilbert.StateVector((1 + 0j, 0.5j))
-        assert model_io.to_jsonable(state) == [["1", "0"], ["0", "0.5"]]
+        assert json.loads(model_io.canonical_json(state)) == [["1", "0"], ["0", "0.5"]]
 
 
 class TestEvent:

@@ -3,8 +3,12 @@
 Each case runs ``cli.main`` in-process and hashes its exit code, stdout and
 stderr.  The digests in ``data/report_digests.json`` pin the reports of the
 seven subcommands in both formats on the reference family, the stored
-witnesses and two generated 8-point models; a change that alters any report
-byte fails here.  After a deliberate report change, re-record with
+witnesses and two generated 8-point models.  Those in
+``data/report_digests_large.json`` pin the megabyte-sized JSON reports of
+``analyze``, ``represent`` and ``compare-dist`` on a generated 10-point
+doubly stochastic model with 2, 3, 2 and 3 atoms in its four cells.  A
+change that alters any report byte fails here.  After a deliberate report
+change, re-record both files with
 
     PYTHONPATH=src python tests/test_report_bytes.py
 """
@@ -33,6 +37,7 @@ from randmodels import (  # noqa: E402
 
 DATA = HERE / "data"
 DIGESTS = DATA / "report_digests.json"
+LARGE_DIGESTS = DATA / "report_digests_large.json"
 MODEL_COMMANDS = (
     "analyze",
     "represent",
@@ -47,23 +52,38 @@ WITNESSES = (
     "cover_families_witness",
 )
 SWEEP_GRID = "1/8,1/4,3/8"
+LARGE_COMMANDS = ("analyze", "represent", "compare-dist")
+# Atoms per (a-cell, b-cell) intersection of the 10-point model.
+SHAPE_10 = {(1, 1): 2, (1, 2): 3, (2, 1): 2, (2, 2): 3}
 
 
-def _eight_points(draw) -> str:
-    """Canonical document of the first 8-point model ``draw`` yields."""
+def _first(draw, accept) -> str:
+    """Canonical document of the first model ``draw`` yields that ``accept``
+    takes."""
     rng = random.Random(2024)
     while True:
         space, a, b = draw(rng)
-        if len(space.points) == 8:
+        if accept(space, a, b):
             return serialize_model(ModelSpec(space=space, variables={"a": a, "b": b}))
 
 
+def _eight_points(space, a, b) -> bool:
+    return len(space.points) == 8
+
+
+def _shape_10(space, a, b) -> bool:
+    cells = [(a.assignment[p], b.assignment[p]) for p in space.points]
+    return {key: cells.count(key) for key in set(cells)} == SHAPE_10
+
+
+def _doubly_stochastic(rng):
+    return random_double_stochastic_model(rng, max_split=3)
+
+
 GENERATED = {
-    "ds8": lambda: _eight_points(
-        lambda rng: random_double_stochastic_model(rng, max_split=3)
-    ),
-    "general8": lambda: _eight_points(
-        lambda rng: random_incompatible_model(rng, max_points=8)
+    "ds8": lambda: _first(_doubly_stochastic, _eight_points),
+    "general8": lambda: _first(
+        lambda rng: random_incompatible_model(rng, max_points=8), _eight_points
     ),
 }
 
@@ -90,6 +110,15 @@ def _cases(model_dir: Path) -> dict[str, list[str]]:
     return cases
 
 
+def _large_cases(model_dir: Path) -> dict[str, list[str]]:
+    path = model_dir / "ds10.json"
+    path.write_text(_first(_doubly_stochastic, _shape_10), encoding="utf-8")
+    return {
+        f"{command} ds10 json": [command, "--model", str(path), "--format", "json"]
+        for command in LARGE_COMMANDS
+    }
+
+
 def _digest(argv: list[str]) -> str:
     """sha256 of the exit code, stdout and stderr of one in-process run."""
     out, err = io.StringIO(), io.StringIO()
@@ -99,21 +128,30 @@ def _digest(argv: list[str]) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def test_reports_match_the_recorded_digests(tmp_path, monkeypatch):
-    monkeypatch.delenv("CONTEXTUAL_SEED", raising=False)
-    recorded = json.loads(DIGESTS.read_text(encoding="utf-8"))
-    cases = _cases(tmp_path)
+def _assert_recorded(cases: dict[str, list[str]], path: Path) -> None:
+    recorded = json.loads(path.read_text(encoding="utf-8"))
     assert sorted(cases) == sorted(recorded)
     changed = [name for name, argv in cases.items() if _digest(argv) != recorded[name]]
     assert changed == []
 
 
+def test_reports_match_the_recorded_digests(tmp_path, monkeypatch):
+    monkeypatch.delenv("CONTEXTUAL_SEED", raising=False)
+    _assert_recorded(_cases(tmp_path), DIGESTS)
+
+
+def test_large_reports_match_the_recorded_digests(tmp_path, monkeypatch):
+    monkeypatch.delenv("CONTEXTUAL_SEED", raising=False)
+    _assert_recorded(_large_cases(tmp_path), LARGE_DIGESTS)
+
+
 def _record() -> None:
     os.environ.pop("CONTEXTUAL_SEED", None)
-    with tempfile.TemporaryDirectory() as tmp:
-        digests = {name: _digest(argv) for name, argv in _cases(Path(tmp)).items()}
-    DIGESTS.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n", "utf-8")
-    print(f"recorded {len(digests)} digests in {DIGESTS}")
+    for build, path in ((_cases, DIGESTS), (_large_cases, LARGE_DIGESTS)):
+        with tempfile.TemporaryDirectory() as tmp:
+            digests = {name: _digest(argv) for name, argv in build(Path(tmp)).items()}
+        path.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n", "utf-8")
+        print(f"recorded {len(digests)} digests in {path}")
 
 
 if __name__ == "__main__":
