@@ -4,9 +4,11 @@ Each case runs ``cli.main`` in-process and hashes its exit code, stdout and
 stderr.  The digests in ``data/report_digests.json`` pin the reports of the
 seven subcommands in both formats on the reference family, the stored
 witnesses and two generated 8-point models.  Those in
-``data/report_digests_large.json`` pin the megabyte-sized JSON reports of
-``analyze``, ``represent`` and ``compare-dist`` on a generated 10-point
-doubly stochastic model with 2, 3, 2 and 3 atoms in its four cells.  A
+``data/report_digests_large.json`` pin the JSON reports of ``analyze``,
+``represent``, ``operators``, ``compare-dist`` and ``dispersion-free`` (up
+to 1.4 MB each) on a generated 10-point doubly stochastic model with 2, 3,
+2 and 3 atoms in its four cells, whose 961 contexts have 289 distinct local
+mass tables.  A
 change that alters any report byte fails here.  After a deliberate report
 change, re-record both files with
 
@@ -52,7 +54,13 @@ WITNESSES = (
     "cover_families_witness",
 )
 SWEEP_GRID = "1/8,1/4,3/8"
-LARGE_COMMANDS = ("analyze", "represent", "compare-dist")
+LARGE_COMMANDS = (
+    "analyze",
+    "represent",
+    "operators",
+    "compare-dist",
+    "dispersion-free",
+)
 # Atoms per (a-cell, b-cell) intersection of the 10-point model.
 SHAPE_10 = {(1, 1): 2, (1, 2): 3, (2, 1): 2, (2, 2): 3}
 
