@@ -154,30 +154,31 @@ def _contexts_for(spec: ModelSpec, a_var, command: str) -> tuple[Event, ...] | N
 
 
 def _analysis_bundle(atlas: ContextAtlas, args) -> dict:
-    """Each context's analysis and its two checks, read from its table: the
-    exact sum of both disturbances, and the largest gap between P(B_j|C)
-    and its interference-form reconstruction."""
+    """Each context's analysis and its two checks, read once per distinct
+    table: the exact sum of both disturbances, and the largest gap between
+    P(B_j|C) and its interference-form reconstruction."""
     from . import interference
 
-    analyses = []
-    for entry in atlas.entries:
-        c, table = entry.context, entry.table
-        analysis = interference.ContextAnalysis.of(c, table, atlas.b_var.values)
-        first, second = analysis.outcomes
-        checks = {
-            "disturbance_sum": first.delta + second.delta,
+    def checks(table, _) -> dict:
+        return {
+            "disturbance_sum": table.delta(0) + table.delta(1),
             "reconstruction_error": max(
                 abs(table.reconstructed(j) - float(table.b_given_c[j]))
                 for j in (0, 1)
             ),
         }
+
+    analyses = []
+    for entry, found in atlas.per_table(checks):
+        c, table = entry.context, entry.table
+        analysis = interference.ContextAnalysis.of(c, table, atlas.b_var.values)
         analyses.append(
             {
                 "context": c,
                 "classification": analysis.classification,
-                "per_outcome": list(analysis.outcomes),
+                "per_outcome": analysis.outcomes,
                 "state": entry.state,
-                "checks": checks,
+                "checks": found,
             }
         )
     return {"kind": "analysis", "analyses": analyses}
@@ -213,22 +214,21 @@ def _operators_bundle(atlas: ContextAtlas, args) -> dict:
         a_var, b_var, {v: v for v in a_var.values}
     )
     of_b = operators.CompositeObservable.of_b(b_var, {v: v for v in b_var.values})
-    rows = [
-        {
-            "context": entry.context,
-            "mean_a_operator": operators.quantum_mean(a_op, entry.state),
-            "mean_b_operator": operators.quantum_mean(b_op, entry.state),
-            "mean_a_classical": of_a.mean_on(entry.table.local),
-            "mean_b_classical": of_b.mean_on(entry.table.local),
-        }
-        for entry in atlas.represented
-    ]
+    means = atlas.per_table(
+        lambda table, state: {
+            "mean_a_operator": operators.quantum_mean(a_op, state),
+            "mean_b_operator": operators.quantum_mean(b_op, state),
+            "mean_a_classical": of_a.mean_on(table.local),
+            "mean_b_classical": of_b.mean_on(table.local),
+        },
+        atlas.represented,
+    )
     return {
         "kind": "operators",
         "a_operator": [list(r) for r in a_op.entries],
         "b_operator": [list(r) for r in b_op.entries],
         "commutator": [list(r) for r in com],
-        "means": rows,
+        "means": [{"context": e.context, **row} for e, row in means],
     }
 
 
@@ -248,9 +248,9 @@ def _alignment(args) -> tuple[float, float] | None:
 
 
 def _mismatch_reports(atlas: ContextAtlas, obs, alignment, context):
-    """(context, report) for every mappable context of the atlas, or of an
-    atlas of the --context event alone, which must have an amplitude; the
-    operator's spectrum is computed once."""
+    """(entry, report) for every mappable entry of the atlas, or of an atlas
+    of the --context event alone, which must have an amplitude; the
+    operator's spectrum is computed once, each report once per table."""
     from . import hilbert, operators
 
     space = atlas.space
@@ -262,17 +262,14 @@ def _mismatch_reports(atlas: ContextAtlas, obs, alignment, context):
         return []
     spectrum = operators.spectral_decomposition(operators.to_operator(space, obs))
     whole = atlas.omega.whole
-    return [
-        (
-            e.context,
-            operators.MismatchReport.of(
-                obs.distribution_on(e.table.local, whole),
-                spectrum.distribution(e.state),
-                alignment,
-            ),
-        )
-        for e in atlas.mappable
-    ]
+    return atlas.per_table(
+        lambda table, state: operators.MismatchReport.of(
+            obs.distribution_on(table.local, whole),
+            spectrum.distribution(state),
+            alignment,
+        ),
+        atlas.mappable,
+    )
 
 
 def _compare_bundle(atlas: ContextAtlas, args) -> dict:
@@ -285,7 +282,8 @@ def _compare_bundle(atlas: ContextAtlas, args) -> dict:
         obs = operators.CompositeObservable.product_of(a_var, b_var)
     blocks = []
     distributions = []
-    for c, report in _mismatch_reports(atlas, obs, _alignment(args), args.context):
+    for e, report in _mismatch_reports(atlas, obs, _alignment(args), args.context):
+        c = e.context
         blocks.append(
             {
                 "context": c,

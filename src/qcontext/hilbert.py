@@ -21,7 +21,11 @@ within :data:`STATE_TOL` = 1e-12 per component.
 
 :class:`ContextAtlas` is the layer every report reads: for one pair it sums
 the whole-space 2x2 masses once and gives each context its two-cell table,
-coefficients, classification and amplitude, built once per run.  With r_i,
+coefficients, classification and amplitude, built once per run.  These
+depend only on the context's own 2x2 masses and the shared ones, so
+contexts with equal local masses share one table, one coefficient pair and
+one amplitude, and :meth:`ContextAtlas.per_table` computes any value of a
+table and its amplitude once for all of them.  With r_i,
 R_i and W_ij the masses of A_i & C, A_i and A_i & B_j, and M that of C,
 each amplitude modulus sqrt(P(A_i|C) P(B_j|A_i)) is sqrt(r_i W_ij / (M R_i))
 from one correctly rounded integer division.  The functions that take a
@@ -36,7 +40,7 @@ import cmath
 import math
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 from .errors import (
     NotDoubleStochasticError,
@@ -53,6 +57,7 @@ from .prob import (
 from .record import Record
 
 STATE_TOL = 1e-12
+T = TypeVar("T")
 
 # eps(b_1), eps(b_2), the phase signs of the two b-values.  They must be
 # opposite: with equal signs the sign-weighted phase gap varies from context
@@ -474,7 +479,8 @@ def image_set(
 class AtlasEntry(NamedTuple):
     """An event with its two-cell table, which computes the coefficients
     and classification once, and its amplitude: None when a squared
-    coefficient exceeds one or the pair is compatible."""
+    coefficient exceeds one or the pair is compatible.  Entries of one atlas
+    with equal local masses hold the same table and amplitude objects."""
 
     context: Event
     table: TwoCellTable
@@ -489,7 +495,10 @@ class ContextAtlas:
     (nonempty subset of A_1) | (nonempty subset of A_2), each subset
     carrying its masses in B_1 and B_2, in the (size, members) order of
     :func:`prob.contexts_of`; otherwise the atlas holds the given events in
-    their order.  Every table shares the whole-space masses, summed once.
+    their order.  Every table shares the whole-space masses, summed once,
+    and contexts with equal local masses share one table, so one
+    coefficient pair and one amplitude: the tables are keyed by the raw
+    masses, which is exact by construction.
     """
 
     def __init__(
@@ -518,19 +527,18 @@ class ContextAtlas:
         whole = self.omega.whole
         a_cell, b_cell = self.a_var.assignment, self.b_var.assignment
         if self.listed is None:
-            tables = self._enumerate(whole)
+            found = self._enumerate()
         else:
-            tables = [
-                (c, TwoCellTable.of(self.space, a_cell, b_cell, c, whole))
+            found = [
+                (c, TwoCellTable.of(self.space, a_cell, b_cell, c, whole).local)
                 for c in self.listed
             ]
         live = self.omega.incompatible
-        return tuple(
-            AtlasEntry(c, t, _amplitude(t) if live else None)
-            for c, t in tables
-        )
+        tables = {m: TwoCellTable(m, whole) for m in dict.fromkeys(m for _, m in found)}
+        states = {m: _amplitude(t) if live else None for m, t in tables.items()}
+        return tuple(AtlasEntry(c, tables[m], states[m]) for c, m in found)
 
-    def _enumerate(self, whole: Masses) -> list[tuple[Event, TwoCellTable]]:
+    def _enumerate(self) -> list[tuple[Event, Masses]]:
         require_enumerable(self.space)
         masses, b_cell = self.space._masses, self.b_var.assignment
         halves = []
@@ -549,7 +557,7 @@ class ContextAtlas:
             for t, n in halves[1]
         )
         found.sort(key=lambda item: len(item[0]))
-        return [(Event(c), TwoCellTable(local, whole)) for c, local in found]
+        return [(Event(c), local) for c, local in found]
 
     @property
     def contexts(self) -> tuple[Event, ...]:
@@ -617,14 +625,31 @@ class ContextAtlas:
             groups=tuple(tuple(entries[i][0] for i in group) for group in groups),
         )
 
+    def per_table(
+        self,
+        fn: Callable[[TwoCellTable, StateVector | None], T],
+        entries: Iterable[AtlasEntry] | None = None,
+    ) -> Iterator[tuple[AtlasEntry, T]]:
+        """Yield (entry, fn(table, state)) for each of ``entries``, entries
+        of this atlas and every entry by default, calling fn once per
+        distinct table: entries with equal local masses share one table and
+        one amplitude, so a value derived from the two alone is the same for
+        all of them."""
+        done: dict[Masses, T] = {}
+        for e in self.entries if entries is None else entries:
+            local = e.table.local
+            if local not in done:
+                done[local] = fn(e.table, e.state)
+            yield e, done[local]
+
     def phase_gap_profile(
         self, eps1: int, eps2: int
     ) -> tuple[tuple[Event, float], ...]:
         return tuple((e.context, _gap(e.table, eps1, eps2)) for e in self.mappable)
 
     def nonsensitive_contexts(self) -> tuple[Event, ...]:
-        quiet = (e for e in self.entries if e.table.delta(0) == e.table.delta(1) == 0)
-        return tuple(e.context for e in quiet)
+        quiet = self.per_table(lambda table, _: table.delta(0) == table.delta(1) == 0)
+        return tuple(e.context for e, still in quiet if still)
 
     def born_rows(self, basis: BasisPair) -> tuple[BornRow, ...]:
         """Squared projections of every mappable amplitude onto ``basis``,

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -50,7 +49,7 @@ from .prob import (
     Partition,
     is_context,
 )
-from .record import Record
+from .record import Record, derived
 
 
 class Classification(Enum):
@@ -232,7 +231,12 @@ def pairwise_delta(
 
 
 class LambdaCoefficient(Record):
-    """A normalised disturbance share, kept exact as (squared value, sign)."""
+    """A normalised disturbance share, kept exact as (squared value, sign).
+
+    ``value``, ``phase`` and ``classification`` are computed on first read
+    and kept; they are no fields, so equality, hashing, ``repr`` and the
+    report form see only the exact pair.  A value beyond the float range
+    raises on every read."""
 
     squared: Fraction
     sign: int
@@ -255,18 +259,18 @@ class LambdaCoefficient(Record):
             sign=(share > 0) - (share < 0),
         )
 
-    @property
+    @derived
     def value(self) -> float:
         try:
             return self.sign * math.sqrt(float(self.squared))
         except OverflowError as exc:
             raise FloatRangeError("squared coefficient beyond the float range") from exc
 
-    @property
+    @derived
     def classification(self) -> Classification:
         return Classification.of((self.squared,))
 
-    @property
+    @derived
     def phase(self) -> float:
         """Trigonometric/boundary: arccos of the value, in [0, pi].
         Hyperbolic: arccosh of the magnitude (sign carried separately)."""
@@ -321,18 +325,21 @@ class TwoCellTable(Record):
         lambda_j^2 = N_j^2 / (4 R_0 R_1 r_0 r_1 W_0j W_1j),
         N_j = (l_0j + l_1j) R_0 R_1 - r_0 W_0j R_1 - r_1 W_1j R_0,
 
-    and the sign of lambda_j is the sign of N_j.  Each coefficient is
-    computed once per table; it raises :class:`DegenerateRadicalError`
-    exactly when W_0j W_1j = 0.  P(A_i|C), P(B_j|C) and the transition
-    matrix P(B_j|A_i) are derived on first use.
+    and the sign of lambda_j is the sign of N_j.  Both coefficients are
+    computed together, once per table, and kept as one pair;
+    :meth:`coefficient` raises :class:`DegenerateRadicalError` exactly for
+    the j with r_0 r_1 W_0j W_1j = 0.  P(A_i|C), P(B_j|C), the transition
+    matrix P(B_j|A_i) and ``classification`` are derived on first use and
+    kept; ``mappable`` compares the kept squares with one.  A
+    :class:`hilbert.ContextAtlas` gives contexts with equal local masses one
+    table, so all of this is computed once per distinct table.
     """
 
     local: Masses
     whole: Masses
-    _coefficients: dict[int, LambdaCoefficient]
 
     def __init__(self, local: Masses, whole: Masses) -> None:
-        self.__dict__.update(local=local, whole=whole, _coefficients={})
+        self.__dict__.update(local=local, whole=whole)
 
     @classmethod
     def of(
@@ -356,18 +363,18 @@ class TwoCellTable(Record):
             )
         return cls(local=local, whole=whole)
 
-    @cached_property
+    @derived
     def a_given_c(self) -> tuple[Fraction, Fraction]:
         r0, r1 = map(sum, self.local)
         return (Fraction(r0, r0 + r1), Fraction(r1, r0 + r1))
 
-    @cached_property
+    @derived
     def b_given_c(self) -> tuple[Fraction, Fraction]:
         (l00, l01), (l10, l11) = self.local
         total = l00 + l01 + l10 + l11
         return (Fraction(l00 + l10, total), Fraction(l01 + l11, total))
 
-    @cached_property
+    @derived
     def b_given_a(
         self,
     ) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
@@ -391,14 +398,24 @@ class TwoCellTable(Record):
         total = sum(map(sum, self.local))
         return Fraction(self._share(j), total * R0 * R1)
 
+    @derived
+    def _pair(self) -> tuple[LambdaCoefficient | None, LambdaCoefficient | None]:
+        """Both coefficients, None where the radicand vanishes."""
+        r0, r1 = map(sum, self.local)
+        R0, R1 = map(sum, self.whole)
+        scale = R0 * R1 * r0 * r1
+        pair = [None, None]
+        for j, (w0, w1) in enumerate(zip(*self.whole)):
+            if scale * w0 * w1:
+                pair[j] = LambdaCoefficient.of(self._share(j), scale * w0 * w1)
+        return tuple(pair)
+
     def coefficient(self, j: int) -> LambdaCoefficient:
-        found = self._coefficients.get(j)
+        found = self._pair[j]
         if found is None:
-            r0, r1 = map(sum, self.local)
-            R0, R1 = map(sum, self.whole)
-            radicand = R0 * R1 * r0 * r1 * self.whole[0][j] * self.whole[1][j]
-            found = LambdaCoefficient.of(self._share(j), radicand)
-            self._coefficients[j] = found
+            raise DegenerateRadicalError(
+                "a factor under the normalising radical vanishes"
+            )
         return found
 
     def coefficients(self) -> tuple[LambdaCoefficient, LambdaCoefficient]:
@@ -429,7 +446,7 @@ class TwoCellTable(Record):
         """No squared coefficient exceeds one: the context has an amplitude."""
         return all(k.squared <= 1 for k in self.coefficients())
 
-    @property
+    @derived
     def classification(self) -> Classification:
         return Classification.of([k.squared for k in self.coefficients()])
 

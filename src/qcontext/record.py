@@ -9,7 +9,8 @@ the field values of records of one class, and attribute assignment raises
 :class:`AttributeError`.  Nothing is generated per class, so defining a
 record costs no more than defining a plain class.  The generic
 ``__init__`` is about three times slower than one with named parameters,
-so a record built once per context writes its own.
+so a record built once per context writes its own.  A method decorated
+with :class:`derived` is computed on first read and kept; it is no field.
 """
 
 from __future__ import annotations
@@ -76,3 +77,23 @@ class Record:
         """The record as a report writes it: its fields by name."""
         own = self.__dict__
         return {n: own[n] for n in self._fields}
+
+
+class derived:
+    """A record method computed on first read and kept in the instance dict,
+    where later reads find it first.  Unlike :class:`functools.cached_property`
+    in Python 3.11 it takes no lock on that first read: a record is
+    immutable, so a value computed twice is the same value.  A method that
+    raises keeps nothing, so it raises again on the next read."""
+
+    def __init__(self, method) -> None:
+        self.method, self.__doc__ = method, method.__doc__
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj, owner: type | None = None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.method(obj)
+        return value

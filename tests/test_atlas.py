@@ -10,7 +10,9 @@ Event-level functions on the same models), amplitudes bit for bit equal to
 the Fraction formula they replaced, the checks ``analyze`` reads from each
 table equal to the Event-level ``reconstruct_total_probability`` (bit for
 bit) and ``delta_outcome_sum``, and composite means, distributions and
-dispersions equal to plain Fraction sums over the points.
+dispersions equal to plain Fraction sums over the points.  Contexts with
+equal local masses share one table and one amplitude, which must equal
+what a table of their own gives.
 """
 
 import cmath
@@ -26,6 +28,7 @@ from qcontext.errors import NotAContextError, NotTrigonometricError
 from qcontext.hilbert import (
     SIGNS,
     ContextAtlas,
+    _amplitude,
     amplitude,
     born_in_a_basis_check,
     mappable_contexts,
@@ -47,7 +50,11 @@ from qcontext.operators import (
     dispersion,
 )
 from qcontext.prob import Event, contexts_of
-from randmodels import random_double_stochastic_model, random_incompatible_model
+from randmodels import (
+    _assemble,
+    random_double_stochastic_model,
+    random_incompatible_model,
+)
 
 DATA = Path(__file__).parent / "data"
 FIRST = 50
@@ -66,6 +73,13 @@ def _models():
 
 
 MODELS = list(_models())
+
+# 10 points with equal atoms in each cell (2, 3, 2 and 3 of them): a
+# context's local masses depend only on how many atoms it takes from each
+# cell, so its 961 contexts have 11 * 11 = 121 distinct tables.
+EQUAL_ATOMS = _assemble(
+    {(1, 1): [3, 3], (1, 2): [3, 3, 3], (2, 1): [9, 9], (2, 2): [4, 4, 4]}
+)
 
 
 # ------------------------------------------------------------ references
@@ -235,3 +249,51 @@ def test_a_compatible_pair_has_contexts_but_no_amplitudes():
     c = Event.of(space.points)
     with pytest.raises(ValueError, match="incompatible variable pair"):
         amplitude(space, a, a, c)
+
+
+def _derived(table):
+    return [(k.value, k.phase, k.classification) for k in table.coefficients()]
+
+
+@pytest.mark.parametrize("listed", [False, True], ids=["enumerated", "listed"])
+def test_contexts_with_equal_masses_share_one_table_and_amplitude(listed):
+    space, a, b = EQUAL_ATOMS
+    every = contexts_of(space, a.partition(space))
+    # Every third context, last first: equal masses recur among them.
+    contexts = every[::-3] if listed else None
+    atlas = ContextAtlas(space, a, b, contexts)
+    entries = atlas.entries
+    assert atlas.contexts == (every[::-3] if listed else every)
+    locals_ = {e.table.local for e in entries}
+    assert len({id(e.table) for e in entries}) == len(locals_) < len(entries)
+    if not listed:
+        assert len(locals_) == 121
+    first = {}
+    for e in entries:
+        seen = first.setdefault(e.table.local, e)
+        assert e.table is seen.table and e.state is seen.state
+        ref = TwoCellTable.of(space, a.assignment, b.assignment, e.context)
+        assert e.table == ref
+        assert e.table.coefficients() == ref.coefficients()
+        assert e.table.classification == ref.classification
+        assert _derived(e.table) == _derived(ref)
+        assert e.state == _amplitude(ref)
+    assert sum(e.state is None for e in entries) > 0  # hyperbolic ones too
+
+
+def test_errors_on_listed_contexts_name_that_context():
+    space, a, b = EQUAL_ATOMS
+    every = contexts_of(space, a.partition(space))
+    cell = a.partition(space).cells[0]
+    with pytest.raises(NotAContextError, match=f"^{re.escape(cell.label())} is not"):
+        ContextAtlas(space, a, b, (*every[:5], cell)).entries
+    beyond = [e for e in ContextAtlas(space, a, b).entries if e.state is None]
+    first = beyond[0]
+    twin = next(e for e in beyond[1:] if e.table is first.table)
+    for pair in ((first.context, twin.context), (twin.context, first.context)):
+        atlas = ContextAtlas(space, a, b, (every[0], *pair))
+        assert atlas.entries[1].table is atlas.entries[2].table
+        with pytest.raises(
+            NotTrigonometricError, match=f"^{re.escape(pair[0].label())} carries"
+        ):
+            atlas.amplitudes()

@@ -8,12 +8,14 @@ same names as when it imported every layer eagerly.
 
 import importlib
 import json
+import math
 from fractions import Fraction
 
 import pytest
 
 import qcontext
 from qcontext import hilbert, interference, model_io, operators, prob, verify
+from qcontext.errors import DegenerateRadicalError, FloatRangeError
 from qcontext.record import Record
 
 # qcontext.__all__ as listed when the package imported all of its layers.
@@ -218,6 +220,44 @@ class TestRecords:
         assert table == twin and hash(table) == hash(twin)  # memo not compared
         assert twin.coefficient(0) == first and twin.coefficient(0) is not first
         assert table.a_given_c == twin.a_given_c  # cached_property still works
+
+    def test_a_table_raises_only_for_its_degenerate_coefficient(self):
+        # W_00 W_10 = 0, W_01 W_11 > 0: only coefficient 0 is undefined.
+        table = interference.TwoCellTable(((1, 1), (1, 1)), ((0, 2), (3, 4)))
+        for _ in range(2):
+            with pytest.raises(DegenerateRadicalError):
+                table.coefficient(0)
+        assert table.coefficient(1) is table.coefficient(1)
+        # R_0 R_1 r_0 r_1 W_01 W_11 under the radical.
+        assert table.coefficient(1) == interference.LambdaCoefficient.of(
+            table._share(1), 2 * 7 * 2 * 2 * 2 * 4
+        )
+
+    def test_kept_coefficient_values_are_no_fields(self):
+        kept = interference.LambdaCoefficient(Fraction(9, 16), -1)
+        fresh = interference.LambdaCoefficient(Fraction(9, 16), -1)
+        assert (kept.value, kept.phase) == (-0.75, math.acos(-0.75))
+        assert kept.classification is interference.Classification.TRIGONOMETRIC
+        assert kept.value is kept.value and kept.phase is kept.phase
+        assert kept == fresh and hash(kept) == hash(fresh)
+        assert repr(kept) == repr(fresh)
+        assert repr(kept) == "LambdaCoefficient(squared=Fraction(9, 16), sign=-1)"
+        assert kept._jsonable() == fresh._jsonable()
+        assert kept._jsonable() == {"squared": Fraction(9, 16), "sign": -1}
+        assert model_io.canonical_json(kept) == model_io.canonical_json(fresh)
+        for name in ("value", "phase", "classification"):
+            with pytest.raises(AttributeError):
+                setattr(kept, name, None)
+
+    def test_a_value_beyond_the_float_range_raises_on_every_read(self):
+        huge = interference.LambdaCoefficient(Fraction(10**400), 1)
+        for _ in range(3):
+            with pytest.raises(FloatRangeError):
+                huge.value  # noqa: B018
+            with pytest.raises(FloatRangeError):
+                huge.phase  # noqa: B018
+        assert huge.classification is interference.Classification.HYPERBOLIC
+        assert huge == interference.LambdaCoefficient(Fraction(10**400), 1)
 
     def test_reports_write_fields_by_name(self):
         check = verify.CheckResult("x", True, "d")
