@@ -5,11 +5,12 @@ stderr.  The digests in ``data/report_digests.json`` pin the reports of the
 seven subcommands in both formats on the reference family, the stored
 witnesses and two generated 8-point models.  Those in
 ``data/report_digests_large.json`` pin the JSON reports of ``analyze``,
-``represent``, ``operators``, ``compare-dist`` and ``dispersion-free`` (up
-to 1.4 MB each) on a generated 10-point doubly stochastic model with 2, 3,
-2 and 3 atoms in its four cells, whose 961 contexts have 289 distinct local
-mass tables.  A
-change that alters any report byte fails here.  After a deliberate report
+``represent``, ``operators``, ``compare-dist``, ``verify`` and
+``dispersion-free`` (up to 1.4 MB each) on a generated 10-point doubly
+stochastic model with 2, 3, 2 and 3 atoms in its four cells, whose 961
+contexts have 289 distinct local mass tables, and the ``verify`` report of
+a generated 10-point general model of the same shape.  A change that alters
+any report byte fails here.  After a deliberate report
 change, re-record both files with
 
     PYTHONPATH=src python tests/test_report_bytes.py
@@ -59,6 +60,7 @@ LARGE_COMMANDS = (
     "represent",
     "operators",
     "compare-dist",
+    "verify",
     "dispersion-free",
 )
 # Atoms per (a-cell, b-cell) intersection of the 10-point model.
@@ -119,12 +121,20 @@ def _cases(model_dir: Path) -> dict[str, list[str]]:
 
 
 def _large_cases(model_dir: Path) -> dict[str, list[str]]:
-    path = model_dir / "ds10.json"
-    path.write_text(_first(_doubly_stochastic, _shape_10), encoding="utf-8")
-    return {
-        f"{command} ds10 json": [command, "--model", str(path), "--format", "json"]
+    ds10, general10 = model_dir / "ds10.json", model_dir / "general10.json"
+    ds10.write_text(_first(_doubly_stochastic, _shape_10), encoding="utf-8")
+    general10.write_text(
+        _first(lambda rng: random_incompatible_model(rng, max_points=10), _shape_10),
+        encoding="utf-8",
+    )
+    cases = {
+        f"{command} ds10 json": [command, "--model", str(ds10), "--format", "json"]
         for command in LARGE_COMMANDS
     }
+    cases["verify general10 json"] = [
+        "verify", "--model", str(general10), "--format", "json"
+    ]
+    return cases
 
 
 def _digest(argv: list[str]) -> str:
