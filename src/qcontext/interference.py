@@ -80,14 +80,18 @@ def _require_context(
 
 
 class _CellMasses:
-    """The integer masses behind one Event-level call for outcome B,
-    partition {A_n} and context C.
+    """The Event-level reference object for outcome B, partition {A_n} and
+    context C: the integer masses behind every Event-level quantity, and
+    those quantities built from them.  The public functions below are thin
+    wrappers over one such object; ``verify`` builds one per context and
+    outcome (:func:`outcome_masses`) and reads every per-context check from
+    it.
 
     ``total`` is M, the mass of C; :meth:`cell` gives (R_n, r_n, W_n, l_n),
     the masses of A_n, A_n & C, B & A_n and B & A_n & C.  A cell is
     validated and summed once, when a formula first needs it, so a foreign
     point surfaces at the same step as in the conditional-probability
-    definitions.
+    definitions; each pair's coefficient is built once.
     """
 
     def __init__(
@@ -102,6 +106,7 @@ class _CellMasses:
         self._b = set(b_outcome.members)
         self._c = set(c.members)
         self._found: dict[int, tuple[int, int, int, int]] = {}
+        self._coefficients: dict[tuple[int, int], LambdaCoefficient] = {}
         masses = space._masses
         self.total = sum(masses[p] for p in c.members)
 
@@ -127,6 +132,10 @@ class _CellMasses:
     def cells(self) -> list[tuple[int, int, int, int]]:
         return [self.cell(n) for n in range(len(self._cells))]
 
+    def pairs(self) -> list[tuple[int, int]]:
+        k = len(self._cells)
+        return [(n, m) for n in range(k) for m in range(n + 1, k)]
+
     def over_cells(self, terms: Sequence[tuple[int, int]]) -> Fraction:
         """sum_n x_n / (M R_n) for the pairs (x_n, R_n), as one Fraction."""
         common = math.prod(R for _, R in terms)
@@ -138,17 +147,32 @@ class _CellMasses:
         """sum_n P(A_n|C) P(B|A_n) = sum_n r_n W_n / (M R_n)."""
         return self.over_cells([(r * W, R) for R, r, W, _ in self.cells()])
 
+    def delta(self) -> Fraction:
+        """sum_n P(A_n|C) (P(B|A_n & C) - P(B|A_n))
+        = sum_n (l_n R_n - r_n W_n) / (M R_n)."""
+        return self.over_cells([(l * R - r * W, R) for R, r, W, l in self.cells()])
+
     def share(self, n: int, m: int) -> int:
         """N, the pairwise share (n, m) times (k - 1) M R_n R_m."""
         Rn, rn, Wn, ln = self.cell(n)
         Rm, rm, Wm, lm = self.cell(m)
         return (ln * Rn - rn * Wn) * Rm + (lm * Rm - rm * Wm) * Rn
 
+    def pairwise(self, n: int, m: int) -> Fraction:
+        share = self.share(n, m)
+        scale = (len(self._cells) - 1) * self.total
+        return Fraction(share, scale * self.cell(n)[0] * self.cell(m)[0])
+
     def coefficient(self, n: int, m: int) -> LambdaCoefficient:
-        Rn, rn, Wn, _ = self.cell(n)
-        Rm, rm, Wm, _ = self.cell(m)
-        scale = (len(self._cells) - 1) ** 2 * Rn * Rm
-        return LambdaCoefficient.of(self.share(n, m), scale * rn * rm * Wn * Wm)
+        found = self._coefficients.get((n, m))
+        if found is None:
+            Rn, rn, Wn, _ = self.cell(n)
+            Rm, rm, Wm, _ = self.cell(m)
+            scale = (len(self._cells) - 1) ** 2 * Rn * Rm
+            found = self._coefficients[n, m] = LambdaCoefficient.of(
+                self.share(n, m), scale * rn * rm * Wn * Wm
+            )
+        return found
 
     def radicand(self, n: int, m: int) -> float:
         """P(A_n|C) P(B|A_n) P(A_m|C) P(B|A_m) = r_n W_n r_m W_m / (M^2 R_n R_m),
@@ -156,6 +180,20 @@ class _CellMasses:
         Rn, rn, Wn, _ = self.cell(n)
         Rm, rm, Wm, _ = self.cell(m)
         return (rn * Wn * rm * Wm) / (self.total**2 * Rn * Rm)
+
+    def reconstructed(self) -> float:
+        """The interference form of total probability: the expansion plus
+        each pair's interference term."""
+        total = float(self.expansion())
+        for n, m in self.pairs():
+            total += _interference_term(self.coefficient(n, m), self.radicand(n, m))
+        return total
+
+    def cross_sum(self, total: float) -> float:
+        """``total`` plus each pair's coefficient weighted by its radical."""
+        for n, m in self.pairs():
+            total += self.coefficient(n, m).value * math.sqrt(self.radicand(n, m))
+        return total
 
 
 def _masses(
@@ -185,6 +223,18 @@ def _pair_masses(
     return _CellMasses(space, b_outcome, partition, c)
 
 
+def outcome_masses(
+    space: FiniteProbabilitySpace,
+    a_partition: Partition,
+    b_partition: Partition,
+    c: Event,
+) -> list[_CellMasses]:
+    """One reference object per outcome cell of ``b_partition``; the
+    context is checked once."""
+    _require_context(space, c, a_partition)
+    return [_CellMasses(space, cell, a_partition, c) for cell in b_partition.cells]
+
+
 def classical_part(
     space: FiniteProbabilitySpace,
     b_outcome: Event,
@@ -205,9 +255,7 @@ def delta(
     sum_n P(A_n|C) (P(B|A_n & C) - P(B|A_n))."""
     masses = _masses(space, b_outcome, partition, c)
     space.validate_event(b_outcome)
-    return masses.over_cells(
-        [(l * R - r * W, R) for R, r, W, l in masses.cells()]
-    )
+    return masses.delta()
 
 
 def pairwise_delta(
@@ -224,10 +272,7 @@ def pairwise_delta(
     :func:`delta` exactly; each cell term is divided by (k - 1) because a cell
     participates in k - 1 of the pairs.
     """
-    masses = _pair_masses(space, b_outcome, partition, c, n, m)
-    share = masses.share(n, m)
-    scale = (len(partition) - 1) * masses.total
-    return Fraction(share, scale * masses.cell(n)[0] * masses.cell(m)[0])
+    return _pair_masses(space, b_outcome, partition, c, n, m).pairwise(n, m)
 
 
 class LambdaCoefficient(Record):
@@ -490,15 +535,7 @@ def reconstruct_total_probability(
     and +/- 2 cosh(theta) sqrt(prod) beyond it; the result must match the
     direct conditional probability.
     """
-    masses = _masses(space, b_outcome, partition, c)
-    total = float(masses.expansion())
-    k = len(partition)
-    for n in range(k):
-        for m in range(n + 1, k):
-            total += _interference_term(
-                masses.coefficient(n, m), masses.radicand(n, m)
-            )
-    return total
+    return _masses(space, b_outcome, partition, c).reconstructed()
 
 
 def delta_outcome_sum(
@@ -525,15 +562,10 @@ def interference_cross_sum(
     """Floating-point form of the vanishing cross sum: coefficients weighted
     by their radicals, added over outcomes and cell pairs."""
     total = 0.0
-    k = len(a_partition)
-    if k < 2:
+    if len(a_partition) < 2:
         return total  # no cell pair: an empty sum
-    for b_cell in b_partition.cells:
-        masses = _masses(space, b_cell, a_partition, c)
-        for n in range(k):
-            for m in range(n + 1, k):
-                coeff = masses.coefficient(n, m)
-                total += coeff.value * math.sqrt(masses.radicand(n, m))
+    for masses in outcome_masses(space, a_partition, b_partition, c):
+        total = masses.cross_sum(total)
     return total
 
 

@@ -81,6 +81,15 @@ class HermitianOperator(Record):
         return StateVector((e[0][0] * x + e[0][1] * y, e[1][0] * x + e[1][1] * y))
 
 
+def to_float(value: Fraction, what: str) -> float:
+    """``value`` as a float; :class:`FloatRangeError` names ``what`` when it
+    lies beyond the float range."""
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise FloatRangeError(f"{what} beyond the float range") from exc
+
+
 def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(
         tuple(sum(a[i][k] * b[k][j] for k in range(2)) for j in range(2))
@@ -113,7 +122,7 @@ def b_operator(b_var: DichotomousVariable) -> HermitianOperator:
 def function_of_b(
     b_var: DichotomousVariable, g: Mapping[Fraction, Fraction]
 ) -> HermitianOperator:
-    g1, g2 = (float(g[v]) for v in b_var.values)
+    g1, g2 = (to_float(g[v], "b-operator eigenvalue") for v in b_var.values)
     return HermitianOperator(((g1 + 0j, 0j), (0j, g2 + 0j)))
 
 
@@ -140,7 +149,7 @@ def function_of_a(
     q1sq = float(transition.entries[0][0])
     q2sq = float(transition.entries[0][1])
     q1q2 = math.sqrt(q1sq * q2sq)
-    v1, v2 = (float(f[v]) for v in a_var.values)
+    v1, v2 = (to_float(f[v], "a-operator eigenvalue") for v in a_var.values)
     d11 = v1 * q1sq + v2 * q2sq
     d22 = v1 * q2sq + v2 * q1sq
     d12 = (v1 - v2) * q1q2
@@ -220,7 +229,12 @@ def spectral_decomposition(op: HermitianOperator) -> SpectralDecomposition:
 
         def eigenvector(k: float) -> StateVector:
             raw = (beta, complex(k - alpha))
-            norm = math.sqrt(sum(abs(z) ** 2 for z in raw))
+            try:
+                norm = math.sqrt(sum(abs(z) ** 2 for z in raw))
+            except OverflowError as exc:
+                raise FloatRangeError(
+                    "eigenvector norm beyond the float range"
+                ) from exc
             return phase_normalized(StateVector(tuple(z / norm for z in raw)))
 
         vectors = (eigenvector(lo), eigenvector(hi))
@@ -321,13 +335,19 @@ class CompositeObservable(Record):
             for row in values
         )
 
+    def mean_terms(self, local: Masses) -> tuple[int, int]:
+        """(n, d) with n / d the exact mean given the masses of the event in
+        the four cells, sum l_ij v_ij / M; n / d in floats is one correctly
+        rounded division, the float of :meth:`mean_on`."""
+        scale, ((v00, v01), (v10, v11)) = self._scaled
+        (l00, l01), (l10, l11) = local
+        weighted = l00 * v00 + l01 * v01 + l10 * v10 + l11 * v11
+        return weighted, (l00 + l01 + l10 + l11) * scale
+
     def mean_on(self, local: Masses) -> Fraction:
-        """Exact mean given the masses of the event in the four cells:
-        sum l_ij v_ij / M, as one Fraction."""
-        scale, scaled = self._scaled
-        cells = zip((*local[0], *local[1]), (*scaled[0], *scaled[1]))
-        weighted = sum(n * v for n, v in cells)
-        return Fraction(weighted, sum(map(sum, local)) * scale)
+        """Exact mean given the masses of the event in the four cells, as
+        one Fraction."""
+        return Fraction(*self.mean_terms(local))
 
     @cached_property
     def _levels(self) -> tuple[list[Fraction], Masses]:
@@ -462,13 +482,14 @@ class MismatchReport(Record):
         quantum: dict[float, float],
         alignment: tuple[float, float] | None = None,
     ) -> "MismatchReport":
+        values = [
+            (to_float(v, "support value"), float(m)) for v, m in classical.items()
+        ]
         if alignment is None:
-            mapped = {float(v): float(m) for v, m in classical.items()}
+            mapped = dict(values)
         else:
             scale, offset = alignment
-            mapped = {
-                scale * float(v) + offset: float(m) for v, m in classical.items()
-            }
+            mapped = {scale * v + offset: m for v, m in values}
         return cls(classical, quantum, alignment, _total_variation(mapped, quantum))
 
 

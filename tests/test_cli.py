@@ -12,6 +12,15 @@ from qcontext.model_io import ModelSpec, kq_model, parse_model, serialize_model
 from qcontext.prob import Event
 
 DATA = Path(__file__).parent / "data"
+MODEL_COMMANDS = (
+    "analyze",
+    "represent",
+    "operators",
+    "compare-dist",
+    "verify",
+    "dispersion-free",
+)
+OPERATOR_COMMANDS = ("operators", "compare-dist", "verify")
 
 
 def run(capsys, *argv):
@@ -298,6 +307,48 @@ class TestFloatRange:
     def test_other_commands_succeed(self, capsys, tmp_path, command):
         code, out, err = run(capsys, command, "--model", _overflow_model(tmp_path))
         assert code == 0 and out and not err
+
+    # Values of the reference model (--kq 1/8) beyond the float range once
+    # an operator, a support value, an eigenvector norm or the commutator's
+    # closed form needs them as floats.  (a values, b values, the commands
+    # that exit 1, extra compare-dist arguments.)
+    VALUE_CASES = {
+        "a-overflow": (["1e400", "-1"], None, OPERATOR_COMMANDS, ()),
+        "b-overflow": (None, ["1e400", "-1"], OPERATOR_COMMANDS, ()),
+        "product-support": (
+            ["-1e200", "-1"],
+            ["1e200", "1e160"],
+            ("compare-dist", "verify"),
+            ("--observable", "product"),
+        ),
+        "eigenvector-norm": (
+            ["1e-320", "-1"],
+            ["1e160", "1.7e308"],
+            ("compare-dist", "verify"),
+            ("--observable", "product"),
+        ),
+        "value-gap": (["-1e308", "1e308"], None, ("compare-dist", "verify"), ()),
+    }
+
+    @pytest.mark.parametrize("case", sorted(VALUE_CASES))
+    @pytest.mark.parametrize("command", MODEL_COMMANDS)
+    def test_values_beyond_the_float_range(self, capsys, tmp_path, case, command):
+        a_values, b_values, failing, extra = self.VALUE_CASES[case]
+        doc = json.loads(serialize_model(kq_model("1/8")))
+        for name, values in (("a", a_values), ("b", b_values)):
+            if values is not None:
+                doc["variables"][name]["values"] = values
+        path = tmp_path / f"{case}.json"
+        path.write_text(json.dumps(doc))
+        argv = [command, "--model", str(path)]
+        if command == "compare-dist":
+            argv += extra
+        code, out, err = run(capsys, *argv)
+        if command in failing:
+            assert code == 1 and not out
+            assert err.startswith("error:") and err.count("\n") == 1
+        else:
+            assert code == 0 and out and not err
 
     def test_verify_with_underflowing_cell_masses(self, capsys):
         # The closed form of cell_duality is compared exactly, so masses

@@ -14,13 +14,16 @@ from fractions import Fraction
 
 import pytest
 
+from qcontext import interference, prob, verify
 from qcontext.errors import (
     DegenerateRadicalError,
     ForeignPointError,
     NotAContextError,
     ZeroConditionError,
 )
+from qcontext.hilbert import ContextAtlas
 from qcontext.interference import (
+    LambdaCoefficient,
     TwoCellTable,
     classical_part,
     delta,
@@ -385,3 +388,119 @@ def test_disturbance_error_paths():
     # A foreign outcome.
     with pytest.raises(ForeignPointError, match="'zz'"):
         delta(space, Event.of(["p1", "zz"]), a_part, c)
+
+
+# ----------------------------------- verify reads the Event-level reference
+
+EVENT_LEVEL_CHECKS = (
+    "disturbance_sums_to_zero",
+    "pairwise_decomposition_exact",
+    "interference_cross_sum_vanishes",
+    "interference_reconstruction",
+    "weighted_coefficient_balance",
+    "zero_disturbance_right_angles",
+    "cosine_antisymmetry",
+)
+
+
+def first_double_stochastic_model(accept):
+    """The first doubly stochastic draw, up to three atoms in each cell
+    intersection, that ``accept`` takes; the ds8 and ds10 models of
+    ``test_report_bytes.py`` are drawn the same way."""
+    rng = random.Random(2024)
+    while True:
+        space, a, b = random_double_stochastic_model(rng, max_split=3)
+        if accept(space, a, b):
+            return space, a, b
+
+
+def ds8():
+    return first_double_stochastic_model(lambda space, a, b: len(space.points) == 8)
+
+
+def ds10():
+    """Two, three, two and three atoms in the cells A_i & B_j."""
+    shape = [2, 3, 2, 3]
+    return first_double_stochastic_model(
+        lambda space, a, b: [
+            sum(1 for p in space.points if (a.assignment[p], b.assignment[p]) == cell)
+            for cell in ((1, 1), (1, 2), (2, 1), (2, 2))
+        ]
+        == shape
+    )
+
+
+def _event_level(results):
+    return [r for r in results if r.name in EVENT_LEVEL_CHECKS]
+
+
+@pytest.mark.parametrize(
+    "method, perturb, broken",
+    [
+        ("share", lambda share: share + 1, {"pairwise_decomposition_exact"}),
+        (
+            "expansion",
+            lambda expansion: expansion + Fraction(1, 10**6),
+            {"interference_reconstruction"},
+        ),
+        ("delta", lambda d: d + 1, {"disturbance_sums_to_zero"}),
+        ("cross_sum", lambda total: total + 1e-6, {"interference_cross_sum_vanishes"}),
+        (
+            "coefficient",
+            lambda coeff: LambdaCoefficient.of(1, 4),
+            {
+                "weighted_coefficient_balance",
+                "zero_disturbance_right_angles",
+                "cosine_antisymmetry",
+            },
+        ),
+    ],
+)
+def test_a_perturbed_reference_object_fails_its_check(
+    monkeypatch, method, perturb, broken
+):
+    space, a, b = ds8()
+    original = getattr(interference._CellMasses, method)
+    monkeypatch.setattr(
+        interference._CellMasses,
+        method,
+        lambda self, *args: perturb(original(self, *args)),
+    )
+    failed = {r.name for r in verify.run_checks(space, a, b) if not r.passed}
+    assert broken <= failed
+
+
+def test_event_level_checks_never_read_the_table(monkeypatch):
+    space, a, b = ds8()
+    clean = verify.run_checks(space, a, b)
+    assert all(r.passed for r in clean)
+    monkeypatch.setattr(TwoCellTable, "delta", lambda self, j: Fraction(7, 3))
+    monkeypatch.setattr(TwoCellTable, "reconstructed", lambda self, j: 7.0)
+    garbage = verify.run_checks(space, a, b)
+    assert len(_event_level(clean)) == len(EVENT_LEVEL_CHECKS)
+    assert _event_level(garbage) == _event_level(clean)
+
+
+def test_verify_builds_one_reference_object_per_context_and_outcome(monkeypatch):
+    space, a, b = ds10()
+    built, calls = [], []
+    build = interference._CellMasses.__init__
+
+    def counted_build(self, *args):
+        built.append(args)
+        build(self, *args)
+
+    def counted_conditional(*args):
+        calls.append(args)
+        return conditional(*args)
+
+    monkeypatch.setattr(interference._CellMasses, "__init__", counted_build)
+    monkeypatch.setattr(prob, "conditional", counted_conditional)
+    monkeypatch.setattr(verify, "conditional", counted_conditional)
+    atlas = ContextAtlas(space, a, b)
+    assert all(r.passed for r in verify.run_checks(space, a, b, atlas=atlas))
+    contexts, mappable = len(atlas.entries), len(atlas.mappable)
+    assert contexts == 961
+    # Two more, one per b-cell, come from hilbert.cell_duality_check.
+    assert 0 < len(built) <= 2 * contexts + 2
+    assert 0 < len(calls) <= 2 * contexts + 2 * mappable

@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 
 from qcontext.errors import NotDoubleStochasticError, ZeroConditionError
-from qcontext.hilbert import StateVector, amplitude, transition_matrix, TransitionMatrix
+from qcontext import verify
+from qcontext.hilbert import (
+    ContextAtlas,
+    StateVector,
+    TransitionMatrix,
+    amplitude,
+    transition_matrix,
+)
 from qcontext.model_io import kq_model
 from qcontext.operators import (
     CompositeObservable,
@@ -25,6 +32,7 @@ from qcontext.operators import (
     function_of_a,
     hamiltonian,
     hamiltonian_observable,
+    max_mean_gap,
     mean_preservation_gap,
     observable_distribution,
     quantum_mean,
@@ -210,6 +218,29 @@ class TestMeanPreservation:
             f = {v: Fraction(rng.randint(-9, 9)) for v in a.values}
             g = {v: Fraction(rng.randint(-9, 9)) for v in b.values}
             assert mean_preservation_gap(space, a, b, f, g) < 1e-10
+
+    @pytest.mark.parametrize("points", [8, 10])
+    def test_verify_mean_gap_equals_max_mean_gap(self, points):
+        # verify evaluates the means once per distinct table, with one
+        # integer division per exact mean; the floats must be those of the
+        # per-entry oracle, because the report prints 17 digits.
+        rng = random.Random(2024)
+        space, a, b = random_double_stochastic_model(rng, max_split=3)
+        while len(space.points) != points:
+            space, a, b = random_double_stochastic_model(rng, max_split=3)
+        atlas = ContextAtlas(space, a, b)
+        pairs = []
+        for _ in range(20):
+            f, g = (
+                {v: Fraction(rng.randint(-20, 20), rng.randint(1, 9)) for v in x.values}
+                for x in (a, b)
+            )
+            obs = CompositeObservable.sum_of(a, b, f, g)
+            pairs.append((obs, to_operator(space, obs)))
+        gaps = [max_mean_gap(obs, op, atlas.represented) for obs, op in pairs]
+        assert max(gaps) > 0
+        assert [verify.mean_gap(atlas, [pair]) for pair in pairs] == gaps
+        assert verify.mean_gap(atlas, pairs) == max(gaps)
 
     def test_symmetrized_product_breaks_preservation(self):
         # The product observable maps to the symmetrised operator product;
