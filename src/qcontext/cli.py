@@ -19,6 +19,7 @@ errors load no layer, ``analyze`` and ``represent`` never load
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -400,6 +401,47 @@ def _seed_from_env() -> int:
         ) from exc
 
 
+#: Characters per write to a sink, one pipe buffer: with an unbuffered
+#: stdout (PYTHONUNBUFFERED) each write is a system call that can wake the
+#: reader, so a report is not written one small piece at a time.
+CHUNK = 1 << 16
+
+
+def _in_chunks(write_report, write) -> None:
+    """Hand the report's pieces to ``write`` joined into chunks of at most
+    ``CHUNK`` characters (a longer piece alone)."""
+    chunk: list[str] = []
+    size = 0
+
+    def add(piece: str) -> None:
+        nonlocal size
+        if chunk and size + len(piece) > CHUNK:
+            write("".join(chunk))
+            chunk.clear()
+            size = 0
+        chunk.append(piece)
+        size += len(piece)
+
+    write_report(add)
+    write("".join(chunk))
+
+
+def _to_stdout(write_report) -> None:
+    """Hand the report to stdout and flush it.  After a failed write, point
+    stdout's file descriptor, if it has one, at the null device: the flush
+    at interpreter exit would fail again on what is still buffered."""
+    try:
+        _in_chunks(write_report, sys.stdout.write)
+        sys.stdout.flush()
+    except (OSError, UnicodeEncodeError):
+        with contextlib.suppress(OSError, ValueError):  # no file descriptor
+            fd = sys.stdout.fileno()
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, fd)
+            os.close(null)
+        raise
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -407,21 +449,22 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        from .model_io import emit_report
+        from .model_io import report_writer
 
         bundle = _sweep_bundle(args) if args.command == "sweep" else _model_bundle(args)
-        text = emit_report(bundle, args.fmt)
+        write_report = report_writer(bundle, args.fmt)
     except (ModelError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    if args.out:
-        try:
-            Path(args.out).write_text(text, encoding="utf-8")
-        except OSError as exc:
-            sys.stderr.write(f"error: cannot write the report: {exc}\n")
-            return 1
-    else:
-        sys.stdout.write(text)
+    try:
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as sink:
+                _in_chunks(write_report, sink.write)
+        else:
+            _to_stdout(write_report)
+    except (OSError, UnicodeEncodeError) as exc:
+        sys.stderr.write(f"error: cannot write the report: {exc}\n")
+        return 1
     if args.command == "verify" and not bundle["all_passed"]:
         return 2
     return 0

@@ -336,7 +336,21 @@ def _key_str(key: Any) -> str:
 
 
 def canonical_json(obj: Any) -> str:
-    """``obj`` as canonical JSON text, written in one walk.
+    """``obj`` as canonical JSON text: the pieces :func:`write_json` hands
+    out, joined."""
+    parts: list[str] = []
+    write_json(obj, parts.append)
+    return "".join(parts)
+
+
+_Out = Callable[[str], Any]
+
+
+def write_json(obj: Any, write: _Out) -> None:
+    """Hand the canonical JSON text of ``obj`` to ``write`` in pieces: one
+    piece per item of an array, and per value of a mapping, that sits
+    directly under the top-level value (such as one row of a report), so
+    that no more than one such item is held as text at a time.
 
     Domain values are normalised on the way: rationals become "p/q"
     strings, floats fixed 17-digit strings, complex numbers (re, im) string
@@ -347,86 +361,114 @@ def canonical_json(obj: Any) -> str:
     as ``json.dumps(ensure_ascii=False)`` writes them, and the text ends in
     one newline.
     """
-    parts: list[str] = []
-    _write(obj, parts.append, "\n")
-    parts.append("\n")
-    return "".join(parts)
+    _write(obj, write, "\n", 2, "")
+    write("\n")
 
 
-_Out = Callable[[str], Any]
-_Writer = Callable[[Any, _Out, str], None]
-
-
-def _write(obj: Any, out: _Out, newline: str) -> None:
-    """Append the text of ``obj`` to ``out``; ``newline`` is a line break
-    followed by the indent of the line ``obj`` starts on."""
-    _writer(type(obj))(obj, out, newline)
-
-
-@functools.cache
-def _writer(kind: type) -> _Writer:
-    """The function that writes a value of type ``kind``: the first case
-    below that ``kind`` is a subclass of decides."""
-    for base, write in _WRITERS:
-        if issubclass(kind, base):
-            return write
-    raise TypeError(f"cannot serialise {kind.__name__}")
-
-
-def _write_array(items: Sequence[Any], out: _Out, newline: str) -> None:
-    if not items:
-        out("[]")
-        return
-    inner = newline + "  "
-    separator = "[" + inner
-    for item in items:
-        out(separator)
-        _writer(type(item))(item, out, inner)
-        separator = "," + inner
-    out(newline + "]")
-
-
-def _write_object(fields: dict[str, Any], out: _Out, newline: str) -> None:
-    """``fields`` with string keys, in key order."""
-    if not fields:
-        out("{}")
-        return
-    inner = newline + "  "
-    separator = "{" + inner
-    for key in sorted(fields):
-        value = fields[key]
-        out(f"{separator}{encode_basestring(key)}: ")
-        _writer(type(value))(value, out, inner)
-        separator = "," + inner
-    out(newline + "}")
-
-
-def _write_record(obj: Record, out: _Out, newline: str) -> None:
-    fields = obj._jsonable()
-    if isinstance(fields, dict):
-        _write_object(fields, out, newline)
+def _write(obj: Any, write: _Out, newline: str, depth: int, lead: str) -> None:
+    """Hand ``lead`` and the text of ``obj`` to ``write``: whole at depth
+    0, else a nonempty array or mapping one member at a time at ``depth -
+    1``.  ``newline`` is a line break followed by the indent of the line
+    ``obj`` starts on."""
+    text = _text_of[type(obj)]
+    if depth and text is _mapping_text and obj:
+        brackets, pairs = "{}", [(_key_prefix(k), v) for k, v in _fields(obj)]
+    elif depth and text is _array_text and obj:
+        brackets, pairs = "[]", [("", item) for item in obj]
     else:
-        _write_array(fields, out, newline)
+        write(lead + text(obj, newline))
+        return
+    inner = newline + "  "
+    separator = lead + brackets[0] + inner
+    for key, value in pairs:
+        _write(value, write, inner, depth - 1, separator + key)
+        separator = "," + inner
+    write(newline + brackets[1])
 
 
-def _write_mapping(obj: Mapping, out: _Out, newline: str) -> None:
-    _write_object({_key_str(k): v for k, v in obj.items()}, out, newline)
+class _TextOf(dict):
+    """Type -> the function of a value of that type and a newline that
+    gives the value's text, filled on first use (a dict subscript is the
+    cheapest cached call) from the first case in ``_TEXTS`` that the type
+    is a subclass of."""
+
+    def __missing__(self, kind: type) -> Callable[[Any, str], str]:
+        for base, text in _TEXTS:
+            if issubclass(kind, base):
+                text = self[kind] = text or _record_text(kind)
+                return text
+        raise TypeError(f"cannot serialise {kind.__name__}")
 
 
-_WRITERS: tuple[tuple[type | tuple[type, ...], _Writer], ...] = (
-    (str, lambda obj, out, newline: out(encode_basestring(obj))),
-    (type(None), lambda obj, out, newline: out("null")),
-    (bool, lambda obj, out, newline: out("true" if obj else "false")),
-    (int, lambda obj, out, newline: out(int.__repr__(obj))),
-    (Fraction, lambda obj, out, newline: out(f'"{format_rational(obj)}"')),
-    (float, lambda obj, out, newline: out(f'"{format_float(obj)}"')),
-    (complex, lambda obj, out, nl: _write_array((obj.real, obj.imag), out, nl)),
-    (Event, lambda obj, out, newline: _write_array(obj.members, out, newline)),
-    (Enum, lambda obj, out, newline: _write(obj.value, out, newline)),
-    (Record, _write_record),
-    (Mapping, _write_mapping),
-    ((list, tuple), _write_array),
-    ((set, frozenset), lambda obj, out, nl: _write_array(sorted(obj), out, nl)),
+_text_of = _TextOf()
+
+
+def _text(obj: Any, newline: str) -> str:
+    """The text of ``obj``, whose first line has the indent of ``newline``."""
+    return _text_of[type(obj)](obj, newline)
+
+
+def _array_text(items: Sequence[Any], newline: str) -> str:
+    if not items:
+        return "[]"
+    inner = newline + "  "
+    body = ("," + inner).join([_text_of[type(v)](v, inner) for v in items])
+    return f"[{inner}{body}{newline}]"
+
+
+def _mapping_text(obj: Mapping, newline: str) -> str:
+    if not obj:
+        return "{}"
+    inner = newline + "  "
+    body = ("," + inner).join(
+        [_key_prefix(k) + _text_of[type(v)](v, inner) for k, v in _fields(obj)]
+    )
+    return f"{{{inner}{body}{newline}}}"
+
+
+def _fields(obj: Mapping) -> list[tuple[str, Any]]:
+    """The (key, value) pairs of ``obj`` with string keys, in key order."""
+    fields = {k if k.__class__ is str else _key_str(k): v for k, v in obj.items()}
+    return sorted(fields.items())
+
+
+@functools.lru_cache(maxsize=4096)
+def _key_prefix(key: str) -> str:
+    return f"{encode_basestring(key)}: "
+
+
+def _record_text(kind: type[Record]) -> Callable[[Any, str], str]:
+    """A record is written as its fields, with their order and prefixes
+    computed once per class, or, if its class has its own ``_jsonable``,
+    as the value that gives."""
+    if kind._jsonable is not Record._jsonable:
+        return lambda obj, newline: _text(obj._jsonable(), newline)
+    layout = [(name, _key_prefix(name)) for name in sorted(kind._fields)]
+
+    def text(obj: Record, newline: str) -> str:
+        own, inner = obj.__dict__, newline + "  "
+        body = ("," + inner).join(
+            [k + _text_of[type(v := own[name])](v, inner) for name, k in layout]
+        )
+        return f"{{{inner}{body}{newline}}}" if layout else "{}"
+
+    return text
+
+
+_TEXTS: tuple[tuple[type | tuple[type, ...], Callable | None], ...] = (
+    (str, lambda obj, newline: encode_basestring(obj)),
+    (type(None), lambda obj, newline: "null"),
+    (bool, lambda obj, newline: "true" if obj else "false"),
+    (int, lambda obj, newline: int.__repr__(obj)),
+    (Fraction, lambda obj, newline: f'"{format_rational(obj)}"'),
+    (float, lambda obj, newline: f'"{format_float(obj)}"'),
+    (complex, lambda obj, newline: _array_text((obj.real, obj.imag), newline)),
+    (Event, lambda obj, newline: _array_text(obj.members, newline)),
+    (Enum, lambda obj, newline: _text(obj.value, newline)),
+    (Record, None),  # per class: _record_text
+    (Mapping, _mapping_text),
+    ((list, tuple), _array_text),
+    ((set, frozenset), lambda obj, newline: _array_text(sorted(obj), newline)),
 )
 
 
@@ -438,6 +480,19 @@ def _csv_escape(value: str) -> str:
 
 def _csv(rows: Sequence[Sequence[str]]) -> str:
     return "".join(",".join(_csv_escape(v) for v in row) + "\n" for row in rows)
+
+
+def report_writer(
+    bundle: Mapping[str, Any], fmt: str = "json"
+) -> Callable[[_Out], None]:
+    """The function that hands the report of ``bundle`` in ``fmt`` to a
+    ``write`` callable: JSON in the pieces of :func:`write_json`, CSV in
+    one piece.  An unknown format, or a bundle kind with no CSV layout,
+    raises ``ValueError`` here, before a byte is written."""
+    if fmt == "json":
+        return functools.partial(write_json, bundle)
+    text = emit_report(bundle, fmt)
+    return lambda write: write(text)
 
 
 def emit_report(bundle: Mapping[str, Any], fmt: str = "json") -> str:

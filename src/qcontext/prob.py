@@ -52,9 +52,10 @@ def as_fraction(value: Fraction | int | str | float) -> Fraction:
     Strings accept both "p/q" and decimal literals; floats are converted via
     their shortest decimal repr so that e.g. ``0.25`` means exactly 1/4.  A
     decimal exponent beyond ``MAX_DECIMAL_EXPONENT`` in magnitude raises
-    :class:`MalformedDocumentError`.  A zero denominator, or an unparsable
-    literal longer than 40 characters, raises a ``ValueError`` that quotes
-    the literal through :func:`quoted`.
+    :class:`MalformedDocumentError`.  A string that is no rational (one
+    that does not parse, has a zero denominator or exceeds the digit limit)
+    raises a ``ValueError`` "bad rational literal …" that quotes it through
+    :func:`quoted`.
     """
     if isinstance(value, Fraction):
         return value
@@ -71,12 +72,10 @@ def as_fraction(value: Fraction | int | str | float) -> Fraction:
                 )
     try:
         return Fraction(value)
-    except ZeroDivisionError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
+        if not isinstance(value, str):
+            raise
         raise ValueError(f"bad rational literal {quoted(value)}") from exc
-    except ValueError as exc:
-        if isinstance(value, str) and len(value) > 40:
-            raise ValueError(f"bad rational literal {quoted(value)}") from exc
-        raise
 
 
 @functools.total_ordering

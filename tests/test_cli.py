@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,6 +15,7 @@ from qcontext.model_io import ModelSpec, kq_model, parse_model, serialize_model
 from qcontext.prob import Event
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).resolve().parent.parent / "src"
 MODEL_COMMANDS = (
     "analyze",
     "represent",
@@ -507,7 +511,7 @@ class TestLongValuesInErrorLines:
         [
             (("analyze", "--kq", "1/2"), f"{RANGE}, got 1/2"),
             (("sweep", "--grid", "3/4"), f"{RANGE}, got 3/4"),
-            (("sweep", "--grid", "abc"), "Invalid literal for Fraction: 'abc'"),
+            (("sweep", "--grid", "abc"), "bad rational literal 'abc'"),
             (("sweep", "--grid", "1/0"), "bad rational literal '1/0'"),
             (("analyze", "--kq", "abc"), "bad rational 'abc'"),
             (("analyze", "--kq", "1/0"), "bad rational '1/0'"),
@@ -710,3 +714,82 @@ class TestListedContexts:
 
 def _label(members: list[str]) -> str:
     return "+".join(members)
+
+
+class TestReportDelivery:
+    """Both sinks get the same bytes, a failed write ends in one error line,
+    and an error found before the first byte leaves no trace."""
+
+    CSV_COMMANDS = ("analyze", "compare-dist", "verify")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *([command, "--kq", "1/4"] for command in MODEL_COMMANDS),
+            *([c, "--kq", "1/4", "--format", "csv"] for c in CSV_COMMANDS),
+            ["sweep", "--grid", "1/8,1/4"],
+            ["sweep", "--grid", "1/8,1/4", "--format", "csv"],
+        ],
+        ids=" ".join,
+    )
+    def test_out_file_equals_stdout(self, capsys, tmp_path, argv):
+        code, out, err = run(capsys, *argv)
+        target = tmp_path / "report"
+        assert run(capsys, *argv, "--out", str(target)) == (code, "", err)
+        assert code in (0, 2) and out
+        assert target.read_bytes() == out.encode("utf-8")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("represent", "--kq", "1/4", "--format", "csv"), "no CSV layout"),
+            (("analyze", "--model", "missing.json"), "model file not found"),
+        ],
+    )
+    def test_an_error_before_the_first_byte_leaves_no_file(
+        self, capsys, tmp_path, argv, message
+    ):
+        target = tmp_path / "report"
+        code, out, err = run(capsys, *argv, "--out", str(target))
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and message in err and err.count("\n") == 1
+        assert not target.exists()
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+    @pytest.mark.parametrize("sink", ["stdout", "--out"])
+    def test_a_full_device_ends_in_one_error_line(self, sink):
+        argv = [sys.executable, "-m", "qcontext.cli", "analyze", "--kq", "1/4"]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(SRC), *filter(None, [env.get("PYTHONPATH")])]
+        )
+        if sink == "--out":
+            done = subprocess.run(
+                [*argv, "--out", "/dev/full"], capture_output=True, env=env, timeout=120
+            )
+        else:
+            with open("/dev/full", "w") as full:
+                done = subprocess.run(
+                    argv, stdout=full, stderr=subprocess.PIPE, env=env, timeout=120
+                )
+        assert done.returncode == 1
+        assert done.stderr.decode() == (
+            "error: cannot write the report: [Errno 28] No space left on device\n"
+        )
+
+    @pytest.mark.parametrize("sink", ["stdout", "--out"])
+    def test_an_unencodable_report_ends_in_one_error_line(
+        self, capsys, tmp_path, sink
+    ):
+        # A lone surrogate is a valid JSON string escape but no UTF-8 text.
+        doc = json.loads(serialize_model(kq_model("1/4")))
+        doc["variables"]["\ud800"] = doc["variables"]["a"]
+        path = tmp_path / "surrogate.json"
+        path.write_text(json.dumps(doc))
+        argv = ["analyze", "--model", str(path)]
+        if sink == "--out":
+            argv += ["--out", str(tmp_path / "report")]
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert err.startswith("error: cannot write the report: 'utf-8' codec")
+        assert err.count("\n") == 1

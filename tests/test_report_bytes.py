@@ -10,7 +10,9 @@ witnesses and two generated 8-point models.  Those in
 stochastic model with 2, 3, 2 and 3 atoms in its four cells, whose 961
 contexts have 289 distinct local mass tables, and the ``verify`` report of
 a generated 10-point general model of the same shape.  A change that alters
-any report byte fails here.  After a deliberate report
+any report byte fails here.  Three of the large reports are also run with
+a stdout that records each write: the CLI must hand them out in pieces of
+at most 64 KiB, which join to the recorded bytes.  After a deliberate report
 change, re-record both files with
 
     PYTHONPATH=src python tests/test_report_bytes.py
@@ -27,6 +29,8 @@ import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+
+import pytest
 
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE))
@@ -137,9 +141,10 @@ def _large_cases(model_dir: Path) -> dict[str, list[str]]:
     return cases
 
 
-def _digest(argv: list[str]) -> str:
-    """sha256 of the exit code, stdout and stderr of one in-process run."""
-    out, err = io.StringIO(), io.StringIO()
+def _digest(argv: list[str], out=None) -> str:
+    """sha256 of the exit code, stdout and stderr of one in-process run;
+    ``out`` stands in for stdout if given."""
+    out, err = out or io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = cli.main(argv)
     text = f"{code}\n{out.getvalue()}\n{err.getvalue()}"
@@ -161,6 +166,34 @@ def test_reports_match_the_recorded_digests(tmp_path, monkeypatch):
 def test_large_reports_match_the_recorded_digests(tmp_path, monkeypatch):
     monkeypatch.delenv("CONTEXTUAL_SEED", raising=False)
     _assert_recorded(_large_cases(tmp_path), LARGE_DIGESTS)
+
+
+class _Recorder:
+    """A stdout that keeps each piece written to it."""
+
+    def __init__(self) -> None:
+        self.pieces: list[str] = []
+
+    def write(self, text: str) -> int:
+        self.pieces.append(text)
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+    def getvalue(self) -> str:
+        return "".join(self.pieces)
+
+
+@pytest.mark.parametrize("command", ["analyze", "represent", "compare-dist"])
+def test_large_reports_are_written_in_pieces(tmp_path, monkeypatch, command):
+    """The CLI hands a report to stdout a row at a time, never whole."""
+    monkeypatch.delenv("CONTEXTUAL_SEED", raising=False)
+    name = f"{command} ds10 json"
+    recorded = json.loads(LARGE_DIGESTS.read_text(encoding="utf-8"))
+    stdout = _Recorder()
+    assert _digest(_large_cases(tmp_path)[name], stdout) == recorded[name]
+    assert max(len(piece.encode("utf-8")) for piece in stdout.pieces) <= 64 * 1024
 
 
 def _record() -> None:
