@@ -33,8 +33,6 @@ if TYPE_CHECKING:
     from .model_io import ModelSpec
     from .prob import Event
 
-MAX_DEFAULT_ENUMERATION = 12
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # noqa: D102 - argparse hook
@@ -133,25 +131,17 @@ def _resolve_pair(spec: ModelSpec, names: str):
     return a, b
 
 
-def _contexts_for(spec: ModelSpec, a_var, command: str) -> tuple[Event, ...] | None:
-    """The model's listed contexts that are contexts for the pair, sorted by
-    (size, members); None when it lists none, for the atlas to enumerate."""
-    if spec.contexts is not None:
-        from .prob import is_context
+def _contexts_for(spec: ModelSpec, a_var) -> tuple[Event, ...] | None:
+    """The model's listed contexts that are contexts for the pair, each once,
+    sorted by (size, members); None when it lists none, for the atlas to
+    enumerate."""
+    if spec.contexts is None:
+        return None
+    from .prob import is_context
 
-        part = a_var.partition(spec.space)
-        chosen = tuple(
-            c for c in spec.contexts if is_context(spec.space, c, part)
-        )
-        return tuple(
-            sorted(chosen, key=lambda e: (len(e.members), e.members))
-        )
-    if command == "analyze" and len(spec.space.points) > MAX_DEFAULT_ENUMERATION:
-        raise ModelError(
-            "exhaustive enumeration is limited to "
-            f"{MAX_DEFAULT_ENUMERATION} points; list contexts in the model file"
-        )
-    return None
+    part = a_var.partition(spec.space)
+    chosen = {c for c in spec.contexts if is_context(spec.space, c, part)}
+    return tuple(sorted(chosen, key=lambda e: (len(e.members), e.members)))
 
 
 def _analysis_bundle(atlas: ContextAtlas, args) -> dict:
@@ -380,7 +370,7 @@ def _model_bundle(args) -> dict:
 
     spec = _load_model(args)
     a_var, b_var = _resolve_pair(spec, args.vars)
-    contexts = _contexts_for(spec, a_var, args.command)
+    contexts = _contexts_for(spec, a_var)
     atlas = ContextAtlas(spec.space, a_var, b_var, contexts)
     return {
         "model": model_document(spec),

@@ -39,7 +39,6 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from functools import cached_property
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 from .errors import (
@@ -54,7 +53,7 @@ from .prob import (
     FiniteProbabilitySpace,
     require_enumerable,
 )
-from .record import Record
+from .record import Record, derived
 
 STATE_TOL = 1e-12
 T = TypeVar("T")
@@ -112,9 +111,6 @@ class StateVector(Record):
 
     def __init__(self, components: tuple[complex, complex]) -> None:
         self.__dict__["components"] = components
-
-    def norm_squared(self) -> float:
-        return sum(abs(z) ** 2 for z in self.components)
 
     def inner(self, other: "StateVector") -> complex:
         return sum(
@@ -511,18 +507,18 @@ class ContextAtlas:
         self.space, self.a_var, self.b_var = space, a_var, b_var
         self.listed = None if contexts is None else tuple(contexts)
 
-    @cached_property
+    @derived
     def omega(self) -> TwoCellTable:
         """The whole space as a context: both tables hold its masses."""
         a_cell, b_cell = self.a_var.assignment, self.b_var.assignment
         whole = mass_table(self.space, a_cell, b_cell, self.space.points)
         return TwoCellTable(local=whole, whole=whole)
 
-    @cached_property
+    @derived
     def a_cells(self) -> tuple[Event, ...]:
         return self.a_var.partition(self.space).cells
 
-    @cached_property
+    @derived
     def entries(self) -> tuple[AtlasEntry, ...]:
         whole = self.omega.whole
         a_cell, b_cell = self.a_var.assignment, self.b_var.assignment
@@ -563,7 +559,7 @@ class ContextAtlas:
     def contexts(self) -> tuple[Event, ...]:
         return tuple(e.context for e in self.entries)
 
-    @cached_property
+    @derived
     def mappable(self) -> tuple[AtlasEntry, ...]:
         """The entries with an amplitude."""
         if not self.omega.incompatible:
@@ -588,14 +584,14 @@ class ContextAtlas:
         a_values, b_values = self.a_var.values, self.b_var.values
         return TransitionMatrix(a_values, b_values, self.omega.b_given_a)
 
-    @cached_property
+    @derived
     def basis(self) -> BasisPair:
         """The a-basis of the represented states: phase-stripped when the
         transition matrix is doubly stochastic."""
         build = a_basis if is_double_stochastic(self.transition) else context_basis
         return build(self.space, self.a_var, self.b_var)
 
-    @cached_property
+    @derived
     def represented(self) -> tuple[AtlasEntry, ...]:
         """The mappable entries plus the two a-cells, which carry the a-basis
         vectors and their masses (a cell is no context: its table's

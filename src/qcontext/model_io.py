@@ -168,7 +168,7 @@ def parse_model(text: str) -> ModelSpec:
                 all(p in weights for p in row),
                 f"context {quoted_list(row)} names an unknown point",
             )
-            parsed.append(Event.of(row))
+            parsed.append(Event(row))
         contexts = tuple(parsed)
 
     return ModelSpec(space=space, variables=variables, contexts=contexts)

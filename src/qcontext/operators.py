@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import FloatRangeError, NotDoubleStochasticError, ZeroConditionError
@@ -50,7 +49,7 @@ from .prob import (
     all_events,
     as_fraction,
 )
-from .record import Record
+from .record import Record, derived
 
 HERMITIAN_TOL = 1e-12
 
@@ -304,7 +303,7 @@ class CompositeObservable(Record):
     ) -> "CompositeObservable":
         return CompositeObservable(ObservableKind.PRODUCT, a, b)
 
-    @cached_property
+    @derived
     def cell_values(self) -> tuple[tuple[Fraction, Fraction], ...]:
         """v_ij, the value on the cell A_i & B_j, 0-based."""
         kind, f, g = self.kind, self.f, self.g
@@ -325,7 +324,7 @@ class CompositeObservable(Record):
         j = 0 if self.kind is ObservableKind.F_OF_A else self.b.assignment[point] - 1
         return self.cell_values[i][j]
 
-    @cached_property
+    @derived
     def _scaled(self) -> tuple[int, Masses]:
         """(d, n) with the value on cell (i, j) equal to n[i][j] / d."""
         values = self.cell_values
@@ -349,7 +348,7 @@ class CompositeObservable(Record):
         one Fraction."""
         return Fraction(*self.mean_terms(local))
 
-    @cached_property
+    @derived
     def _levels(self) -> tuple[list[Fraction], Masses]:
         """The distinct cell values, ascending, and each cell's index among
         them."""
@@ -628,8 +627,8 @@ def dispersion_free_search(
     free.sort(key=lambda e: (len(e.members), e.members))
     if atlas is None:
         atlas = ContextAtlas(space, a_var, b_var)
-    represented = [*(e.context for e in atlas.mappable), *atlas.a_cells]
-    represented.sort(key=lambda e: (len(e.members), e.members))
+    atlas.mappable  # raises for a compatible pair, before the basis is built
+    represented = [e.context for e in atlas.represented]
     membership = set(represented)
     inter = [evt for evt in free if evt in membership]
     return DispersionFreeReport(

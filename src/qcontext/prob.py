@@ -90,10 +90,6 @@ class Event:
     def __init__(self, members: Iterable[str]) -> None:
         object.__setattr__(self, "members", tuple(sorted(set(members))))
 
-    @staticmethod
-    def of(ids: Iterable[str]) -> "Event":
-        return Event(ids)
-
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
 
@@ -116,10 +112,6 @@ class Event:
             return NotImplemented
         return self.members < other.members
 
-
-    def __contains__(self, point: str) -> bool:
-        return point in self.members
-
     def __len__(self) -> int:
         return len(self.members)
 
@@ -130,12 +122,6 @@ class Event:
     def intersect(self, other: "Event") -> "Event":
         mine = set(self.members)
         return Event(tuple(p for p in other.members if p in mine))
-
-    def union(self, other: "Event") -> "Event":
-        return Event.of(self.members + other.members)
-
-    def issubset(self, other: "Event") -> bool:
-        return set(self.members) <= set(other.members)
 
     def label(self) -> str:
         return "+".join(self.members) if self.members else "(empty)"
@@ -192,7 +178,7 @@ class FiniteProbabilitySpace(Record):
         )
 
     def event(self, ids: Iterable[str]) -> Event:
-        evt = Event.of(ids)
+        evt = Event(ids)
         self.validate_event(evt)
         return evt
 
@@ -202,14 +188,10 @@ class FiniteProbabilitySpace(Record):
             raise ForeignPointError(f"unknown point identifier {quoted(foreign)}")
 
     def omega(self) -> Event:
-        return Event.of(self.points)
+        return Event(self.points)
 
     def atoms(self) -> tuple[Event, ...]:
-        return tuple(Event.of([p]) for p in self.points)
-
-    def complement(self, evt: Event) -> Event:
-        inside = set(evt.members)
-        return Event(tuple(p for p in sorted(self.points) if p not in inside))
+        return tuple(Event([p]) for p in self.points)
 
 
 class Partition(Record):
@@ -271,13 +253,10 @@ class DichotomousVariable(Record):
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "assignment", MappingProxyType(assignment))
 
-    def value_at(self, point: str) -> Fraction:
-        return self.values[self.assignment[point] - 1]
-
     def cell(self, space: FiniteProbabilitySpace, index: int) -> Event:
         """Preimage of value ``index`` (1-based) restricted to ``space``."""
         self._check_total(space)
-        return Event.of(
+        return Event(
             p for p in space.points if self.assignment[p] == index
         )
 

@@ -80,11 +80,12 @@ class Record:
 
 
 class derived:
-    """A record method computed on first read and kept in the instance dict,
-    where later reads find it first.  Unlike :class:`functools.cached_property`
-    in Python 3.11 it takes no lock on that first read: a record is
-    immutable, so a value computed twice is the same value.  A method that
-    raises keeps nothing, so it raises again on the next read."""
+    """A method of a record, or of another object whose fields never change,
+    computed on first read and kept in the instance dict, where later reads
+    find it first.  Unlike :class:`functools.cached_property` in Python 3.11
+    it takes no lock on that first read: the fields never change, so a value
+    computed twice is the same value.  A method that raises keeps nothing,
+    so it raises again on the next read."""
 
     def __init__(self, method) -> None:
         self.method, self.__doc__ = method, method.__doc__

@@ -246,7 +246,7 @@ def test_a_compatible_pair_has_contexts_but_no_amplitudes():
     )
     with pytest.raises(ValueError, match="incompatible pair"):
         mappable_contexts(space, a, a)
-    c = Event.of(space.points)
+    c = Event(space.points)
     with pytest.raises(ValueError, match="incompatible variable pair"):
         amplitude(space, a, a, c)
 

@@ -657,7 +657,7 @@ class TestListedContexts:
         else:
             spec = parse_model((DATA / source).read_text())
         listed = ModelSpec(
-            spec.space, spec.variables, tuple(Event.of(r) for r in rows)
+            spec.space, spec.variables, tuple(Event(r) for r in rows)
         )
         path = tmp_path / f"{name}.json"
         path.write_text(serialize_model(listed))
@@ -711,9 +711,107 @@ class TestListedContexts:
         got = [_label(e) for e in doc["representable"]]
         assert got == self._with_cells(name)
 
+    def test_a_context_listed_twice_is_reported_once(self, capsys, tmp_path):
+        doc = json.loads(serialize_model(kq_model("1/8")))
+        doc["contexts"] = [["w1", "w3"], ["w3", "w1"]]
+        path = tmp_path / "twice.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "represent", "--model", str(path))
+        assert code == 0 and not err
+        report = json.loads(out)
+        assert report["model"]["contexts"] == [["w1", "w3"], ["w1", "w3"]]
+        assert [_label(s["context"]) for s in report["states"]] == [
+            "w1+w2", "w1+w3", "w3+w4"
+        ]
+        assert report["collisions"] == [] and report["distinct_states"] == 3
+        code, out, err = run(capsys, "verify", "--model", str(path))
+        details = {c["name"]: c["detail"] for c in json.loads(out)["checks"]}
+        assert details["disturbance_sums_to_zero"] == "contexts=1 nonzero_sums=0"
+
 
 def _label(members: list[str]) -> str:
     return "+".join(members)
+
+
+def _cell_model(tmp_path, cells, contexts=None) -> str:
+    """Path of a model document with the integer point masses ``cells[(i,
+    j)]`` in the cell a = i, b = j, normalised by their total."""
+    points: list[dict] = []
+    assignment: dict[str, dict[str, int]] = {"a": {}, "b": {}}
+    total = sum(map(sum, cells.values()))
+    for (i, j), masses in sorted(cells.items()):
+        for mass in masses:
+            pid = f"p{len(points) + 1}"
+            points.append({"id": pid, "weight": f"{mass}/{total}"})
+            assignment["a"][pid], assignment["b"][pid] = i, j
+    doc = {
+        "points": points,
+        "variables": {
+            name: {"values": ["1", "-1"], "assignment": cell}
+            for name, cell in assignment.items()
+        },
+    }
+    if contexts is not None:
+        doc["contexts"] = contexts
+    path = tmp_path / "cells.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+class TestOneEnumerationBound:
+    """Every model subcommand enumerates contexts up to the one bound of
+    prob.MAX_ENUMERATION_POINTS = 16 points; above it, a model that lists
+    its contexts is reported on them, except by the brute-force search of
+    dispersion-free events."""
+
+    BOUND_LINE = "error: exhaustive enumeration supports at most 16 points\n"
+    # 17 points with cell masses (t u, t v, s v, s u) = (3, 6, 8, 4): the
+    # transition matrix is doubly stochastic.  A-cells p1..p8 and p9..p17.
+    DS17 = {
+        (1, 1): [1, 1, 1],
+        (1, 2): [1, 1, 1, 1, 2],
+        (2, 1): [2, 2, 2, 1, 1],
+        (2, 2): [1, 1, 1, 1],
+    }
+    LISTED = [
+        ["p1", "p9"],
+        ["p1", "p4", "p9", "p14"],
+        ["p2", "p5", "p10", "p15"],
+        ["p1", "p2", "p3", "p4", "p9", "p10", "p14"],
+    ]
+
+    @pytest.mark.parametrize(
+        "command", [c for c in MODEL_COMMANDS if c != "dispersion-free"]
+    )
+    def test_listed_contexts_above_the_bound(self, capsys, tmp_path, command):
+        path = _cell_model(tmp_path, self.DS17, self.LISTED)
+        code, out, err = run(capsys, command, "--model", path)
+        assert code == 0 and not err
+        if command == "verify":
+            doc = json.loads(out)
+            names = [c["name"] for c in doc["checks"]]
+            assert "dispersion_free_exactly_atoms" not in names
+            assert "mean_preservation" in names and doc["all_passed"] is True
+
+    def test_dispersion_free_stops_above_the_bound(self, capsys, tmp_path):
+        path = _cell_model(tmp_path, self.DS17, self.LISTED)
+        code, out, err = run(capsys, "dispersion-free", "--model", path)
+        assert (code, out, err) == (1, "", self.BOUND_LINE)
+
+    def test_analyze_enumerates_below_the_bound(self, capsys, tmp_path):
+        # a-cells of 2 and 11 points: 3 * 2047 = 6141 contexts.
+        cells = {(1, 1): [1], (1, 2): [2], (2, 1): [1, 2, 3, 1, 2, 3]}
+        cells[2, 2] = [1, 2, 3, 1, 2]
+        path = _cell_model(tmp_path, cells)
+        code, out, err = run(capsys, "analyze", "--model", path)
+        assert code == 0 and not err
+        assert len(json.loads(out)["analyses"]) == 6141
+
+    @pytest.mark.parametrize("command", MODEL_COMMANDS)
+    def test_no_listed_contexts_above_the_bound(self, capsys, tmp_path, command):
+        path = _cell_model(tmp_path, self.DS17)
+        code, out, err = run(capsys, command, "--model", path)
+        assert (code, out, err) == (1, "", self.BOUND_LINE)
 
 
 class TestReportDelivery:

@@ -508,6 +508,11 @@ class TestCellDuality:
         space, a, b = _kq(q)
         assert cell_duality_check(space, a, b)
 
+    def test_requires_double_stochastic(self, non_ds_witness):
+        space, variables = non_ds_witness.space, non_ds_witness.variables
+        with pytest.raises(NotDoubleStochasticError):
+            cell_duality_check(space, variables["a"], variables["b"])
+
     def test_forward_only_double_stochastic(self):
         # Forward matrix doubly stochastic, reverse not; both sides of the
         # biconditional must fail together.

@@ -255,7 +255,7 @@ def test_kernel_equals_fraction_sums(model):
 
 def test_kernel_error_cases():
     space, a, b = huge_denominator_model()
-    foreign = Event.of(["p1", "zz"])
+    foreign = Event(["p1", "zz"])
     obs = CompositeObservable.sum_of(a, b)
     point_map = {p: Fraction(1) for p in space.points}
     with pytest.raises(ForeignPointError, match="'zz'"):
@@ -273,7 +273,7 @@ def test_kernel_error_cases():
     with pytest.raises(ForeignPointError):
         conditional_variance(space, point_map, foreign)
 
-    empty = Event.of([])
+    empty = Event([])
     with pytest.raises(ZeroConditionError):
         conditional(space, space.omega(), empty)
     with pytest.raises(ZeroConditionError):
@@ -383,11 +383,11 @@ def test_disturbance_error_paths():
         with pytest.raises(ValueError, match="invalid cell pair"):
             pairwise_delta(space, outcome, a_part, c, n, m)
     with pytest.raises(NotAContextError):
-        delta(space, Event.of(["zz"]), foreign, non_context)
+        delta(space, Event(["zz"]), foreign, non_context)
 
     # A foreign outcome.
     with pytest.raises(ForeignPointError, match="'zz'"):
-        delta(space, Event.of(["p1", "zz"]), a_part, c)
+        delta(space, Event(["p1", "zz"]), a_part, c)
 
 
 # ----------------------------------- verify reads the Event-level reference

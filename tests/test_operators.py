@@ -30,6 +30,7 @@ from qcontext.operators import (
     dispersion_free_search,
     distribution_mismatch,
     function_of_a,
+    function_of_b,
     hamiltonian,
     hamiltonian_observable,
     max_mean_gap,
@@ -242,6 +243,25 @@ class TestMeanPreservation:
         assert [verify.mean_gap(atlas, [pair]) for pair in pairs] == gaps
         assert verify.mean_gap(atlas, pairs) == max(gaps)
 
+    @pytest.mark.parametrize("q", QS)
+    def test_functions_of_one_variable(self, q):
+        # The paper's mean claim for f(a) and g(b) alone: each operator is
+        # the function of its variable's operator, and its quantum mean is
+        # the exact conditional mean on every represented context.
+        space, a, b = _kq(q)
+        f = {v: 3 * v + 1 for v in a.values}
+        g = {v: v * v - 2 * v for v in b.values}
+        trans = transition_matrix(space, a, b)
+        for obs, want in (
+            (CompositeObservable.of_a(a, b, f), function_of_a(a, trans, f)),
+            (CompositeObservable.of_b(b, g), function_of_b(b, g)),
+        ):
+            op = to_operator(space, obs)
+            assert op.entries == want.entries
+            for c, state in represented_states(space, a, b):
+                exact = float(classical_mean(space, obs, c))
+                assert abs(quantum_mean(op, state) - exact) <= verify.OPERATOR_TOL
+
     def test_symmetrized_product_breaks_preservation(self):
         # The product observable maps to the symmetrised operator product;
         # its mean is constant across states while the exact conditional mean
@@ -396,8 +416,19 @@ class TestMismatch:
             report = distribution_mismatch(space, a, b, obs, c)
             assert report.total_variation < 1e-10
 
+    def test_functions_of_one_variable_are_rejected(self):
+        space, a, b = _kq(Fraction(1, 4))
+        obs = CompositeObservable.of_a(a, b, _identity(a))
+        with pytest.raises(ValueError, match="sum and product"):
+            distribution_mismatch(space, a, b, obs, space.omega())
+
 
 class TestHamiltonian:
+    def test_scale_must_be_positive(self):
+        space, a, b = _kq(Fraction(1, 4))
+        with pytest.raises(ValueError, match="must be positive"):
+            hamiltonian(space, a, b, 0, _identity(b))
+
     def test_zero_potential_scales_squared_momentum(self):
         space, _, b = _kq(Fraction(1, 8))
         rich = DichotomousVariable(

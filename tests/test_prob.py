@@ -53,7 +53,7 @@ class TestSpaceInvariants:
             )
 
     def test_event_members_are_sorted_and_unique(self):
-        evt = Event.of(["b", "a", "b"])
+        evt = Event(["b", "a", "b"])
         assert evt.members == ("a", "b")
 
 
@@ -78,7 +78,7 @@ class TestProbability:
     def test_foreign_point_rejected(self):
         space, _, _ = _kq(Fraction(1, 4))
         with pytest.raises(ForeignPointError):
-            probability(space, Event.of(["nope"]))
+            probability(space, Event(["nope"]))
 
 
 class TestConditional:
@@ -104,7 +104,7 @@ class TestConditional:
     def test_zero_condition_raises(self):
         space, _, _ = _kq(Fraction(1, 4))
         with pytest.raises(ZeroConditionError):
-            conditional(space, space.omega(), Event.of([]))
+            conditional(space, space.omega(), Event([]))
 
 
 class TestContexts:
@@ -236,7 +236,7 @@ def small_spaces(draw):
 @given(small_spaces(), st.randoms(use_true_random=False))
 def test_bayes_consistency(space, rng):
     pts = list(space.points)
-    pick = lambda: Event.of(p for p in pts if rng.random() < 0.5)
+    pick = lambda: Event(p for p in pts if rng.random() < 0.5)
     c = pick()
     a = pick()
     if probability(space, c) == 0:
@@ -253,7 +253,7 @@ def test_context_conditionals_sum_to_one(space):
         return
     pts = sorted(space.points)
     part = Partition.of(
-        space, [Event.of(pts[:1]), Event.of(pts[1:])]
+        space, [Event(pts[:1]), Event(pts[1:])]
     )
     for c in contexts_of(space, part):
         total = sum(

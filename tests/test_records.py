@@ -271,16 +271,16 @@ class TestRecords:
 class TestEvent:
     def test_members_are_sorted_and_unique(self):
         assert prob.Event(("b", "a", "b")).members == ("a", "b")
-        assert prob.Event(members=["b", "a"]) == prob.Event.of("ab")
+        assert prob.Event(members=["b", "a"]) == prob.Event("ab")
 
     def test_equality_and_hashing(self):
-        first, second = prob.Event(("a", "b")), prob.Event.of(["b", "a"])
+        first, second = prob.Event(("a", "b")), prob.Event(["b", "a"])
         assert first == second and hash(first) == hash(second)
         assert first != prob.Event(("a",)) and first != ("a", "b")
         assert len({first, second, prob.Event(("a",))}) == 2
 
     def test_ordering(self):
-        events = [prob.Event.of(m) for m in (["b"], ["a", "c"], ["a"], ["a", "b"])]
+        events = [prob.Event(m) for m in (["b"], ["a", "c"], ["a"], ["a", "b"])]
         assert [e.members for e in sorted(events)] == [
             ("a",), ("a", "b"), ("a", "c"), ("b",),
         ]
