@@ -734,8 +734,8 @@ def _label(members: list[str]) -> str:
 
 
 def _cell_model(tmp_path, cells, contexts=None) -> str:
-    """Path of a model document with the integer point masses ``cells[(i,
-    j)]`` in the cell a = i, b = j, normalised by their total."""
+    """Path of a model document whose cell a = i, b = j holds one point per
+    integer mass in ``cells[i, j]``, the masses normalised by their total."""
     points: list[dict] = []
     assignment: dict[str, dict[str, int]] = {"a": {}, "b": {}}
     total = sum(map(sum, cells.values()))
