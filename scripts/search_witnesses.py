@@ -18,11 +18,7 @@ import random
 import sys
 from fractions import Fraction
 
-from qcontext.hilbert import (
-    born_in_a_basis_check,
-    is_double_stochastic,
-    transition_matrix,
-)
+from qcontext.hilbert import is_double_stochastic, transition_matrix
 from qcontext.interference import Classification, classify
 from qcontext.model_io import ModelSpec, serialize_model
 from qcontext.prob import (
@@ -30,6 +26,7 @@ from qcontext.prob import (
     FiniteProbabilitySpace,
     contexts_of,
 )
+from qcontext.verify import born_in_a_basis_check
 
 
 def random_model(rng: random.Random):

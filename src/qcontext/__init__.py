@@ -36,11 +36,10 @@ _MODULE_OF = {
         ),
         "hilbert": (
             "BasisPair", "ContextAtlas", "StateVector", "TransitionMatrix",
-            "a_basis", "amplitude", "born_in_a_basis_check",
-            "cell_duality_check", "context_basis", "dual_inner_products",
+            "a_basis", "amplitude", "context_basis", "dual_inner_products",
             "extend_to_cells", "image_set", "is_double_stochastic",
             "mappable_contexts", "nonsensitive_contexts", "phase_gap",
-            "phase_gap_constancy_check", "transition_matrix", "unitarity_check",
+            "transition_matrix",
         ),
         "model_io": (
             "ModelSpec", "SweepResult", "SweepRow", "emit_report", "kq_model",
@@ -62,17 +61,17 @@ _MODULE_OF = {
             "cover_overlap_report", "is_context", "probability",
             "variables_incompatible",
         ),
-        "verify": ("CheckResult", "run_checks"),
+        "verify": (
+            "CheckResult", "born_in_a_basis_check", "cell_duality_check",
+            "phase_gap_constancy_check", "run_checks", "unitarity_check",
+        ),
     }.items()
     for name in (module, *names)
 }
 
 # Sorted, with the check suite's names last.
-__all__ = sorted(n for n, m in _MODULE_OF.items() if m != "verify") + [
-    "CheckResult",
-    "run_checks",
-    "verify",
-]
+_SUITE = ["CheckResult", "run_checks", "verify"]
+__all__ = sorted(_MODULE_OF.keys() - _SUITE) + _SUITE
 
 
 def __getattr__(name: str):

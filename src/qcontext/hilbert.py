@@ -28,10 +28,13 @@ one amplitude, and :meth:`ContextAtlas.per_table` computes any value of a
 table and its amplitude once for all of them.  With r_i,
 R_i and W_ij the masses of A_i & C, A_i and A_i & B_j, and M that of C,
 each amplitude modulus sqrt(P(A_i|C) P(B_j|A_i)) is sqrt(r_i W_ij / (M R_i))
-from one correctly rounded integer division.  The functions that take a
-space and a pair (:func:`mappable_contexts`, :func:`amplitude`,
-:func:`represented_states`, :func:`image_set`, :func:`phase_gap_profile`,
-:func:`nonsensitive_contexts`) are views over an atlas built for the call.
+from one correctly rounded integer division.  The transition matrix and the
+a-basis are read off the whole-space masses alone.  The functions that take
+a space and a pair (:func:`transition_matrix`, :func:`a_basis`,
+:func:`mappable_contexts`, :func:`amplitude`, :func:`represented_states`,
+:func:`image_set`, :func:`phase_gap_profile`, :func:`nonsensitive_contexts`)
+are views over an atlas built for the call; :mod:`verify` holds the checks
+of this geometry.
 """
 
 from __future__ import annotations
@@ -42,11 +45,12 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 from .errors import (
+    NotAContextError,
     NotDoubleStochasticError,
     NotTrigonometricError,
     SingularBasisError,
 )
-from .interference import Masses, TwoCellTable, lambda_coefficient, mass_table
+from .interference import Masses, TwoCellTable, mass_table
 from .prob import (
     DichotomousVariable,
     Event,
@@ -91,10 +95,7 @@ def transition_matrix(
     a_var: DichotomousVariable,
     b_var: DichotomousVariable,
 ) -> TransitionMatrix:
-    table = TwoCellTable.of(space, a_var.assignment, b_var.assignment, space.omega())
-    return TransitionMatrix(
-        a_values=a_var.values, b_values=b_var.values, entries=table.b_given_a
-    )
+    return ContextAtlas(space, a_var, b_var).transition
 
 
 def is_double_stochastic(matrix: TransitionMatrix) -> bool:
@@ -223,7 +224,11 @@ def context_basis(
     pair; orthonormal exactly in the doubly stochastic case.
     """
     c0 = reference_context if reference_context is not None else space.omega()
-    table = TwoCellTable.of(space, a_var.assignment, b_var.assignment, c0)
+    return _basis(TwoCellTable.of(space, a_var.assignment, b_var.assignment, c0))
+
+
+def _basis(table: TwoCellTable) -> BasisPair:
+    """The basis of :func:`context_basis` from the reference context's table."""
     theta = _phases(table, "the reference context must be trigonometric")
     u = [[math.sqrt(float(p)) for p in row] for row in table.b_given_a]
     e1 = StateVector((u[0][0] + 0j, u[0][1] + 0j))
@@ -247,31 +252,13 @@ def a_basis(
     the phases of the whole space contribute only a per-vector global
     factor; the stripped factor is recorded for reproducibility.
     """
-    table = TwoCellTable.of(space, a_var.assignment, b_var.assignment, space.omega())
-    trans = TransitionMatrix(a_var.values, b_var.values, table.b_given_a)
-    if not is_double_stochastic(trans):
+    atlas = ContextAtlas(space, a_var, b_var)
+    if not is_double_stochastic(atlas.transition):
         raise NotDoubleStochasticError(
             "a context-independent orthonormal a-basis needs a doubly "
             "stochastic transition matrix"
         )
-    raw = context_basis(space, a_var, b_var)
-    stripped = cmath.exp(1j * SIGNS[1] * table.coefficient(1).phase)
-    q1 = math.sqrt(float(trans.entries[0][0]))
-    q2 = math.sqrt(float(trans.entries[0][1]))
-    basis = BasisPair(
-        e_a=(
-            StateVector((q1 + 0j, q2 + 0j)),
-            StateVector((-q2 + 0j, q1 + 0j)),
-        ),
-        stripped_phase=stripped,
-    )
-    # The raw second vector must agree with the stripped one up to the factor.
-    expected = tuple(stripped * z for z in basis.e_a[1].components)
-    if any(
-        abs(z - w) > 1e-9 for z, w in zip(raw.e_a[1].components, expected)
-    ):
-        raise AssertionError("phase stripping produced an inconsistent basis")
-    return basis
+    return atlas.basis
 
 
 def extend_to_cells(
@@ -283,65 +270,6 @@ def extend_to_cells(
     are not contexts themselves (they miss the opposite cell)."""
     part = a_var.partition(space)
     return {part.cells[0]: basis.e_a[0], part.cells[1]: basis.e_a[1]}
-
-
-def gram_matrix(basis: BasisPair) -> tuple[tuple[complex, complex], ...]:
-    e1, e2 = basis.e_a
-    return (
-        (e1.inner(e1), e1.inner(e2)),
-        (e2.inner(e1), e2.inner(e2)),
-    )
-
-
-def basis_is_orthonormal(basis: BasisPair) -> bool:
-    gram = gram_matrix(basis)
-    return all(
-        abs(gram[i][j] - (1.0 if i == j else 0.0)) <= STATE_TOL
-        for i in range(2)
-        for j in range(2)
-    )
-
-
-def unitarity_check(
-    space: FiniteProbabilitySpace,
-    a_var: DichotomousVariable,
-    b_var: DichotomousVariable,
-) -> tuple[bool, bool]:
-    """(basis change is unitary within ``STATE_TOL``, transition matrix is
-    exactly doubly stochastic); the two agree for every incompatible pair."""
-    unitary = basis_is_orthonormal(context_basis(space, a_var, b_var))
-    ds = is_double_stochastic(transition_matrix(space, a_var, b_var))
-    return unitary, ds
-
-
-class BornRow(Record):
-    context: Event
-    value: Fraction
-    projected: float
-    expected: Fraction
-
-    @property
-    def error(self) -> float:
-        return abs(self.projected - float(self.expected))
-
-
-def born_in_a_basis_check(
-    space: FiniteProbabilitySpace,
-    a_var: DichotomousVariable,
-    b_var: DichotomousVariable,
-    contexts: Sequence[Event] | None = None,
-) -> tuple[BornRow, ...]:
-    """Squared projections onto the a-basis read off the whole space,
-    compared against the direct conditional probabilities of a.
-
-    The rows agree within tolerance exactly when the transition matrix is
-    doubly stochastic; failures are reported, never raised.
-    """
-    basis = context_basis(space, a_var, b_var)
-    atlas = ContextAtlas(space, a_var, b_var, contexts)
-    if contexts is not None:
-        atlas.amplitudes()  # every listed context needs an amplitude
-    return atlas.born_rows(basis)
 
 
 def _gap(table: TwoCellTable, eps1: int, eps2: int) -> float:
@@ -377,19 +305,6 @@ def phase_gap_profile(
     eps2: int,
 ) -> tuple[tuple[Event, float], ...]:
     return ContextAtlas(space, a_var, b_var).phase_gap_profile(eps1, eps2)
-
-
-def phase_gap_constancy_check(
-    space: FiniteProbabilitySpace,
-    a_var: DichotomousVariable,
-    b_var: DichotomousVariable,
-) -> tuple[bool, tuple[tuple[Event, float], ...]]:
-    """With the opposite :data:`SIGNS` and a doubly stochastic matrix the gap
-    is pi (mod 2 pi) on every mappable context; returns (all within
-    ``STATE_TOL``, profile)."""
-    profile = phase_gap_profile(space, a_var, b_var, *SIGNS)
-    ok = all(abs(gap - math.pi) <= STATE_TOL for _, gap in profile)
-    return ok, profile
 
 
 def nonsensitive_contexts(
@@ -581,21 +496,35 @@ class ContextAtlas:
 
     @property
     def transition(self) -> TransitionMatrix:
+        if not all(map(sum, self.omega.whole)):  # a takes one value on the space
+            label = self.space.omega().label()
+            raise NotAContextError(f"{label} is not a context for the variable pair")
         a_values, b_values = self.a_var.values, self.b_var.values
         return TransitionMatrix(a_values, b_values, self.omega.b_given_a)
 
     @derived
     def basis(self) -> BasisPair:
-        """The a-basis of the represented states: phase-stripped when the
-        transition matrix is doubly stochastic."""
-        build = a_basis if is_double_stochastic(self.transition) else context_basis
-        return build(self.space, self.a_var, self.b_var)
+        """The a-basis of the represented states, :func:`context_basis` of
+        the whole space: phase-stripped when the transition matrix is doubly
+        stochastic."""
+        raw, trans = _basis(self.omega), self.transition
+        if not is_double_stochastic(trans):
+            return raw
+        stripped = cmath.exp(1j * SIGNS[1] * self.omega.coefficient(1).phase)
+        q1, q2 = (math.sqrt(float(p)) for p in trans.entries[0])
+        e_a = (StateVector((q1 + 0j, q2 + 0j)), StateVector((-q2 + 0j, q1 + 0j)))
+        # The raw second vector must agree with the stripped one up to the factor.
+        expected = tuple(stripped * z for z in e_a[1].components)
+        if any(abs(z - w) > 1e-9 for z, w in zip(raw.e_a[1].components, expected)):
+            raise AssertionError("phase stripping produced an inconsistent basis")
+        return BasisPair(e_a, stripped_phase=stripped)
 
     @derived
     def represented(self) -> tuple[AtlasEntry, ...]:
         """The mappable entries plus the two a-cells, which carry the a-basis
         vectors and their masses (a cell is no context: its table's
         coefficients are undefined), sorted by (size, members)."""
+        mappable = self.mappable  # raises for a compatible pair
         whole, none = self.omega.whole, (0, 0)
         cells = [
             AtlasEntry(cell, TwoCellTable(local, whole), vector)
@@ -605,7 +534,7 @@ class ContextAtlas:
             )
         ]
         ordered = sorted(
-            [*self.mappable, *cells],
+            [*mappable, *cells],
             key=lambda e: (len(e.context.members), e.context.members),
         )
         return tuple(ordered)
@@ -646,15 +575,6 @@ class ContextAtlas:
     def nonsensitive_contexts(self) -> tuple[Event, ...]:
         quiet = self.per_table(lambda table, _: table.delta(0) == table.delta(1) == 0)
         return tuple(e.context for e, still in quiet if still)
-
-    def born_rows(self, basis: BasisPair) -> tuple[BornRow, ...]:
-        """Squared projections of every mappable amplitude onto ``basis``,
-        against the exact P(a_j|C)."""
-        return tuple(
-            BornRow(e.context, a_j, abs(e.state.inner(v)) ** 2, e.table.a_given_c[j])
-            for e in self.mappable
-            for j, (a_j, v) in enumerate(zip(self.a_var.values, basis.e_a))
-        )
 
 
 class DualCoordinates(Record):
@@ -703,38 +623,3 @@ def dual_inner_products(
         mean_a=mean_a,
         mean_b=mean_b,
     )
-
-
-def cell_duality_check(
-    space: FiniteProbabilitySpace,
-    a_var: DichotomousVariable,
-    b_var: DichotomousVariable,
-) -> bool:
-    """With a doubly stochastic forward matrix, the b-cells admit amplitudes
-    exactly when the reverse matrix is doubly stochastic as well.
-
-    Returns True when that biconditional holds on this model and the closed
-    form -(m_1 + m_2) / (2 sqrt(m_1 m_2)), m_n = P(A_n|C) P(B_other|A_n),
-    reproduces the directly computed coefficient of the opposite cell; both
-    are compared exactly, as sign and square.
-    """
-    if not is_double_stochastic(transition_matrix(space, a_var, b_var)):
-        raise NotDoubleStochasticError(
-            "the duality check presumes a doubly stochastic forward matrix"
-        )
-    a_part = a_var.partition(space)
-    b_part = b_var.partition(space)
-    reverse_ds = is_double_stochastic(transition_matrix(space, b_var, a_var))
-    cells_mappable = True
-    closed_form_ok = True
-    for i, b_cell in enumerate(b_part.cells):
-        table = TwoCellTable.of(space, a_var.assignment, b_var.assignment, b_cell)
-        if not table.mappable:
-            cells_mappable = False
-        other = 1 - i
-        m = [table.a_given_c[n] * table.b_given_a[n][other] for n in range(2)]
-        direct = lambda_coefficient(space, b_part.cells[other], a_part, b_cell)
-        squared = (m[0] + m[1]) ** 2 / (4 * m[0] * m[1])
-        if direct.sign != -1 or direct.squared != squared:
-            closed_form_ok = False
-    return closed_form_ok and (cells_mappable == reverse_ds)

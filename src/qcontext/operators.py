@@ -627,7 +627,6 @@ def dispersion_free_search(
     free.sort(key=lambda e: (len(e.members), e.members))
     if atlas is None:
         atlas = ContextAtlas(space, a_var, b_var)
-    atlas.mappable  # raises for a compatible pair, before the basis is built
     represented = [e.context for e in atlas.represented]
     membership = set(represented)
     inter = [evt for evt in free if evt in membership]

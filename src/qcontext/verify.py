@@ -1,4 +1,5 @@
-"""Registered consistency checks run by the ``verify`` CLI subcommand.
+"""Registered consistency checks run by the ``verify`` CLI subcommand, and
+the four checks of the pair's two-basis geometry that only they need.
 
 Every check is a universal statement about one model and one incompatible
 variable pair; checks whose hypotheses the model does not satisfy (for
@@ -9,6 +10,10 @@ points; above that bound, a model that lists its contexts gets every other
 check.  Exact statements compare rationals, floating statements use the
 pinned tolerances ``hilbert.STATE_TOL`` = 1e-12 (amplitude level) and
 ``OPERATOR_TOL`` = 1e-10 (operator level).
+
+:func:`unitarity_check`, :func:`born_in_a_basis_check`,
+:func:`phase_gap_constancy_check` and :func:`cell_duality_check` test the
+pair geometry of :mod:`hilbert`; ``qcontext`` exports them.
 """
 
 from __future__ import annotations
@@ -19,11 +24,13 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import hilbert, interference, operators
-from .hilbert import STATE_TOL
+from .errors import NotDoubleStochasticError
+from .hilbert import STATE_TOL, is_double_stochastic, transition_matrix
 from .model_io import format_float
 from .prob import (
     MAX_ENUMERATION_POINTS,
     DichotomousVariable,
+    Event,
     FiniteProbabilitySpace,
     conditional,
     cover_overlap_report,
@@ -43,6 +50,118 @@ class CheckResult(Record):
 
 def _worst(label: str, value: float) -> str:
     return f"{label}={format_float(value)}"
+
+
+def _gram_error(vectors: Sequence[hilbert.StateVector]) -> float:
+    """Largest entry of the Gram matrix of ``vectors`` minus the identity."""
+    return max(
+        abs(x.inner(y) - (1.0 if i == j else 0.0))
+        for i, x in enumerate(vectors)
+        for j, y in enumerate(vectors)
+    )
+
+
+def unitarity_check(
+    space: FiniteProbabilitySpace,
+    a_var: DichotomousVariable,
+    b_var: DichotomousVariable,
+) -> tuple[bool, bool]:
+    """(basis change is unitary within ``STATE_TOL``, transition matrix is
+    exactly doubly stochastic); the two agree for every incompatible pair."""
+    unitary = _gram_error(hilbert.context_basis(space, a_var, b_var).e_a) <= STATE_TOL
+    return unitary, is_double_stochastic(transition_matrix(space, a_var, b_var))
+
+
+class BornRow(Record):
+    context: Event
+    value: Fraction
+    projected: float
+    expected: Fraction
+
+    @property
+    def error(self) -> float:
+        return abs(self.projected - float(self.expected))
+
+
+def _born_rows(
+    atlas: hilbert.ContextAtlas, basis: hilbert.BasisPair
+) -> tuple[BornRow, ...]:
+    """Squared projections of every mappable amplitude of ``atlas`` onto
+    ``basis``, against the exact P(a_j|C)."""
+    return tuple(
+        BornRow(e.context, a_j, abs(e.state.inner(v)) ** 2, e.table.a_given_c[j])
+        for e in atlas.mappable
+        for j, (a_j, v) in enumerate(zip(atlas.a_var.values, basis.e_a))
+    )
+
+
+def born_in_a_basis_check(
+    space: FiniteProbabilitySpace,
+    a_var: DichotomousVariable,
+    b_var: DichotomousVariable,
+    contexts: Sequence[Event] | None = None,
+) -> tuple[BornRow, ...]:
+    """Squared projections onto the a-basis read off the whole space,
+    compared against the direct conditional probabilities of a.
+
+    The rows agree within tolerance exactly when the transition matrix is
+    doubly stochastic; failures are reported, never raised.
+    """
+    basis = hilbert.context_basis(space, a_var, b_var)
+    atlas = hilbert.ContextAtlas(space, a_var, b_var, contexts)
+    if contexts is not None:
+        atlas.amplitudes()  # every listed context needs an amplitude
+    return _born_rows(atlas, basis)
+
+
+def phase_gap_constancy_check(
+    space: FiniteProbabilitySpace,
+    a_var: DichotomousVariable,
+    b_var: DichotomousVariable,
+) -> tuple[bool, tuple[tuple[Event, float], ...]]:
+    """With the opposite :data:`hilbert.SIGNS` and a doubly stochastic matrix
+    the gap is pi (mod 2 pi) on every mappable context; returns (all within
+    ``STATE_TOL``, profile)."""
+    profile = hilbert.phase_gap_profile(space, a_var, b_var, *hilbert.SIGNS)
+    ok = all(abs(gap - math.pi) <= STATE_TOL for _, gap in profile)
+    return ok, profile
+
+
+def cell_duality_check(
+    space: FiniteProbabilitySpace,
+    a_var: DichotomousVariable,
+    b_var: DichotomousVariable,
+) -> bool:
+    """With a doubly stochastic forward matrix, the b-cells admit amplitudes
+    exactly when the reverse matrix is doubly stochastic as well.
+
+    Returns True when that biconditional holds on this model and the closed
+    form -(m_1 + m_2) / (2 sqrt(m_1 m_2)), m_n = P(A_n|C) P(B_other|A_n),
+    reproduces the directly computed coefficient of the opposite cell; both
+    are compared exactly, as sign and square.
+    """
+    if not is_double_stochastic(transition_matrix(space, a_var, b_var)):
+        raise NotDoubleStochasticError(
+            "the duality check presumes a doubly stochastic forward matrix"
+        )
+    a_part, b_part = a_var.partition(space), b_var.partition(space)
+    reverse_ds = is_double_stochastic(transition_matrix(space, b_var, a_var))
+    cells_mappable = closed_form_ok = True
+    for i, b_cell in enumerate(b_part.cells):
+        table = interference.TwoCellTable.of(
+            space, a_var.assignment, b_var.assignment, b_cell
+        )
+        if not table.mappable:
+            cells_mappable = False
+        other = 1 - i
+        m = [table.a_given_c[n] * table.b_given_a[n][other] for n in range(2)]
+        direct = interference.lambda_coefficient(
+            space, b_part.cells[other], a_part, b_cell
+        )
+        squared = (m[0] + m[1]) ** 2 / (4 * m[0] * m[1])
+        if direct.sign != -1 or direct.squared != squared:
+            closed_form_ok = False
+    return closed_form_ok and (cells_mappable == reverse_ds)
 
 
 def mean_gap(
@@ -86,9 +205,9 @@ def run_checks(
     count = len(atlas.contexts)
     mappable = atlas.mappable
     trans = atlas.transition
-    forward_ds = hilbert.is_double_stochastic(trans)
-    reverse = hilbert.transition_matrix(space, b_var, a_var)
-    reverse_ds = hilbert.is_double_stochastic(reverse)
+    forward_ds = is_double_stochastic(trans)
+    reverse = transition_matrix(space, b_var, a_var)
+    reverse_ds = is_double_stochastic(reverse)
     results: list[CheckResult] = []
 
     def check(name: str, passed: bool, detail: str) -> None:
@@ -163,11 +282,12 @@ def run_checks(
         right_angle <= STATE_TOL,
         f"count={quiet} " + _worst("max_phase_gap", right_angle),
     )
-    unitary, ds = hilbert.unitarity_check(space, a_var, b_var)
+    raw = hilbert.context_basis(space, a_var, b_var)
+    unitary = _gram_error(raw.e_a) <= STATE_TOL
     check(
         "unitarity_iff_double_stochastic",
-        unitary == ds,
-        f"unitary={unitary} double_stochastic={ds}",
+        unitary == forward_ds,
+        f"unitary={unitary} double_stochastic={forward_ds}",
     )
     check(
         "equal_marginals_equal_states",
@@ -178,7 +298,7 @@ def run_checks(
     if forward_ds:
         bounded("cosine_antisymmetry", "max_abs", antisymmetry)
 
-        rows = atlas.born_rows(hilbert.context_basis(space, a_var, b_var))
+        rows = _born_rows(atlas, raw)
         worst = max((row.error for row in rows), default=0.0)
         bounded("born_rule_a_basis", "max_abs_error", worst)
 
@@ -188,7 +308,7 @@ def run_checks(
 
         check(
             "cell_duality",
-            hilbert.cell_duality_check(space, a_var, b_var),
+            cell_duality_check(space, a_var, b_var),
             f"reverse_double_stochastic={reverse_ds}",
         )
 
@@ -235,10 +355,9 @@ def run_checks(
         )
         bounded("commutator_closed_form", "max_abs_error", worst)
 
-        # Construction already validates; build the standard trio to make
-        # the guarantee explicit in the report.
-        operators.b_operator(b_var)
-        operators.a_operator(a_var, trans)
+        # Construction already validates, and the b and a operators were
+        # built above; the energy operator is built here because its squared
+        # values can raise FloatRangeError where the other two do not.
         operators.hamiltonian(space, a_var, b_var, 1, {v: v * v for v in b_var.values})
         check("operator_hermiticity", True, "b, a and energy operators are Hermitian")
 
@@ -253,12 +372,7 @@ def run_checks(
                     for k, vec in zip(spec.eigenvalues, spec.eigenvectors)
                 )
                 worst = max(worst, abs(entry - op.entries[i][j]))
-        vectors = spec.eigenvectors
-        gram_worst = max(
-            abs(vectors[i].inner(vectors[j]) - (1.0 if i == j else 0.0))
-            for i in range(2)
-            for j in range(2)
-        )
+        gram_worst = _gram_error(spec.eigenvectors)
         check(
             "spectral_reconstruction",
             worst <= OPERATOR_TOL and gram_worst <= STATE_TOL,

@@ -16,13 +16,11 @@ from qcontext import cli
 from qcontext.hilbert import (
     a_basis,
     amplitude,
-    born_in_a_basis_check,
     extend_to_cells,
     is_double_stochastic,
     mappable_contexts,
     nonsensitive_contexts,
     phase_gap,
-    phase_gap_constancy_check,
     transition_matrix,
 )
 from qcontext.interference import (
@@ -54,6 +52,7 @@ from qcontext.prob import (
     cover_overlap_report,
     probability,
 )
+from qcontext.verify import born_in_a_basis_check, phase_gap_constancy_check
 from randmodels import random_double_stochastic_model, random_incompatible_model
 
 DATA = Path(__file__).parent / "data"

@@ -19,18 +19,20 @@ import cmath
 import math
 import random
 import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from qcontext import cli, interference
 from qcontext.errors import NotAContextError, NotTrigonometricError
 from qcontext.hilbert import (
     SIGNS,
     ContextAtlas,
     _amplitude,
     amplitude,
-    born_in_a_basis_check,
+    image_set,
     mappable_contexts,
     nonsensitive_contexts,
     phase_gap,
@@ -50,6 +52,7 @@ from qcontext.operators import (
     dispersion,
 )
 from qcontext.prob import Event, contexts_of
+from qcontext.verify import born_in_a_basis_check
 from randmodels import (
     _assemble,
     random_double_stochastic_model,
@@ -244,8 +247,9 @@ def test_a_compatible_pair_has_contexts_but_no_amplitudes():
     assert nonsensitive_contexts(space, a, a) == tuple(
         e.context for e in atlas.entries if e.table.delta(0) == e.table.delta(1) == 0
     )
-    with pytest.raises(ValueError, match="incompatible pair"):
-        mappable_contexts(space, a, a)
+    for view in (mappable_contexts, represented_states, image_set):
+        with pytest.raises(ValueError, match="incompatible pair"):
+            view(space, a, a)
     c = Event(space.points)
     with pytest.raises(ValueError, match="incompatible variable pair"):
         amplitude(space, a, a, c)
@@ -297,3 +301,26 @@ def test_errors_on_listed_contexts_name_that_context():
             NotTrigonometricError, match=f"^{re.escape(pair[0].label())} carries"
         ):
             atlas.amplitudes()
+
+
+@pytest.mark.parametrize(
+    "command", ["analyze", "represent", "operators", "dispersion-free"]
+)
+def test_a_report_sums_the_whole_space_once(monkeypatch, capsys, command):
+    # The transition matrix and the a-basis come from the atlas's one
+    # whole-space table, so a report adds up every point's mass only once.
+    original, calls = interference.mass_table, []
+
+    def counted(space, a_cell, b_cell, points):
+        calls.append(tuple(points) == space.points)
+        return original(space, a_cell, b_cell, points)
+
+    cli.main([command, "--kq", "1/8"])  # loads every layer the command runs
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "qcontext":
+            for binding, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, binding, counted)
+    assert cli.main([command, "--kq", "1/4"]) == 0
+    capsys.readouterr()
+    assert calls.count(True) == 1

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcontext.errors import (
+    NotAContextError,
     NotDoubleStochasticError,
     NotTrigonometricError,
     SingularBasisError,
@@ -22,9 +23,6 @@ from qcontext.hilbert import (
     StateVector,
     a_basis,
     amplitude,
-    basis_is_orthonormal,
-    born_in_a_basis_check,
-    cell_duality_check,
     context_basis,
     dual_inner_products,
     extend_to_cells,
@@ -34,15 +32,20 @@ from qcontext.hilbert import (
     mappable_contexts,
     nonsensitive_contexts,
     phase_gap,
-    phase_gap_constancy_check,
     phase_normalized,
     states_close,
     transition_matrix,
     TransitionMatrix,
-    unitarity_check,
 )
 from qcontext.model_io import kq_model
-from qcontext.prob import conditional
+from qcontext.prob import DichotomousVariable, FiniteProbabilitySpace, conditional
+from qcontext.verify import (
+    _gram_error,
+    born_in_a_basis_check,
+    cell_duality_check,
+    phase_gap_constancy_check,
+    unitarity_check,
+)
 from randmodels import random_double_stochastic_model, random_incompatible_model
 
 QS = [Fraction(1, 8), Fraction(1, 4), Fraction(3, 8)]
@@ -70,6 +73,14 @@ class TestTransitionMatrix:
             transition_matrix(space, a, b).entries
             == transition_matrix(space, b, a).entries
         )
+
+    def test_a_variable_with_one_value_on_the_space_has_none(self):
+        space = FiniteProbabilitySpace(("w1", "w2"), {"w1": "1/2", "w2": "1/2"})
+        a = DichotomousVariable("a", ("0", "1"), {"w1": 1, "w2": 1, "x": 2})
+        b = DichotomousVariable("b", ("0", "1"), {"w1": 1, "w2": 2, "x": 1})
+        for view in (transition_matrix, a_basis):
+            with pytest.raises(NotAContextError, match="w1\\+w2 is not a context"):
+                view(space, a, b)
 
     def test_column_failure_detected(self):
         uneven = TransitionMatrix(
@@ -169,7 +180,7 @@ class TestABasis:
         assert abs(basis.e_a[0].components[1] - q2) < 1e-12
         assert abs(basis.e_a[1].components[0] + q2) < 1e-12
         assert abs(basis.e_a[1].components[1] - q1) < 1e-12
-        assert basis_is_orthonormal(basis)
+        assert _gram_error(basis.e_a) <= STATE_TOL
         assert abs(abs(basis.stripped_phase) - 1.0) < 1e-12
 
     def test_balanced_matrix_gives_rotation_by_quarter(self):

@@ -501,6 +501,6 @@ def test_verify_builds_one_reference_object_per_context_and_outcome(monkeypatch)
     assert all(r.passed for r in verify.run_checks(space, a, b, atlas=atlas))
     contexts, mappable = len(atlas.entries), len(atlas.mappable)
     assert contexts == 961
-    # Two more, one per b-cell, come from hilbert.cell_duality_check.
+    # Two more, one per b-cell, come from verify.cell_duality_check.
     assert 0 < len(built) <= 2 * contexts + 2
     assert 0 < len(calls) <= 2 * contexts + 2 * mappable

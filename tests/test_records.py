@@ -61,7 +61,7 @@ class TestExports:
                 assert value is importlib.import_module(f"qcontext.{name}")
             else:
                 assert value.__name__ == name
-                assert value.__module__.startswith("qcontext.")
+                assert value.__module__ == "qcontext." + qcontext._MODULE_OF[name]
 
     def test_star_import(self):
         namespace: dict = {}
@@ -103,7 +103,7 @@ def _instances() -> list:
         hilbert.transition_matrix(space, a, b),
         state,
         basis,
-        hilbert.born_in_a_basis_check(space, a, b)[0],
+        verify.born_in_a_basis_check(space, a, b)[0],
         hilbert.image_set(space, a, b),
         hilbert.dual_inner_products(space, a, b, state, basis),
         model_io.sweep(["1/4"]),
