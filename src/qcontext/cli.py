@@ -251,7 +251,7 @@ def _mismatch_reports(atlas: ContextAtlas, obs, alignment, context):
         atlas.amplitudes()  # raises unless the event is a mappable context
     if not atlas.mappable:
         return []
-    spectrum = operators.spectral_decomposition(operators.to_operator(space, obs))
+    spectrum = operators.spectral_decomposition(obs.operator(atlas.transition))
     whole = atlas.omega.whole
     return atlas.per_table(
         lambda table, state: operators.MismatchReport.of(

@@ -19,6 +19,10 @@ denominator, the variance is (T sum n x^2 - (sum n x)^2) / (T L)^2 over
 the values x scaled by their common denominator L, and the distribution
 groups the cells by value.  Reports pass the masses an atlas already holds
 (:class:`hilbert.ContextAtlas`); the functions that take an event sum them.
+
+:meth:`CompositeObservable.operator` is the one operator builder, given the
+pair's transition matrix, which reports read from their atlas;
+:func:`to_operator` and :func:`hamiltonian` are views that derive it.
 """
 
 from __future__ import annotations
@@ -375,21 +379,28 @@ class CompositeObservable(Record):
         found = zip(self.masses_by_value(local), spread)
         return {v: Fraction(n, total) for (v, n), (_, w) in found if w}
 
+    def operator(self, transition: TransitionMatrix | None) -> HermitianOperator:
+        """Operator counterpart in the b-basis, given the pair's transition
+        matrix (None for g(b), which does not read it)."""
+        if self.kind is ObservableKind.G_OF_B:
+            return function_of_b(self.b, self.g)
+        if self.kind is ObservableKind.F_OF_A:
+            return function_of_a(self.a, transition, self.f)
+        if self.kind is ObservableKind.SUM:
+            return op_add(
+                function_of_a(self.a, transition, self.f), function_of_b(self.b, self.g)
+            )
+        return symmetrized_product(a_operator(self.a, transition), b_operator(self.b))
+
 
 def to_operator(
     space: FiniteProbabilitySpace, obs: CompositeObservable
 ) -> HermitianOperator:
-    """Operator counterpart of a composite observable in the b-basis."""
+    """:meth:`CompositeObservable.operator` with the pair's transition
+    matrix, which g(b) does not need."""
     if obs.kind is ObservableKind.G_OF_B:
-        return function_of_b(obs.b, obs.g)
-    trans = transition_matrix(space, obs.a, obs.b)
-    if obs.kind is ObservableKind.F_OF_A:
-        return function_of_a(obs.a, trans, obs.f)
-    if obs.kind is ObservableKind.SUM:
-        return op_add(
-            function_of_a(obs.a, trans, obs.f), function_of_b(obs.b, obs.g)
-        )
-    return symmetrized_product(a_operator(obs.a, trans), b_operator(obs.b))
+        return obs.operator(None)
+    return obs.operator(transition_matrix(space, obs.a, obs.b))
 
 
 def _cell_masses(
@@ -460,8 +471,8 @@ def mean_preservation_gap(
     """Largest |quantum mean - exact conditional mean| of f(a) + g(b) over
     every represented context, including the two a-cells."""
     obs = CompositeObservable.sum_of(a_var, b_var, f, g)
-    op = to_operator(space, obs)
-    return max_mean_gap(obs, op, ContextAtlas(space, a_var, b_var).represented)
+    atlas = ContextAtlas(space, a_var, b_var)
+    return max_mean_gap(obs, obs.operator(atlas.transition), atlas.represented)
 
 
 class MismatchReport(Record):
@@ -502,15 +513,10 @@ def _total_variation(p: Mapping[float, float], q: Mapping[float, float]) -> floa
             )
         return round(steps) * SUPPORT_GRID
 
-    keys: dict[float, tuple[float, float]] = {}
-    for value, mass in p.items():
-        k = key(value)
-        acc = keys.get(k, (0.0, 0.0))
-        keys[k] = (acc[0] + mass, acc[1])
-    for value, mass in q.items():
-        k = key(value)
-        acc = keys.get(k, (0.0, 0.0))
-        keys[k] = (acc[0], acc[1] + mass)
+    keys: dict[float, list[float]] = {}
+    for side, dist in enumerate((p, q)):
+        for value, mass in dist.items():
+            keys.setdefault(key(value), [0.0, 0.0])[side] += mass
     return 0.5 * sum(abs(a - b) for a, b in keys.values())
 
 
@@ -541,15 +547,9 @@ def hamiltonian(
     h = as_fraction(h)
     if h <= 0:
         raise ValueError("the scale constant must be positive")
-    trans = transition_matrix(space, a_var, b_var)
     squared = {v: v * v for v in a_var.values}
-    return op_scale(
-        float(h) / 2.0,
-        op_add(
-            function_of_a(a_var, trans, squared),
-            function_of_b(b_var, potential),
-        ),
-    )
+    obs = CompositeObservable.sum_of(a_var, b_var, squared, potential)
+    return op_scale(float(h) / 2, to_operator(space, obs))
 
 
 def hamiltonian_observable(

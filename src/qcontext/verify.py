@@ -140,7 +140,8 @@ def cell_duality_check(
     reproduces the directly computed coefficient of the opposite cell; both
     are compared exactly, as sign and square.
     """
-    if not is_double_stochastic(transition_matrix(space, a_var, b_var)):
+    forward = hilbert.ContextAtlas(space, a_var, b_var)
+    if not is_double_stochastic(forward.transition):
         raise NotDoubleStochasticError(
             "the duality check presumes a doubly stochastic forward matrix"
         )
@@ -149,7 +150,7 @@ def cell_duality_check(
     cells_mappable = closed_form_ok = True
     for i, b_cell in enumerate(b_part.cells):
         table = interference.TwoCellTable.of(
-            space, a_var.assignment, b_var.assignment, b_cell
+            space, a_var.assignment, b_var.assignment, b_cell, forward.omega.whole
         )
         if not table.mappable:
             cells_mappable = False
@@ -334,7 +335,7 @@ def run_checks(
                 for x in (a_var, b_var)
             )
             obs = operators.CompositeObservable.sum_of(a_var, b_var, f, g)
-            pairs.append((obs, operators.to_operator(space, obs)))
+            pairs.append((obs, obs.operator(trans)))
         worst = mean_gap(atlas, pairs)
         bounded("mean_preservation", "max_abs_gap", worst, OPERATOR_TOL)
 
@@ -356,13 +357,14 @@ def run_checks(
         bounded("commutator_closed_form", "max_abs_error", worst)
 
         # Construction already validates, and the b and a operators were
-        # built above; the energy operator is built here because its squared
-        # values can raise FloatRangeError where the other two do not.
-        operators.hamiltonian(space, a_var, b_var, 1, {v: v * v for v in b_var.values})
+        # built above; the energy operator (h = 1) is half that of a^2 + b^2,
+        # whose squared values can raise FloatRangeError where no others do.
+        squares = ({v: v * v for v in x.values} for x in (a_var, b_var))
+        operators.CompositeObservable.sum_of(a_var, b_var, *squares).operator(trans)
         check("operator_hermiticity", True, "b, a and energy operators are Hermitian")
 
         obs = operators.CompositeObservable.sum_of(a_var, b_var)
-        op = operators.to_operator(space, obs)
+        op = obs.operator(trans)
         spec = operators.spectral_decomposition(op)
         worst = 0.0
         for i in range(2):
@@ -397,10 +399,9 @@ def run_checks(
 
             worst = 0.0
             for x_var, y_var in ((a_var, b_var), (b_var, a_var)):
-                basis = hilbert.a_basis(space, x_var, y_var)
-                for i, cell in enumerate(y_var.partition(space).cells):
-                    state = hilbert.amplitude(space, x_var, y_var, cell)
-                    target = basis.e_b[i]
+                cells = y_var.partition(space).cells
+                states = hilbert.ContextAtlas(space, x_var, y_var, cells).amplitudes()
+                for state, target in zip(states, raw.e_b):
                     gaps = zip(state.components, target.components)
                     worst = max(worst, max(abs(x - y) for x, y in gaps))
             bounded("cells_map_to_basis_states", "max_abs_error", worst)

@@ -43,13 +43,14 @@ from qcontext.interference import (
     delta_outcome_sum,
     reconstruct_total_probability,
 )
-from qcontext.model_io import parse_model
+from qcontext.model_io import kq_model, parse_model
 from qcontext.operators import (
     CompositeObservable,
     ObservableKind,
     classical_distribution,
     classical_mean,
     dispersion,
+    mean_preservation_gap,
 )
 from qcontext.prob import Event, contexts_of
 from qcontext.verify import born_in_a_basis_check
@@ -303,24 +304,66 @@ def test_errors_on_listed_contexts_name_that_context():
             atlas.amplitudes()
 
 
-@pytest.mark.parametrize(
-    "command", ["analyze", "represent", "operators", "dispersion-free"]
-)
-def test_a_report_sums_the_whole_space_once(monkeypatch, capsys, command):
-    # The transition matrix and the a-basis come from the atlas's one
-    # whole-space table, so a report adds up every point's mass only once.
+@pytest.fixture
+def whole_space_sums(monkeypatch):
+    """A function that wraps ``mass_table`` at every binding in the loaded
+    ``qcontext`` modules and returns the list it appends to on each call:
+    True for a sum over every point of the space."""
     original, calls = interference.mass_table, []
 
     def counted(space, a_cell, b_cell, points):
         calls.append(tuple(points) == space.points)
         return original(space, a_cell, b_cell, points)
 
-    cli.main([command, "--kq", "1/8"])  # loads every layer the command runs
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "qcontext":
-            for binding, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, binding, counted)
-    assert cli.main([command, "--kq", "1/4"]) == 0
+    def count():
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "qcontext":
+                for binding, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, binding, counted)
+        return calls
+
+    return count
+
+
+# Whole-space sums per report on --kq 1/4, or on the stored model named.
+# verify's eight on a doubly stochastic model: the atlas, the reverse
+# transition matrix, the raw context_basis (its table's local and whole
+# masses), cell_duality_check's atlas and reverse transition matrix, and one
+# atlas of the cell states per ordering of the pair.
+WHOLE_SPACE_SUMS = {
+    "analyze": 1,
+    "represent": 1,
+    "operators": 1,
+    "dispersion-free": 1,
+    "compare-dist": 1,
+    "compare-dist --context w1,w2,w3": 1,
+    "verify": 8,
+    "verify --model hyperbolic_witness.json": 4,
+}
+
+
+@pytest.mark.parametrize("command", list(WHOLE_SPACE_SUMS))
+def test_a_report_sums_the_whole_space_once(capsys, whole_space_sums, command):
+    # The transition matrix, the a-basis and every operator come from the
+    # atlas's one whole-space table, so a report adds up every point's mass
+    # only once; verify's checks of other pairs and tables add the rest.
+    argv = command.split()
+    cli.main([argv[0], "--kq", "1/8"])  # loads every layer the command runs
+    calls = whole_space_sums()
+    if "--model" in argv:
+        argv[-1] = str(DATA / argv[-1])
+    else:
+        argv += ["--kq", "1/4"]
+    assert cli.main(argv) == 0
     capsys.readouterr()
+    assert calls.count(True) == WHOLE_SPACE_SUMS[command]
+
+
+def test_mean_preservation_gap_sums_the_whole_space_once(whole_space_sums):
+    spec = kq_model("1/4")
+    a, b = spec.variables["a"], spec.variables["b"]
+    calls = whole_space_sums()
+    f, g = ({v: v * v for v in x.values} for x in (a, b))
+    assert mean_preservation_gap(spec.space, a, b, f, g) < 1e-10
     assert calls.count(True) == 1

@@ -332,6 +332,7 @@ class TestFloatRange:
             ("--observable", "product"),
         ),
         "value-gap": (["-1e308", "1e308"], None, ("compare-dist", "verify"), ()),
+        "b-squares": (None, ["1e200", "-1"], ("verify",), ()),
     }
 
     @pytest.mark.parametrize("case", sorted(VALUE_CASES))

@@ -20,6 +20,7 @@ from qcontext.model_io import kq_model
 from qcontext.operators import (
     CompositeObservable,
     HermitianOperator,
+    ObservableKind,
     a_operator,
     b_operator,
     classical_distribution,
@@ -36,6 +37,8 @@ from qcontext.operators import (
     max_mean_gap,
     mean_preservation_gap,
     observable_distribution,
+    op_add,
+    op_scale,
     quantum_mean,
     represented_states,
     spectral_decomposition,
@@ -262,6 +265,27 @@ class TestMeanPreservation:
                 exact = float(classical_mean(space, obs, c))
                 assert abs(quantum_mean(op, state) - exact) <= verify.OPERATOR_TOL
 
+    def test_to_operator_is_the_builder_on_the_transition_matrix(self):
+        # to_operator is a view: for every kind of observable its entries
+        # are exactly those the builder gives from the pair's transition
+        # matrix, on the reference family and on random DS models.
+        rng = random.Random(79)
+        models = [_kq(q) for q in QS]
+        models += [random_double_stochastic_model(rng) for _ in range(10)]
+        for space, a, b in models:
+            trans = transition_matrix(space, a, b)
+            f = {v: v * v - v for v in a.values}
+            g = {v: 3 * v + 1 for v in b.values}
+            observables = (
+                CompositeObservable.of_a(a, b, f),
+                CompositeObservable.of_b(b, g),
+                CompositeObservable.sum_of(a, b, f, g),
+                CompositeObservable.product_of(a, b),
+            )
+            assert {obs.kind for obs in observables} == set(ObservableKind)
+            for obs in observables:
+                assert to_operator(space, obs).entries == obs.operator(trans).entries
+
     def test_symmetrized_product_breaks_preservation(self):
         # The product observable maps to the symmetrised operator product;
         # its mean is constant across states while the exact conditional mean
@@ -428,6 +452,26 @@ class TestHamiltonian:
         space, a, b = _kq(Fraction(1, 4))
         with pytest.raises(ValueError, match="must be positive"):
             hamiltonian(space, a, b, 0, _identity(b))
+
+    def test_is_the_scaled_sum_of_the_two_functions_exactly(self):
+        # hamiltonian is a view over the operator builder; its entries are
+        # bit for bit those of (h/2) (f(a-op) + g(b-op)), f and g the squares
+        # and the potential.
+        rng = random.Random(83)
+        models = [_kq(q) for q in QS]
+        models += [random_double_stochastic_model(rng) for _ in range(10)]
+        for space, a, b in models:
+            trans = transition_matrix(space, a, b)
+            squared = {v: v * v for v in a.values}
+            for h, pot in (
+                (1, {v: v * v for v in b.values}),
+                (Fraction(3, 7), {v: 5 * v - Fraction(2, 3) for v in b.values}),
+            ):
+                expected = op_scale(
+                    float(h) / 2,
+                    op_add(function_of_a(a, trans, squared), function_of_b(b, pot)),
+                )
+                assert hamiltonian(space, a, b, h, pot).entries == expected.entries
 
     def test_zero_potential_scales_squared_momentum(self):
         space, _, b = _kq(Fraction(1, 8))
