@@ -5,6 +5,12 @@ strings and decimal literals are read exactly (0.25 means 1/4, never a
 float).  Canonical serialisation is UTF-8, LF, two-space indent, keys sorted,
 one trailing newline, so documents and reports are byte-stable for golden
 testing.
+
+The report of each CLI subcommand is built here too (:func:`model_bundle`,
+:func:`sweep_bundle`): a bundle of rows that :func:`report_writer` hands
+out as text.  Contexts that share a table share every value of their rows
+but the context, so such a row is a :class:`Shared` row, whose text the
+writer renders once per table and indent and fills in with each context.
 """
 
 from __future__ import annotations
@@ -12,17 +18,21 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
 import sys
 from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
-from collections.abc import Mapping
+from collections import Counter
+from collections.abc import Iterable, Mapping
 from json.encoder import encode_basestring
-from typing import Any, Callable, Sequence
+from pathlib import Path
+from typing import TYPE_CHECKING, Any, Callable, Hashable, Sequence
 
 from .errors import (
     DuplicatePointError,
     MalformedDocumentError,
+    ModelError,
     PartialAssignmentError,
     QOutOfRangeError,
     WeightSumNotOneError,
@@ -31,6 +41,11 @@ from .errors import (
 )
 from .prob import DichotomousVariable, Event, FiniteProbabilitySpace, as_fraction
 from .record import Record
+
+if TYPE_CHECKING:
+    from argparse import Namespace
+
+    from .hilbert import AtlasEntry, ContextAtlas
 
 
 class ModelSpec(Record):
@@ -253,9 +268,12 @@ class SweepResult(Record):
 
 
 def sweep(q_values: Sequence[Fraction | int | str | float]) -> SweepResult:
-    from .hilbert import image_set
+    """One row per parameter, each read from one atlas of the pair, which
+    sums the whole space once: the image set, and the classical and
+    spectral laws of a + b in the witness context {w2, w3, w4}."""
+    from .hilbert import ContextAtlas
     from .interference import lambda_coefficient
-    from .operators import CompositeObservable, distribution_mismatch
+    from .operators import CompositeObservable, MismatchReport, spectral_decomposition
 
     rows = []
     for raw in q_values:
@@ -268,20 +286,23 @@ def sweep(q_values: Sequence[Fraction | int | str | float]) -> SweepResult:
         probe = space.event(["w1", "w2", "w3"])
         theta_first = lambda_coefficient(space, b_part.cells[0], a_part, probe).phase
         theta_second = lambda_coefficient(space, b_part.cells[1], a_part, probe).phase
-        witness = space.event(["w2", "w3", "w4"])
+        atlas = ContextAtlas(space, a, b)
+        witness = next(
+            e for e in atlas.entries if e.context.members == ("w2", "w3", "w4")
+        )
+        obs = CompositeObservable.sum_of(a, b)
         gamma = float(b.values[0])
-        report = distribution_mismatch(
-            space,
-            a,
-            b,
-            CompositeObservable.sum_of(a, b),
-            witness,
+        report = MismatchReport.of(
+            obs.distribution_on(witness.table.local, atlas.omega.whole),
+            spectral_decomposition(obs.operator(atlas.transition)).distribution(
+                witness.state
+            ),
             alignment=(2.0 * math.sqrt(float(2 * q)), -gamma),
         )
         rows.append(
             SweepRow(
                 q=q,
-                distinct_states=image_set(space, a, b).distinct_count,
+                distinct_states=atlas.image_set().distinct_count,
                 theta_first=theta_first,
                 theta_second=theta_second,
                 mismatch_gap=report.total_variation,
@@ -359,7 +380,7 @@ def write_json(obj: Any, write: _Out) -> None:
     (of two keys that read alike, the later value stays).  Objects are
     written with sorted keys, containers with a two-space indent, strings
     as ``json.dumps(ensure_ascii=False)`` writes them, and the text ends in
-    one newline.
+    one newline.  A :class:`Shared` row is written as the row it reads as.
     """
     _write(obj, write, "\n", 2, "")
     write("\n")
@@ -367,14 +388,23 @@ def write_json(obj: Any, write: _Out) -> None:
 
 def _write(obj: Any, write: _Out, newline: str, depth: int, lead: str) -> None:
     """Hand ``lead`` and the text of ``obj`` to ``write``: whole at depth
-    0, else a nonempty array or mapping one member at a time at ``depth -
-    1``.  ``newline`` is a line break followed by the indent of the line
-    ``obj`` starts on."""
+    0, else a nonempty array, mapping or record one member at a time at
+    ``depth - 1``, and at every level below for a negative depth.  A
+    :class:`Slot` is handed over as (slot, newline) after its lead.
+    ``newline`` is a line break followed by the indent of the line ``obj``
+    starts on."""
+    if obj.__class__ is Slot:
+        write(lead)
+        write((obj, newline))
+        return
     text = _text_of[type(obj)]
     if depth and text is _mapping_text and obj:
         brackets, pairs = "{}", [(_key_prefix(k), v) for k, v in _fields(obj)]
     elif depth and text is _array_text and obj:
         brackets, pairs = "[]", [("", item) for item in obj]
+    elif depth and isinstance(obj, Record):
+        _write(obj._jsonable(), write, newline, depth, lead)
+        return
     else:
         write(lead + text(obj, newline))
         return
@@ -384,6 +414,77 @@ def _write(obj: Any, write: _Out, newline: str, depth: int, lead: str) -> None:
         _write(value, write, inner, depth - 1, separator + key)
         separator = "," + inner
     write(newline + brackets[1])
+
+
+class Slot:
+    """A placeholder in the row that the contexts of one table share:
+    ``of(c)`` is what the row of context c holds in its place."""
+
+    __slots__ = ("of",)
+
+    def __init__(self, of: Callable[[Event], Any]) -> None:
+        self.of = of
+
+
+#: The placeholder of the context itself.
+CONTEXT = Slot(lambda c: c)
+
+
+class Shared(Mapping):
+    """The row of a context whose table other contexts of the same list
+    use: it reads as ``make(context)``, where ``make`` makes the row of
+    any context of that table and, given :data:`CONTEXT`, the row with
+    slots in the places of the context.  The writer renders that row once
+    per table and indent into ``texts``, a dict the rows of one list share,
+    keyed by the table's raw local masses ``key`` and the indent, and fills
+    in each slot as it would render the context's own value there."""
+
+    __slots__ = ("context", "key", "make", "texts")
+
+    def __init__(
+        self, context: Event, key: Hashable, make: Callable, texts: dict
+    ) -> None:
+        self.context, self.key, self.make, self.texts = context, key, make, texts
+
+    def __getitem__(self, name: str) -> Any:
+        return self.make(self.context)[name]
+
+    def __iter__(self):
+        return iter(self.make(self.context))
+
+    def __len__(self) -> int:
+        return len(self.make(self.context))
+
+
+def _shared_text(row: Shared, newline: str) -> str:
+    """The text of its table's row, cut at the slots on the first row of
+    that table and indent, with each slot filled in for the row's context."""
+    key = (row.key, newline)
+    if key not in row.texts:
+        row.texts[key] = _cut(row.make(CONTEXT), newline)
+    parts, slots = row.texts[key]
+    parts = parts.copy()
+    for slot, inner, places in slots:
+        text = _text(slot.of(row.context), inner)
+        for i in places:
+            parts[i] = text
+    return "".join(parts)
+
+
+def _cut(obj: Any, newline: str) -> tuple[list[str], list[tuple[Slot, str, list]]]:
+    """The text of ``obj`` cut at its slots: the pieces between them, with
+    an empty piece in the place of each slot, and each slot with a newline
+    it sits after and the places where it sits after that newline."""
+    pieces: list = []
+    _write(obj, pieces.append, newline, -1, "")
+    parts, places = [""], {}
+    for piece in pieces:
+        if piece.__class__ is str:
+            parts[-1] += piece
+        else:
+            places.setdefault(piece, []).append(len(parts))
+            parts += ["", ""]
+    return parts, [(*slot, at) for slot, at in places.items()]
 
 
 class _TextOf(dict):
@@ -466,6 +567,7 @@ _TEXTS: tuple[tuple[type | tuple[type, ...], Callable | None], ...] = (
     (Event, lambda obj, newline: _array_text(obj.members, newline)),
     (Enum, lambda obj, newline: _text(obj.value, newline)),
     (Record, None),  # per class: _record_text
+    (Shared, _shared_text),
     (Mapping, _mapping_text),
     ((list, tuple), _array_text),
     ((set, frozenset), lambda obj, newline: _array_text(sorted(obj), newline)),
@@ -522,6 +624,8 @@ def emit_report(bundle: Mapping[str, Any], fmt: str = "json") -> str:
             ]
         ]
         for analysis in bundle["analyses"]:
+            if isinstance(analysis, Shared):  # make the row once, not per key
+                analysis = analysis.make(analysis.context)
             context: Event = analysis["context"]
             for rep in analysis["per_outcome"]:
                 rows.append(
@@ -569,3 +673,315 @@ def emit_report(bundle: Mapping[str, Any], fmt: str = "json") -> str:
             rows.append([check.name, str(check.passed), check.detail])
         return _csv(rows)
     raise ValueError(f"bundle kind {kind!r} has no CSV layout")
+
+
+# ------------------------------------------------------------ report bundles
+
+
+def _load_model(args: Namespace) -> ModelSpec:
+    given = [src for src in (args.model, args.kq) if src is not None]
+    if len(given) != 1:
+        raise ModelError("exactly one of --model and --kq is required")
+    if args.kq is not None:
+        try:
+            q = as_fraction(args.kq)
+        except ValueError as exc:
+            raise ModelError(f"bad rational {quoted(args.kq)}") from exc
+        return kq_model(q)
+    path = Path(args.model)
+    if not path.is_file():
+        raise ModelError(f"model file not found: {path}")
+    return parse_model(path.read_text(encoding="utf-8"))
+
+
+def _resolve_pair(spec: ModelSpec, names: str):
+    from .prob import variables_incompatible
+
+    parts = [p.strip() for p in names.split(",")]
+    if len(parts) != 2 or not all(parts):
+        raise ModelError(f"--vars needs two names, got {quoted(names)}")
+    a, b = (spec.variable(p) for p in parts)
+    if not variables_incompatible(spec.space, a, b):
+        raise ModelError(
+            f"variables {quoted(parts[0])} and {quoted(parts[1])} are not "
+            "incompatible"
+        )
+    return a, b
+
+
+def _contexts_for(spec: ModelSpec, a_var) -> tuple[Event, ...] | None:
+    """The model's listed contexts that are contexts for the pair, each once,
+    sorted by (size, members); None when it lists none, for the atlas to
+    enumerate."""
+    if spec.contexts is None:
+        return None
+    from .prob import is_context
+
+    part = a_var.partition(spec.space)
+    chosen = {c for c in spec.contexts if is_context(spec.space, c, part)}
+    return tuple(sorted(chosen, key=lambda e: (len(e.members), e.members)))
+
+
+def _rows(made: Iterable[tuple[AtlasEntry, Callable]]) -> list:
+    """The row of each entry, given (entry, make), where ``make`` makes the
+    row of any context of the entry's table: ``make(context)`` itself when
+    no other entry uses that table, else a :class:`Shared` row."""
+    made = list(made)
+    uses = Counter(e.table.local for e, _ in made)
+    texts: dict = {}
+    return [
+        Shared(e.context, e.table.local, make, texts)
+        if uses[e.table.local] > 1
+        else make(e.context)
+        for e, make in made
+    ]
+
+
+def _labelled(c: Event, suffix: str) -> str | Slot:
+    """The label of ``c`` followed by ``suffix``; for :data:`CONTEXT`, the
+    slot that gives it."""
+    if c is CONTEXT:
+        return Slot(lambda e: f"{e.label()}{suffix}")
+    return f"{c.label()}{suffix}"
+
+
+def _analysis_bundle(atlas: ContextAtlas, args) -> dict:
+    """Each context's analysis and its two checks, read once per distinct
+    table: the exact sum of both disturbances, and the largest gap between
+    P(B_j|C) and its interference-form reconstruction."""
+    from .interference import ContextAnalysis
+
+    b_values = atlas.b_var.values
+
+    def row_of(table, state) -> Callable:
+        checks = {
+            "disturbance_sum": table.delta(0) + table.delta(1),
+            "reconstruction_error": max(
+                abs(table.reconstructed(j) - float(table.b_given_c[j]))
+                for j in (0, 1)
+            ),
+        }
+
+        def row(c) -> dict:
+            analysis = ContextAnalysis.of(c, table, b_values)
+            return {
+                "context": c,
+                "classification": analysis.classification,
+                "per_outcome": analysis.outcomes,
+                "state": state,
+                "checks": checks,
+            }
+
+        return row
+
+    return {"kind": "analysis", "analyses": _rows(atlas.per_table(row_of))}
+
+
+def _represent_bundle(atlas: ContextAtlas, args) -> dict:
+    from . import hilbert
+
+    trans, basis, image = atlas.transition, atlas.basis, atlas.image_set()
+    states = atlas.per_table(
+        lambda table, state: lambda c: {"context": c, "state": state},
+        atlas.represented,
+    )
+
+    def gap_row(table, _) -> Callable:
+        gap = hilbert._gap(table, *hilbert.SIGNS)
+        return lambda c: {"context": c, "gap": gap}
+
+    gaps = atlas.per_table(gap_row, atlas.mappable)
+    return {
+        "kind": "representation",
+        "transition_matrix": [list(row) for row in trans.entries],
+        "double_stochastic": hilbert.is_double_stochastic(trans),
+        "a_basis": list(basis.e_a),
+        "stripped_phase": basis.stripped_phase,
+        "states": _rows(states),
+        "collisions": [list(group) for group in image.collisions],
+        "distinct_states": image.distinct_count,
+        "phase_gaps": _rows(gaps),
+        "nonsensitive_contexts": list(atlas.nonsensitive_contexts()),
+    }
+
+
+def _operators_bundle(atlas: ContextAtlas, args) -> dict:
+    from . import operators
+
+    a_var, b_var = atlas.a_var, atlas.b_var
+    a_op = operators.a_operator(a_var, atlas.transition)
+    b_op = operators.b_operator(b_var)
+    com = operators.commutator(b_op, a_op)
+    of_a = operators.CompositeObservable.of_a(
+        a_var, b_var, {v: v for v in a_var.values}
+    )
+    of_b = operators.CompositeObservable.of_b(b_var, {v: v for v in b_var.values})
+
+    def row_of(table, state) -> Callable:
+        means = {
+            "mean_a_operator": operators.quantum_mean(a_op, state),
+            "mean_b_operator": operators.quantum_mean(b_op, state),
+            "mean_a_classical": of_a.mean_on(table.local),
+            "mean_b_classical": of_b.mean_on(table.local),
+        }
+        return lambda c: {"context": c, **means}
+
+    means = atlas.per_table(row_of, atlas.represented)
+    return {
+        "kind": "operators",
+        "a_operator": [list(r) for r in a_op.entries],
+        "b_operator": [list(r) for r in b_op.entries],
+        "commutator": [list(r) for r in com],
+        "means": _rows(means),
+    }
+
+
+def _alignment(args) -> tuple[float, float] | None:
+    if not args.align:
+        return None
+    try:
+        scale_text, offset_text = args.align.split(",")
+        alignment = (float(scale_text), float(offset_text))
+    except ValueError as exc:
+        raise ModelError(f"bad --align value {quoted(args.align)}") from exc
+    if not all(math.isfinite(x) for x in alignment):
+        raise ModelError(
+            f"--align needs a finite SCALE and OFFSET, got {quoted(args.align)}"
+        )
+    return alignment
+
+
+def _compare_bundle(atlas: ContextAtlas, args) -> dict:
+    """Classical against spectral law of the observable on every mappable
+    entry of the atlas, or of an atlas of the --context event alone, which
+    must have an amplitude; the operator's spectrum is computed once, each
+    report once per table."""
+    from . import hilbert, operators
+
+    a_var, b_var = atlas.a_var, atlas.b_var
+    if args.observable == "sum":
+        obs = operators.CompositeObservable.sum_of(a_var, b_var)
+    else:
+        obs = operators.CompositeObservable.product_of(a_var, b_var)
+    alignment = _alignment(args)
+    if args.context:
+        c = atlas.space.event(args.context.split(","))
+        atlas = hilbert.ContextAtlas(atlas.space, a_var, b_var, (c,))
+        atlas.amplitudes()  # raises unless the event is a mappable context
+    made: list = []
+    if atlas.mappable:
+        spectrum = operators.spectral_decomposition(obs.operator(atlas.transition))
+        whole = atlas.omega.whole
+
+        def rows_of(table, state) -> tuple[Callable, Callable, Callable]:
+            report = operators.MismatchReport.of(
+                obs.distribution_on(table.local, whole),
+                spectrum.distribution(state),
+                alignment,
+            )
+            block = {
+                "classical": report.classical,
+                "quantum": {format(k, ".12g"): v for k, v in report.quantum.items()},
+                "alignment": list(report.alignment) if report.alignment else None,
+                "total_variation": report.total_variation,
+            }
+
+            def law(side: str, entries: list) -> Callable:
+                return lambda c: {"label": _labelled(c, side), "entries": entries}
+
+            return (
+                lambda c: {"context": c, **block},
+                law(":classical", sorted(report.classical.items())),
+                law(":quantum", sorted(report.quantum.items())),
+            )
+
+        made = list(atlas.per_table(rows_of, atlas.mappable))
+    blocks, classical, quantum = (
+        _rows((e, makes[k]) for e, makes in made) for k in range(3)
+    )
+    return {
+        "kind": "distribution",
+        "observable": args.observable,
+        "comparisons": blocks,
+        "distributions": [row for pair in zip(classical, quantum) for row in pair],
+    }
+
+
+def _verify_bundle(atlas: ContextAtlas, args) -> dict:
+    from . import verify
+
+    seed = _seed_from_env()
+    checks = verify.run_checks(
+        atlas.space, atlas.a_var, atlas.b_var, seed=seed, atlas=atlas
+    )
+    return {
+        "kind": "verification",
+        "seed": seed,
+        "checks": checks,
+        "all_passed": all(c.passed for c in checks),
+    }
+
+
+def _dispersion_bundle(atlas: ContextAtlas, args) -> dict:
+    from . import operators
+
+    report = operators.dispersion_free_search(
+        atlas.space, atlas.a_var, atlas.b_var, atlas
+    )
+    return {
+        "kind": "dispersion",
+        "dispersion_free": list(report.dispersion_free),
+        "representable": list(report.representable),
+        "intersection": list(report.intersection),
+    }
+
+
+_BUNDLES = {
+    "analyze": _analysis_bundle,
+    "represent": _represent_bundle,
+    "operators": _operators_bundle,
+    "compare-dist": _compare_bundle,
+    "verify": _verify_bundle,
+    "dispersion-free": _dispersion_bundle,
+}
+
+
+def model_bundle(args: Namespace) -> dict:
+    """The report of a model subcommand, read from one atlas of the pair;
+    the atlas is released before the report is emitted."""
+    from .hilbert import ContextAtlas
+
+    spec = _load_model(args)
+    a_var, b_var = _resolve_pair(spec, args.vars)
+    contexts = _contexts_for(spec, a_var)
+    atlas = ContextAtlas(spec.space, a_var, b_var, contexts)
+    return {
+        "model": model_document(spec),
+        "variables": [a_var.name, b_var.name],
+        **_BUNDLES[args.command](atlas, args),
+    }
+
+
+def sweep_bundle(args: Namespace) -> dict:
+    values = [part.strip() for part in args.grid.split(",") if part.strip()]
+    if not values:
+        raise ModelError("--grid needs at least one rational")
+    result = sweep(values)
+    return {
+        "kind": "sweep",
+        "grid": [row.q for row in result.rows],
+        "theta_monotone": result.theta_monotone,
+        "rows": list(result.rows),
+    }
+
+
+def _seed_from_env() -> int:
+    raw = os.environ.get("CONTEXTUAL_SEED")
+    if raw is None:
+        return 0
+    try:
+        return int(raw)
+    except ValueError as exc:
+        raise ModelError(
+            f"CONTEXTUAL_SEED must be an integer, got {quoted(raw)}"
+        ) from exc

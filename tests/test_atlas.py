@@ -326,7 +326,8 @@ def whole_space_sums(monkeypatch):
     return count
 
 
-# Whole-space sums per report on --kq 1/4, or on the stored model named.
+# Whole-space sums per report on --kq 1/4, or on the stored model named; a
+# sweep reads one atlas per grid value.
 # verify's eight on a doubly stochastic model: the atlas, the reverse
 # transition matrix, the raw context_basis (its table's local and whole
 # masses), cell_duality_check's atlas and reverse transition matrix, and one
@@ -340,6 +341,7 @@ WHOLE_SPACE_SUMS = {
     "compare-dist --context w1,w2,w3": 1,
     "verify": 8,
     "verify --model hyperbolic_witness.json": 4,
+    "sweep --grid 1/8,1/4,3/8": 3,
 }
 
 
@@ -349,11 +351,12 @@ def test_a_report_sums_the_whole_space_once(capsys, whole_space_sums, command):
     # atlas's one whole-space table, so a report adds up every point's mass
     # only once; verify's checks of other pairs and tables add the rest.
     argv = command.split()
-    cli.main([argv[0], "--kq", "1/8"])  # loads every layer the command runs
+    warm = argv[:2] + ["1/8"] if argv[0] == "sweep" else [argv[0], "--kq", "1/8"]
+    cli.main(warm)  # loads every layer the command runs
     calls = whole_space_sums()
     if "--model" in argv:
         argv[-1] = str(DATA / argv[-1])
-    else:
+    elif argv[0] != "sweep":
         argv += ["--kq", "1/4"]
     assert cli.main(argv) == 0
     capsys.readouterr()

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcontext import cli
+from qcontext import cli, interference, model_io
 from qcontext.errors import (
     DuplicatePointError,
     ForeignPointError,
@@ -474,11 +474,19 @@ def reference_json(obj) -> str:
 def _bundle(*argv: str) -> dict:
     args = cli.build_parser().parse_args(list(argv))
     if args.command == "sweep":
-        return cli._sweep_bundle(args)
-    return cli._model_bundle(args)
+        return model_io.sweep_bundle(args)
+    return model_io.model_bundle(args)
 
 
-HYPERBOLIC = str(Path(__file__).parent / "data" / "hyperbolic_witness.json")
+DATA = Path(__file__).parent / "data"
+HYPERBOLIC = str(DATA / "hyperbolic_witness.json")
+# A doubly stochastic 8-point model with equal atoms in three of its four
+# cells: of its 225 contexts, 204 share one of 67 tables with another and
+# 21 have a table of their own, and 12 have no amplitude.  Its point ids
+# need escaping: a quote, a backslash, a newline, a control character, a
+# tab and non-ASCII text.
+SHARED = str(DATA / "shared_tables.json")
+SHARED_CONTEXT = "ctl\x01,line\nbreak,ünï"
 BUNDLES = {
     "analysis": ("analyze", "--kq", "1/4"),
     "analysis-hyperbolic": ("analyze", "--model", HYPERBOLIC),
@@ -490,6 +498,17 @@ BUNDLES = {
     "verification-hyperbolic": ("verify", "--model", HYPERBOLIC),
     "dispersion": ("dispersion-free", "--kq", "1/4"),
     "sweep": ("sweep", "--grid", "1/8,1/4,3/8"),
+    "shared-analysis": ("analyze", "--model", SHARED),
+    "shared-representation": ("represent", "--model", SHARED),
+    "shared-operators": ("operators", "--model", SHARED),
+    "shared-distribution": ("compare-dist", "--model", SHARED),
+    "shared-distribution-product": (
+        "compare-dist", "--model", SHARED, "--observable", "product"
+    ),
+    "shared-distribution-align": ("compare-dist", "--model", SHARED, "--align", "2,-1"),
+    "shared-distribution-context": (
+        "compare-dist", "--model", SHARED, "--context", SHARED_CONTEXT
+    ),
 }
 
 
@@ -540,6 +559,111 @@ EDGE_CASES = {
 def test_writer_equals_the_two_step_form_on_every_bundle(kind):
     bundle = _bundle(*BUNDLES[kind])
     assert canonical_json(bundle) == reference_json(bundle)
+    # A shared row's text depends on its indent: the same rows, written
+    # again one level deeper, must not reuse the text of the first write.
+    nested = {"nested": [bundle]}
+    assert canonical_json(nested) == reference_json(nested)
+
+
+def _plain(bundle: dict) -> dict:
+    """``bundle`` with each shared row replaced by the dict it reads as."""
+    return {
+        key: [dict(row) if isinstance(row, Mapping) else row for row in value]
+        if isinstance(value, list)
+        else value
+        for key, value in bundle.items()
+    }
+
+
+def test_the_shared_model_mixes_shared_and_single_tables():
+    # The bundles above are only a test of shared rows if they hold both
+    # kinds, and if two shared tables agree in their first row of masses
+    # (a text keyed on less than the whole table would mix them up).
+    rows = _bundle("analyze", "--model", SHARED)["analyses"]
+    shared = [row for row in rows if isinstance(row, model_io.Shared)]
+    assert 0 < len(shared) < len(rows)
+    firsts = {}
+    for row in shared:
+        firsts.setdefault(row.key[0], set()).add(row.key)
+    assert any(len(keys) > 1 for keys in firsts.values())
+    labels = {"".join(row["context"].members) for row in rows}
+    assert any('"' in x and "\\" in x and "\n" in x for x in labels)
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [
+        "shared-analysis",
+        "shared-distribution",
+        "shared-distribution-product",
+        "shared-distribution-align",
+        "shared-distribution-context",
+    ],
+)
+def test_csv_of_shared_rows_equals_that_of_their_plain_rows(kind):
+    bundle = _bundle(*BUNDLES[kind])
+    assert emit_report(bundle, "csv") == emit_report(_plain(bundle), "csv")
+
+
+@pytest.mark.parametrize("kind", [k for k in sorted(BUNDLES) if k.startswith("shared")])
+def test_out_file_holds_the_two_step_form_of_shared_rows(tmp_path, capsys, kind):
+    argv = list(BUNDLES[kind])
+    assert cli.main(argv) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "report.json"
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    expected = reference_json(_bundle(*argv))
+    assert printed == out.read_text(encoding="utf-8") == expected
+
+
+def _ds10() -> str:
+    """The 10-point doubly stochastic model of the large digests, whose 961
+    contexts have 289 distinct tables."""
+    from test_report_bytes import _doubly_stochastic, _first, _shape_10
+
+    return _first(_doubly_stochastic, _shape_10)
+
+
+def test_each_shared_row_is_rendered_once_per_distinct_table(
+    tmp_path, capsys, monkeypatch
+):
+    model = tmp_path / "ds10.json"
+    model.write_text(_ds10(), encoding="utf-8")
+    spec = parse_model(model.read_text(encoding="utf-8"))
+    atlas = ContextAtlas(spec.space, spec.variables["a"], spec.variables["b"])
+    tables = {e.table.local for e in atlas.entries}
+    assert (len(atlas.entries), len(tables)) == (961, 289)
+
+    analyses, renders = [], []
+    of = interference.ContextAnalysis.of.__func__
+    monkeypatch.setattr(
+        interference.ContextAnalysis,
+        "of",
+        classmethod(lambda cls, *args: analyses.append(1) or of(cls, *args)),
+    )
+    text = model_io._text_of[Classification]
+    monkeypatch.setitem(
+        model_io._text_of,
+        Classification,
+        lambda obj, newline: renders.append(obj) or text(obj, newline),
+    )
+    assert cli.main(["analyze", "--model", str(model)]) == 0
+    capsys.readouterr()
+    # One analysis per table, and three classifications in its row: the
+    # row's own and one per outcome.
+    assert len(analyses) == len(tables)
+    assert len(renders) == 3 * len(tables)
+
+    states = []
+    jsonable = StateVector._jsonable
+    monkeypatch.setattr(
+        StateVector, "_jsonable", lambda self: states.append(1) or jsonable(self)
+    )
+    assert cli.main(["represent", "--model", str(model)]) == 0
+    capsys.readouterr()
+    # One state per table of the represented family, and the two a-basis
+    # vectors.
+    assert len(states) == len({e.table.local for e in atlas.represented}) + 2
 
 
 @pytest.mark.parametrize("q", ["1/4", "1e-4200"])
