@@ -8,9 +8,11 @@ testing.
 
 The report of each CLI subcommand is built here too (:func:`model_bundle`,
 :func:`sweep_bundle`): a bundle of rows that :func:`report_writer` hands
-out as text.  Contexts that share a table share every value of their rows
-but the context, so such a row is a :class:`Shared` row, whose text the
-writer renders once per table and indent and fills in with each context.
+out as text in either format, JSON a row and CSV a line at a time;
+:func:`emit_report` is those pieces joined.  Contexts that share a table
+share every value of their rows but the context, so such a row is a
+:class:`Shared` row, whose JSON text the writer renders once per table and
+indent and fills in with each context.
 """
 
 from __future__ import annotations
@@ -269,27 +271,21 @@ class SweepResult(Record):
 
 def sweep(q_values: Sequence[Fraction | int | str | float]) -> SweepResult:
     """One row per parameter, each read from one atlas of the pair, which
-    sums the whole space once: the image set, and the classical and
-    spectral laws of a + b in the witness context {w2, w3, w4}."""
+    sums the whole space once: the phases of both coefficients of the
+    context {w1, w2, w3}, the image set, and the classical and spectral
+    laws of a + b in the witness context {w2, w3, w4}."""
     from .hilbert import ContextAtlas
-    from .interference import lambda_coefficient
     from .operators import CompositeObservable, MismatchReport, spectral_decomposition
 
     rows = []
     for raw in q_values:
         q = as_fraction(raw)
         spec = kq_model(q)
-        space = spec.space
         a, b = spec.variable("a"), spec.variable("b")
-        a_part = a.partition(space)
-        b_part = b.partition(space)
-        probe = space.event(["w1", "w2", "w3"])
-        theta_first = lambda_coefficient(space, b_part.cells[0], a_part, probe).phase
-        theta_second = lambda_coefficient(space, b_part.cells[1], a_part, probe).phase
-        atlas = ContextAtlas(space, a, b)
-        witness = next(
-            e for e in atlas.entries if e.context.members == ("w2", "w3", "w4")
-        )
+        atlas = ContextAtlas(spec.space, a, b)
+        entries = {e.context.members: e for e in atlas.entries}
+        probe, witness = entries["w1", "w2", "w3"], entries["w2", "w3", "w4"]
+        theta_first, theta_second = (k.phase for k in probe.table.coefficients())
         obs = CompositeObservable.sum_of(a, b)
         gamma = float(b.values[0])
         report = MismatchReport.of(
@@ -574,105 +570,94 @@ _TEXTS: tuple[tuple[type | tuple[type, ...], Callable | None], ...] = (
 )
 
 
-def _csv_escape(value: str) -> str:
-    if any(ch in value for ch in ',"\n'):
-        return '"' + value.replace('"', '""') + '"'
-    return value
+#: Bundle kind -> its CSV header and the function that yields the values
+#: of each line below the header.  An analysis row is read by one key, so a
+#: :class:`Shared` row makes its row once.
+_CSV_LAYOUTS: dict[str, tuple[str, Callable[[Mapping], Iterable[Sequence]]]] = {
+    "analysis": (
+        "context,outcome,classification,delta,lambda_squared,lambda_sign,lambda,phase",
+        lambda bundle: (
+            (
+                r.context,
+                r.outcome,
+                r.classification.value,
+                r.delta,
+                r.lambda_squared,
+                r.lambda_sign,
+                r.lambda_value,
+                r.phase,
+            )
+            for row in bundle["analyses"]
+            for r in row["per_outcome"]
+        ),
+    ),
+    "distribution": (
+        "value,probability",
+        lambda bundle: (
+            entry for block in bundle["distributions"] for entry in block["entries"]
+        ),
+    ),
+    "sweep": (
+        "q,distinct_states,theta_first,theta_second,mismatch_gap",
+        lambda bundle: (
+            (r.q, r.distinct_states, r.theta_first, r.theta_second, r.mismatch_gap)
+            for r in bundle["rows"]
+        ),
+    ),
+    "verification": (
+        "check,passed,detail",
+        lambda bundle: ((c.name, c.passed, c.detail) for c in bundle["checks"]),
+    ),
+}
 
 
-def _csv(rows: Sequence[Sequence[str]]) -> str:
-    return "".join(",".join(_csv_escape(v) for v in row) + "\n" for row in rows)
+def _csv_field(value: Any) -> str:
+    text = _key_str(value)
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _write_csv(
+    bundle: Mapping[str, Any],
+    header: str,
+    lines: Callable[[Mapping], Iterable[Sequence]],
+    write: _Out,
+) -> None:
+    write(header + "\n")
+    for values in lines(bundle):
+        write(",".join([_csv_field(v) for v in values]) + "\n")
 
 
 def report_writer(
     bundle: Mapping[str, Any], fmt: str = "json"
 ) -> Callable[[_Out], None]:
     """The function that hands the report of ``bundle`` in ``fmt`` to a
-    ``write`` callable: JSON in the pieces of :func:`write_json`, CSV in
-    one piece.  An unknown format, or a bundle kind with no CSV layout,
-    raises ``ValueError`` here, before a byte is written."""
+    ``write`` callable: JSON in the pieces of :func:`write_json`, CSV one
+    line at a time.  An unknown format, or a bundle kind with no CSV
+    layout, raises ``ValueError`` here, before a byte is written."""
     if fmt == "json":
         return functools.partial(write_json, bundle)
-    text = emit_report(bundle, fmt)
-    return lambda write: write(text)
-
-
-def emit_report(bundle: Mapping[str, Any], fmt: str = "json") -> str:
-    """Serialise a report bundle deterministically.
-
-    JSON output is canonical; CSV layouts depend on the bundle kind: analysis
-    bundles emit one row per (context, outcome), distributions emit
-    "value,probability" rows, sweeps one row per parameter, verification one
-    row per check.
-    """
-    if fmt == "json":
-        return canonical_json(bundle)
     if fmt != "csv":
         raise ValueError(f"unknown report format {fmt!r}")
     kind = bundle.get("kind")
-    if kind == "analysis":
-        rows = [
-            [
-                "context",
-                "outcome",
-                "classification",
-                "delta",
-                "lambda_squared",
-                "lambda_sign",
-                "lambda",
-                "phase",
-            ]
-        ]
-        for analysis in bundle["analyses"]:
-            if isinstance(analysis, Shared):  # make the row once, not per key
-                analysis = analysis.make(analysis.context)
-            context: Event = analysis["context"]
-            for rep in analysis["per_outcome"]:
-                rows.append(
-                    [
-                        context.label(),
-                        format_rational(rep.outcome),
-                        rep.classification.value,
-                        format_rational(rep.delta),
-                        format_rational(rep.lambda_squared),
-                        str(rep.lambda_sign),
-                        format_float(rep.lambda_value),
-                        format_float(rep.phase),
-                    ]
-                )
-        return _csv(rows)
-    if kind == "distribution":
-        rows = [["value", "probability"]]
-        for block in bundle["distributions"]:
-            for value, mass in block["entries"]:
-                rows.append(
-                    [
-                        format_float(x) if isinstance(x, float) else format_rational(x)
-                        for x in (value, mass)
-                    ]
-                )
-        return _csv(rows)
-    if kind == "sweep":
-        rows = [
-            ["q", "distinct_states", "theta_first", "theta_second", "mismatch_gap"]
-        ]
-        for row in bundle["rows"]:
-            rows.append(
-                [
-                    format_rational(row.q),
-                    str(row.distinct_states),
-                    format_float(row.theta_first),
-                    format_float(row.theta_second),
-                    format_float(row.mismatch_gap),
-                ]
-            )
-        return _csv(rows)
-    if kind == "verification":
-        rows = [["check", "passed", "detail"]]
-        for check in bundle["checks"]:
-            rows.append([check.name, str(check.passed), check.detail])
-        return _csv(rows)
-    raise ValueError(f"bundle kind {kind!r} has no CSV layout")
+    if kind not in _CSV_LAYOUTS:
+        raise ValueError(f"bundle kind {kind!r} has no CSV layout")
+    return functools.partial(_write_csv, bundle, *_CSV_LAYOUTS[kind])
+
+
+def emit_report(bundle: Mapping[str, Any], fmt: str = "json") -> str:
+    """The report of ``bundle`` in ``fmt``: the pieces of
+    :func:`report_writer` joined.
+
+    JSON output is canonical; a CSV report is a header line and one line
+    per (context, outcome) of an analysis, per (value, probability) entry
+    of a distribution, per parameter of a sweep or per check of a
+    verification.
+    """
+    parts: list[str] = []
+    report_writer(bundle, fmt)(parts.append)
+    return "".join(parts)
 
 
 # ------------------------------------------------------------ report bundles

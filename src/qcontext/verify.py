@@ -283,7 +283,7 @@ def run_checks(
         right_angle <= STATE_TOL,
         f"count={quiet} " + _worst("max_phase_gap", right_angle),
     )
-    raw = hilbert.context_basis(space, a_var, b_var)
+    raw = hilbert._basis(atlas.omega)
     unitary = _gram_error(raw.e_a) <= STATE_TOL
     check(
         "unitarity_iff_double_stochastic",

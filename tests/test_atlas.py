@@ -328,10 +328,9 @@ def whole_space_sums(monkeypatch):
 
 # Whole-space sums per report on --kq 1/4, or on the stored model named; a
 # sweep reads one atlas per grid value.
-# verify's eight on a doubly stochastic model: the atlas, the reverse
-# transition matrix, the raw context_basis (its table's local and whole
-# masses), cell_duality_check's atlas and reverse transition matrix, and one
-# atlas of the cell states per ordering of the pair.
+# verify's six on a doubly stochastic model: the atlas, the reverse
+# transition matrix, cell_duality_check's atlas and reverse transition
+# matrix, and one atlas of the cell states per ordering of the pair.
 WHOLE_SPACE_SUMS = {
     "analyze": 1,
     "represent": 1,
@@ -339,8 +338,8 @@ WHOLE_SPACE_SUMS = {
     "dispersion-free": 1,
     "compare-dist": 1,
     "compare-dist --context w1,w2,w3": 1,
-    "verify": 8,
-    "verify --model hyperbolic_witness.json": 4,
+    "verify": 6,
+    "verify --model hyperbolic_witness.json": 2,
     "sweep --grid 1/8,1/4,3/8": 3,
 }
 
@@ -361,6 +360,35 @@ def test_a_report_sums_the_whole_space_once(capsys, whole_space_sums, command):
     assert cli.main(argv) == 0
     capsys.readouterr()
     assert calls.count(True) == WHOLE_SPACE_SUMS[command]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "analyze",
+        "represent",
+        "operators",
+        "compare-dist",
+        "dispersion-free",
+        "verify",
+        "sweep --grid 1/8,1/4",
+    ],
+)
+def test_only_verify_builds_event_level_objects(capsys, monkeypatch, command):
+    # Every other report reads its atlas's tables; the Event-level
+    # reference objects are the oracle of verify's per-context checks.
+    built = []
+    build = interference._CellMasses.__init__
+
+    def counted_build(self, *args):
+        built.append(args)
+        build(self, *args)
+
+    monkeypatch.setattr(interference._CellMasses, "__init__", counted_build)
+    argv = command.split()
+    assert cli.main(argv if argv[0] == "sweep" else [*argv, "--kq", "1/4"]) == 0
+    capsys.readouterr()
+    assert bool(built) == (command == "verify")
 
 
 def test_mean_preservation_gap_sums_the_whole_space_once(whole_space_sums):

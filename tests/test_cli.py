@@ -299,9 +299,13 @@ class TestOtherCommands:
 
 
 class TestFloatRange:
-    @pytest.mark.parametrize("command", ["analyze", "verify"])
+    @pytest.mark.parametrize(
+        "command",
+        ["analyze", "verify", "analyze --format csv", "verify --format csv"],
+    )
     def test_overflowing_coefficient_is_an_error(self, capsys, tmp_path, command):
-        code, out, err = run(capsys, command, "--model", _overflow_model(tmp_path))
+        argv = [*command.split(), "--model", _overflow_model(tmp_path)]
+        code, out, err = run(capsys, *argv)
         assert code == 1 and not out
         assert err.startswith("error:") and err.count("\n") == 1
 

@@ -8,11 +8,12 @@ witnesses and two generated 8-point models.  Those in
 ``represent``, ``operators``, ``compare-dist``, ``verify`` and
 ``dispersion-free`` (up to 1.4 MB each) on a generated 10-point doubly
 stochastic model with 2, 3, 2 and 3 atoms in its four cells, whose 961
-contexts have 289 distinct local mass tables, and the ``verify`` report of
+contexts have 289 distinct local mass tables, the CSV reports of
+``analyze`` and ``compare-dist`` on that model, and the ``verify`` report of
 a generated 10-point general model of the same shape.  A change that alters
-any report byte fails here.  Three of the large reports are also run with
-a stdout that records each write: the CLI must hand them out in pieces of
-at most 64 KiB, which join to the recorded bytes.  After a deliberate report
+any report byte fails here.  Five of the large reports are also run with
+a stdout that records each write: the CLI must hand them out in more than
+one piece of at most 64 KiB, which join to the recorded bytes.  After a deliberate report
 change, re-record both files with
 
     PYTHONPATH=src python tests/test_report_bytes.py
@@ -138,6 +139,8 @@ def _large_cases(model_dir: Path) -> dict[str, list[str]]:
     cases["verify general10 json"] = [
         "verify", "--model", str(general10), "--format", "json"
     ]
+    for command in ("analyze", "compare-dist"):
+        cases[f"{command} ds10 csv"] = [command, "--model", str(ds10), "--format", "csv"]
     return cases
 
 
@@ -185,14 +188,19 @@ class _Recorder:
         return "".join(self.pieces)
 
 
-@pytest.mark.parametrize("command", ["analyze", "represent", "compare-dist"])
-def test_large_reports_are_written_in_pieces(tmp_path, monkeypatch, command):
-    """The CLI hands a report to stdout a row at a time, never whole."""
+@pytest.mark.parametrize(
+    "case", ["analyze", "represent", "compare-dist", "analyze csv", "compare-dist csv"]
+)
+def test_large_reports_are_written_in_pieces(tmp_path, monkeypatch, case):
+    """The CLI hands a report to stdout a row or line at a time, never
+    whole: in more than one piece, each at most 64 KiB."""
     monkeypatch.delenv("CONTEXTUAL_SEED", raising=False)
-    name = f"{command} ds10 json"
+    command, _, fmt = case.partition(" ")
+    name = f"{command} ds10 {fmt or 'json'}"
     recorded = json.loads(LARGE_DIGESTS.read_text(encoding="utf-8"))
     stdout = _Recorder()
     assert _digest(_large_cases(tmp_path)[name], stdout) == recorded[name]
+    assert len(stdout.pieces) > 1
     assert max(len(piece.encode("utf-8")) for piece in stdout.pieces) <= 64 * 1024
 
 
