@@ -6,35 +6,25 @@ to the two-component amplitude
     phi_C(x) = sqrt(P(a=a1|C) p(x|a1)) + exp(i eps(x) theta_C(x))
                * sqrt(P(a=a2|C) p(x|a2)),
 
-indexed by the two values x of b.  By construction |phi_C(x)|^2 = P(b=x|C)
-(Born rule in the b-basis).  When the transition matrix p(x|y) is doubly
-stochastic -- and only then -- a single context-independent orthonormal
-a-basis exists and Born's rule holds in both bases; otherwise each variable
-needs its own coordinate expansion (see :func:`dual_inner_products`).
-
-Exact rationals decide every classification; amplitudes themselves are
-double-precision complex numbers.
-
-The conventions are constants, not options: the phase signs
+indexed by the two values x of b, so that |phi_C(x)|^2 = P(b=x|C) (Born rule
+in the b-basis).  When the transition matrix p(x|y) is doubly stochastic --
+and only then -- a single context-independent orthonormal a-basis exists and
+Born's rule holds in both bases; otherwise each variable needs its own
+coordinate expansion (see :func:`dual_inner_products`).  The phase signs
 eps(b_1), eps(b_2) are :data:`SIGNS` = (-1, +1) and states are compared
-within :data:`STATE_TOL` = 1e-12 per component.
+within :data:`STATE_TOL` = 1e-12 per component; neither is an option.
 
 :class:`ContextAtlas` is the layer every report reads: for one pair it sums
-the whole-space 2x2 masses once and gives each context its two-cell table,
-coefficients, classification and amplitude, built once per run.  These
-depend only on the context's own 2x2 masses and the shared ones, so
-contexts with equal local masses share one table, one coefficient pair and
-one amplitude, and :meth:`ContextAtlas.per_table` computes any value of a
-table and its amplitude once for all of them.  With r_i,
-R_i and W_ij the masses of A_i & C, A_i and A_i & B_j, and M that of C,
-each amplitude modulus sqrt(P(A_i|C) P(B_j|A_i)) is sqrt(r_i W_ij / (M R_i))
-from one correctly rounded integer division.  The transition matrix and the
-a-basis are read off the whole-space masses alone.  The functions that take
-a space and a pair (:func:`transition_matrix`, :func:`a_basis`,
-:func:`mappable_contexts`, :func:`amplitude`, :func:`represented_states`,
-:func:`image_set`, :func:`phase_gap_profile`, :func:`nonsensitive_contexts`)
-are views over an atlas built for the call; :mod:`verify` holds the checks
-of this geometry.
+the whole-space 2x2 masses once and gives each context its two-cell table
+and amplitude, one per distinct local masses (:meth:`ContextAtlas.per_table`).
+The table decides in integers whether a context has an amplitude.  With
+r_i, R_i and W_ij the masses of A_i & C, A_i and A_i & B_j, and M that of C,
+each phase theta_j and each modulus sqrt(r_i W_ij / (M R_i)) comes from one
+correctly rounded integer division, so building the amplitudes builds no
+Fraction.  The transition matrix and the a-basis are read off the
+whole-space masses.  The functions that take a space and a pair are views
+over an atlas built for the call; :mod:`verify` holds the checks of this
+geometry.
 """
 
 from __future__ import annotations
@@ -145,10 +135,9 @@ def states_close(x: StateVector, y: StateVector, up_to_phase: bool = True) -> bo
 
 def _phases(table: TwoCellTable, failure: str) -> tuple[float, float]:
     """Both phases of a context with no squared coefficient above one."""
-    coeffs = table.coefficients()
-    if any(k.squared > 1 for k in coeffs):
+    if not table.mappable:
         raise NotTrigonometricError(failure)
-    return (coeffs[0].phase, coeffs[1].phase)
+    return table.phases
 
 
 def _amplitude(table: TwoCellTable) -> StateVector | None:
@@ -158,17 +147,17 @@ def _amplitude(table: TwoCellTable) -> StateVector | None:
     correctly rounded integer division, the float of that Fraction."""
     if not table.mappable:
         return None
-    theta = [k.phase for k in table.coefficients()]
-    (r0, r1), whole = map(sum, table.local), table.whole
-    R0, R1 = map(sum, whole)
-    components = []
-    for j in range(2):
-        first = math.sqrt(r0 * whole[0][j] / ((r0 + r1) * R0))
-        second = math.sqrt(r1 * whole[1][j] / ((r0 + r1) * R1))
-        components.append(
-            first + cmath.exp(1j * SIGNS[j] * theta[j]) * second
+    theta = table.phases
+    (r0, r1), ((W00, W01), (W10, W11)) = map(sum, table.local), table.whole
+    M0, M1 = (r0 + r1) * (W00 + W01), (r0 + r1) * (W10 + W11)
+    return StateVector(
+        (
+            math.sqrt(r0 * W00 / M0)
+            + cmath.exp(1j * SIGNS[0] * theta[0]) * math.sqrt(r1 * W10 / M1),
+            math.sqrt(r0 * W01 / M0)
+            + cmath.exp(1j * SIGNS[1] * theta[1]) * math.sqrt(r1 * W11 / M1),
         )
-    return StateVector(tuple(components))
+    )
 
 
 def mappable_contexts(
@@ -274,8 +263,7 @@ def extend_to_cells(
 
 def _gap(table: TwoCellTable, eps1: int, eps2: int) -> float:
     theta = _phases(table, "phase gap needs a trigonometric context")
-    gap = eps1 * theta[0] - eps2 * theta[1]
-    return gap % (2.0 * math.pi)
+    return (eps1 * theta[0] - eps2 * theta[1]) % (2.0 * math.pi)
 
 
 def phase_gap(
@@ -319,14 +307,10 @@ def nonsensitive_contexts(
 
 
 class ImageSet(Record):
-    """Image of the representation over contexts plus the two a-cells.
-
-    ``entries`` holds (event, state) pairs sorted by event; ``groups`` the
-    partition of events into classes of equal states up to global phase, as
-    formed by :func:`group_states` (within ``STATE_TOL`` = 1e-12 per
-    component of the phase-normalised states, each class led by its first
-    member); ``collisions`` only those classes with at least two members.
-    """
+    """Image of the representation over contexts plus the two a-cells:
+    ``entries`` holds (event, state) pairs sorted by event, ``groups`` the
+    classes of equal states up to global phase formed by
+    :func:`group_states`, ``collisions`` those with at least two members."""
 
     entries: tuple[tuple[Event, StateVector], ...]
     groups: tuple[tuple[Event, ...], ...]
@@ -354,17 +338,25 @@ def group_states(states: Sequence[StateVector]) -> tuple[tuple[int, ...], ...]:
 
     A state joins the earliest-created group whose first member lies within
     ``STATE_TOL`` of it, per component, after phase normalisation; otherwise
-    it starts a new group.  Group leaders are indexed by
-    floor(Re(n0) / (4 STATE_TOL)), n0 the first normalised component.  Since
-    |Re z - Re w| <= |z - w|, a leader within tolerance lies in the same key
-    or an adjacent one, so only those three keys are searched; the margin
-    in the width absorbs the rounding of the quotient.
+    it starts a new group.  Leaders are indexed by floor(Re(n0) / (4
+    STATE_TOL)), n0 the first normalised component; as |Re z - Re w| <=
+    |z - w|, only that key and its two neighbours are searched, and the
+    margin in the width absorbs the rounding of the quotient.  A state
+    object seen before joins its first occurrence's group uncompared, as the
+    rule would have it: older groups failed the same comparisons, and a
+    state with finite normalised components (an atlas amplitude is at most
+    2 in modulus) is close to itself, unlike one with a NaN.
     """
     width = 4 * STATE_TOL
     leaders: list[StateVector] = []
     groups: list[list[int]] = []
     by_key: dict[int, list[int]] = {}
+    seen: dict[int, int] = {}
     for idx, state in enumerate(states):
+        g = seen.get(id(state))
+        if g is not None:
+            groups[g].append(idx)
+            continue
         norm = phase_normalized(state)
         key = math.floor(norm.components[0].real / width)
         near = sorted(g for k in (key - 1, key, key + 1) for g in by_key.get(k, ()))
@@ -373,9 +365,12 @@ def group_states(states: Sequence[StateVector]) -> tuple[tuple[int, ...], ...]:
                 groups[g].append(idx)
                 break
         else:
-            by_key.setdefault(key, []).append(len(groups))
+            g = len(groups)
+            by_key.setdefault(key, []).append(g)
             leaders.append(norm)
             groups.append([idx])
+        if all(map(cmath.isfinite, norm.components)):
+            seen[id(state)] = g
     return tuple(tuple(group) for group in groups)
 
 
@@ -406,10 +401,8 @@ class ContextAtlas:
     (nonempty subset of A_1) | (nonempty subset of A_2), each subset
     carrying its masses in B_1 and B_2, in the (size, members) order of
     :func:`prob.contexts_of`; otherwise the atlas holds the given events in
-    their order.  Every table shares the whole-space masses, summed once,
-    and contexts with equal local masses share one table, so one
-    coefficient pair and one amplitude: the tables are keyed by the raw
-    masses, which is exact by construction.
+    their order.  Every table shares the whole-space masses, summed once;
+    contexts with equal raw local masses share one table and amplitude.
     """
 
     def __init__(
@@ -510,7 +503,7 @@ class ContextAtlas:
         raw, trans = _basis(self.omega), self.transition
         if not is_double_stochastic(trans):
             return raw
-        stripped = cmath.exp(1j * SIGNS[1] * self.omega.coefficient(1).phase)
+        stripped = cmath.exp(1j * SIGNS[1] * self.omega.phases[1])
         q1, q2 = (math.sqrt(float(p)) for p in trans.entries[0])
         e_a = (StateVector((q1 + 0j, q2 + 0j)), StateVector((-q2 + 0j, q1 + 0j)))
         # The raw second vector must agree with the stripped one up to the factor.
@@ -573,8 +566,7 @@ class ContextAtlas:
         return tuple((e.context, _gap(e.table, eps1, eps2)) for e in self.mappable)
 
     def nonsensitive_contexts(self) -> tuple[Event, ...]:
-        quiet = self.per_table(lambda table, _: table.delta(0) == table.delta(1) == 0)
-        return tuple(e.context for e, still in quiet if still)
+        return tuple(e.context for e in self.entries if e.table.nonsensitive)
 
 
 class DualCoordinates(Record):

@@ -5,28 +5,24 @@ conditional probability P(B|C) and its classical total-probability expansion
 
     P(B|C) = sum_n P(A_n|C) P(B|A_n)  +  delta(B; C)
 
-is the *disturbance* delta.  Splitting delta over cell pairs and normalising
-each share by 2 sqrt(P(A_n|C) P(B|A_n) P(A_m|C) P(B|A_m)) yields coefficients
-whose magnitude decides how the context can be represented:
+is the *disturbance* delta.  Normalising its share over each cell pair by
+2 sqrt(P(A_n|C) P(B|A_n) P(A_m|C) P(B|A_m)) gives coefficients whose squares
+classify the context: all below 1 trigonometric (cosine phases, amplitudes
+exist), all above 1 hyperbolic, one equal to 1 boundary, otherwise mixed.
 
-* squared coefficient < 1 everywhere: trigonometric (cosine phases, complex
-  amplitudes exist);
-* squared coefficient > 1 everywhere: hyperbolic (hyperbolic-cosine phases);
-* exactly 1 somewhere: boundary; mixtures are reported as mixed.
-
-Disturbances and squared coefficients are exact rationals; only the signed
-square root and the phases are floating point.  Each is built as one
-Fraction from the integer point masses of the space: with R_n, r_n, W_n and
-l_n the masses of A_n, A_n & C, B & A_n and B & A_n & C, M the mass of C and
-k the number of cells,
+Everything is computed from the integer point masses of the space: with
+R_n, r_n, W_n and l_n the masses of A_n, A_n & C, B & A_n and B & A_n & C,
+M the mass of C and k the number of cells,
 
     delta                  = sum_n (l_n R_n - r_n W_n) / (M R_n),
     pairwise share (n, m)  = N / ((k - 1) M R_n R_m),
     squared coefficient    = N^2 / (4 (k - 1)^2 R_n R_m r_n r_m W_n W_m),
     N = (l_n R_n - r_n W_n) R_m + (l_m R_m - r_m W_m) R_n,
 
-and the coefficient's sign is the sign of N.  For two cells N is the N_j of
-:class:`TwoCellTable`, which computes the same numbers from its 2x2 masses.
+and the coefficient's sign is the sign of N.  Classification compares
+integers; a coefficient's value and phase come from one correctly rounded
+integer division, the float of the exact Fraction, and a Fraction is built
+only where it is read.  :class:`TwoCellTable` does this for two cells.
 """
 
 from __future__ import annotations
@@ -59,15 +55,37 @@ class Classification(Enum):
     MIXED = "mixed"
 
     @classmethod
-    def of(cls, squares: Sequence[Fraction]) -> "Classification":
-        """Exact comparison of every squared coefficient with 1."""
-        if all(s < 1 for s in squares):
+    def of(cls, squares: Sequence[tuple[int, int]]) -> "Classification":
+        """Exact comparison with 1 of every squared coefficient, each given
+        as the integers (n, d) of n / d, d > 0."""
+        if all(n < d for n, d in squares):
             return cls.TRIGONOMETRIC
-        if all(s > 1 for s in squares):
+        if all(n > d for n, d in squares):
             return cls.HYPERBOLIC
-        if any(s == 1 for s in squares):
+        if any(n == d for n, d in squares):
             return cls.BOUNDARY
         return cls.MIXED
+
+
+def _sign(x: int) -> int:
+    return (x > 0) - (x < 0)
+
+
+def _signed_root(sign: int, numerator: int, denominator: int) -> float:
+    """sign * sqrt(numerator / denominator): one correctly rounded integer
+    division, the float of that Fraction, which overflows where it does."""
+    try:
+        return sign * math.sqrt(numerator / denominator)
+    except OverflowError as exc:
+        raise FloatRangeError("squared coefficient beyond the float range") from exc
+
+
+def _angle(trigonometric: bool, value: float) -> float:
+    """The phase of a coefficient: arccos of its value, in [0, pi], in the
+    trigonometric range, else arccosh of its magnitude."""
+    if trigonometric:
+        return math.acos(max(-1.0, min(1.0, value)))
+    return math.acosh(max(1.0, abs(value)))
 
 
 def _require_context(
@@ -83,16 +101,13 @@ class _CellMasses:
     """The Event-level reference object for outcome B, partition {A_n} and
     context C: the integer masses behind every Event-level quantity, and
     those quantities built from them.  The public functions below are thin
-    wrappers over one such object; ``verify`` builds one per context and
-    outcome (:func:`outcome_masses`) and reads every per-context check from
-    it.
+    wrappers over one; ``verify`` builds one per context and outcome
+    (:func:`outcome_masses`) and reads every per-context check from it.
 
     ``total`` is M, the mass of C; :meth:`cell` gives (R_n, r_n, W_n, l_n),
-    the masses of A_n, A_n & C, B & A_n and B & A_n & C.  A cell is
-    validated and summed once, when a formula first needs it, so a foreign
-    point surfaces at the same step as in the conditional-probability
-    definitions; each pair's coefficient is built once.
-    """
+    the masses of A_n, A_n & C, B & A_n and B & A_n & C, summed once when a
+    formula first needs it, so a foreign point surfaces at the same step as
+    in the conditional-probability definitions."""
 
     def __init__(
         self,
@@ -136,20 +151,22 @@ class _CellMasses:
         k = len(self._cells)
         return [(n, m) for n in range(k) for m in range(n + 1, k)]
 
-    def over_cells(self, terms: Sequence[tuple[int, int]]) -> Fraction:
-        """sum_n x_n / (M R_n) for the pairs (x_n, R_n), as one Fraction."""
+    def over_cells(self, terms: Sequence[tuple[int, int]]) -> int:
+        """sum_n x_n / (M R_n) for the pairs (x_n, R_n), times M prod_n R_n."""
         common = math.prod(R for _, R in terms)
-        return Fraction(
-            sum(x * (common // R) for x, R in terms), self.total * common
-        )
+        return sum(x * (common // R) for x, R in terms)
+
+    def denominator(self) -> int:
+        return self.total * math.prod(R for R, _, _, _ in self.cells())
 
     def expansion(self) -> Fraction:
         """sum_n P(A_n|C) P(B|A_n) = sum_n r_n W_n / (M R_n)."""
-        return self.over_cells([(r * W, R) for R, r, W, _ in self.cells()])
+        numerator = self.over_cells([(r * W, R) for R, r, W, _ in self.cells()])
+        return Fraction(numerator, self.denominator())
 
-    def delta(self) -> Fraction:
+    def delta(self) -> int:
         """sum_n P(A_n|C) (P(B|A_n & C) - P(B|A_n))
-        = sum_n (l_n R_n - r_n W_n) / (M R_n)."""
+        = sum_n (l_n R_n - r_n W_n) / (M R_n), times :meth:`denominator`."""
         return self.over_cells([(l * R - r * W, R) for R, r, W, l in self.cells()])
 
     def share(self, n: int, m: int) -> int:
@@ -157,11 +174,6 @@ class _CellMasses:
         Rn, rn, Wn, ln = self.cell(n)
         Rm, rm, Wm, lm = self.cell(m)
         return (ln * Rn - rn * Wn) * Rm + (lm * Rm - rm * Wm) * Rn
-
-    def pairwise(self, n: int, m: int) -> Fraction:
-        share = self.share(n, m)
-        scale = (len(self._cells) - 1) * self.total
-        return Fraction(share, scale * self.cell(n)[0] * self.cell(m)[0])
 
     def coefficient(self, n: int, m: int) -> LambdaCoefficient:
         found = self._coefficients.get((n, m))
@@ -201,25 +213,17 @@ def _masses(
     b_outcome: Event,
     partition: Partition,
     c: Event,
+    pair: tuple[int, int] | None = None,
 ) -> _CellMasses:
+    """The reference object, once the context and the cell ``pair`` if
+    given are checked."""
     _require_context(space, c, partition)
-    return _CellMasses(space, b_outcome, partition, c)
-
-
-def _pair_masses(
-    space: FiniteProbabilitySpace,
-    b_outcome: Event,
-    partition: Partition,
-    c: Event,
-    n: int,
-    m: int,
-) -> _CellMasses:
-    _require_context(space, c, partition)
-    k = len(partition)
-    if k < 2:
-        raise ValueError("pairwise disturbance needs at least two cells")
-    if not (0 <= n < k and 0 <= m < k and n != m):
-        raise ValueError(f"invalid cell pair ({n}, {m}) for {k} cells")
+    if pair is not None:
+        (n, m), k = pair, len(partition)
+        if k < 2:
+            raise ValueError("pairwise disturbance needs at least two cells")
+        if not (0 <= n < k and 0 <= m < k and n != m):
+            raise ValueError(f"invalid cell pair ({n}, {m}) for {k} cells")
     return _CellMasses(space, b_outcome, partition, c)
 
 
@@ -255,7 +259,7 @@ def delta(
     sum_n P(A_n|C) (P(B|A_n & C) - P(B|A_n))."""
     masses = _masses(space, b_outcome, partition, c)
     space.validate_event(b_outcome)
-    return masses.delta()
+    return Fraction(masses.delta(), masses.denominator())
 
 
 def pairwise_delta(
@@ -266,13 +270,12 @@ def pairwise_delta(
     n: int,
     m: int,
 ) -> Fraction:
-    """Share of the disturbance carried by the cell pair ``(n, m)``.
-
-    Cell indices are 0-based.  Summing over all pairs n < m reproduces
-    :func:`delta` exactly; each cell term is divided by (k - 1) because a cell
-    participates in k - 1 of the pairs.
-    """
-    return _pair_masses(space, b_outcome, partition, c, n, m).pairwise(n, m)
+    """Share of the disturbance carried by the 0-based cell pair ``(n, m)``;
+    the shares of all pairs n < m sum to :func:`delta` exactly, as each cell
+    term is divided by (k - 1), the number of pairs a cell is in."""
+    masses = _masses(space, b_outcome, partition, c, (n, m))
+    scale = (len(partition) - 1) * masses.total * masses.cell(n)[0]
+    return Fraction(masses.share(n, m), scale * masses.cell(m)[0])
 
 
 class LambdaCoefficient(Record):
@@ -291,37 +294,28 @@ class LambdaCoefficient(Record):
 
     @classmethod
     def of(cls, share: Fraction | int, radicand: Fraction | int) -> "LambdaCoefficient":
-        """``share`` divided by twice the square root of ``radicand``.
-
-        Scaling the share by s > 0 and the radicand by s^2 leaves the
-        coefficient unchanged, so both may be integers."""
+        """``share`` divided by twice the square root of ``radicand``; both
+        may be integers, as scaling them by s > 0 and s^2 changes nothing."""
         if radicand == 0:
             raise DegenerateRadicalError(
                 "a factor under the normalising radical vanishes"
             )
-        return cls(
-            squared=Fraction(share * share, 4 * radicand),
-            sign=(share > 0) - (share < 0),
-        )
+        return cls(squared=Fraction(share * share, 4 * radicand), sign=_sign(share))
 
     @derived
     def value(self) -> float:
-        try:
-            return self.sign * math.sqrt(float(self.squared))
-        except OverflowError as exc:
-            raise FloatRangeError("squared coefficient beyond the float range") from exc
+        squared = self.squared
+        return _signed_root(self.sign, squared.numerator, squared.denominator)
 
     @derived
     def classification(self) -> Classification:
-        return Classification.of((self.squared,))
+        return Classification.of([(self.squared.numerator, self.squared.denominator)])
 
     @derived
     def phase(self) -> float:
         """Trigonometric/boundary: arccos of the value, in [0, pi].
         Hyperbolic: arccosh of the magnitude (sign carried separately)."""
-        if self.squared <= 1:
-            return math.acos(max(-1.0, min(1.0, self.value)))
-        return math.acosh(max(1.0, abs(self.value)))
+        return _angle(self.squared <= 1, self.value)
 
 
 def lambda_coefficient(
@@ -334,7 +328,7 @@ def lambda_coefficient(
 ) -> LambdaCoefficient:
     """Disturbance share of cells ``(n, m)`` divided by twice the geometric
     mean of the four conditional probabilities under the radical."""
-    return _pair_masses(space, b_outcome, partition, c, n, m).coefficient(n, m)
+    return _masses(space, b_outcome, partition, c, (n, m)).coefficient(n, m)
 
 
 Masses = tuple[tuple[int, int], tuple[int, int]]
@@ -362,22 +356,21 @@ class TwoCellTable(Record):
     over the space's common denominator: ``local[i][j]`` is l_ij, the mass
     of A_i & B_j & C, and ``whole[i][j]`` is W_ij, that of A_i & B_j.
 
-    With row sums r_i and R_i and M = r_0 + r_1, the disturbance
-    delta_j = P(B_j|C) - sum_i P(A_i|C) P(B_j|A_i) and the squared
-    coefficient are each one Fraction:
+    With row sums r_i and R_i and M = r_0 + r_1, each outcome j has one
+    integer kernel, the share N_j and the radicand D_j:
 
         delta_j    = N_j / (M R_0 R_1),
-        lambda_j^2 = N_j^2 / (4 R_0 R_1 r_0 r_1 W_0j W_1j),
+        lambda_j^2 = N_j^2 / D_j,   D_j = 4 R_0 R_1 r_0 r_1 W_0j W_1j,
         N_j = (l_0j + l_1j) R_0 R_1 - r_0 W_0j R_1 - r_1 W_1j R_0,
 
-    and the sign of lambda_j is the sign of N_j.  Both coefficients are
-    computed together, once per table, and kept as one pair;
-    :meth:`coefficient` raises :class:`DegenerateRadicalError` exactly for
-    the j with r_0 r_1 W_0j W_1j = 0.  P(A_i|C), P(B_j|C), the transition
-    matrix P(B_j|A_i) and ``classification`` are derived on first use and
-    kept; ``mappable`` compares the kept squares with one.  A
-    :class:`hilbert.ContextAtlas` gives contexts with equal local masses one
-    table, so all of this is computed once per distinct table.
+    and the sign of lambda_j is the sign of N_j.  ``mappable`` (no
+    N_j^2 > D_j), ``classification`` and ``nonsensitive`` (N_0 = N_1 = 0)
+    compare integers; :attr:`phases` takes each value sign sqrt(N_j^2 / D_j)
+    from one integer division, bit for bit as :class:`LambdaCoefficient`
+    does.  The Fractions are built when read: :meth:`delta` on each read,
+    :meth:`coefficient`, P(A_i|C), P(B_j|C), P(B_j|A_i) once.  A reader of
+    outcome j raises :class:`DegenerateRadicalError` exactly where D_j = 0.
+    An atlas computes all of this once per distinct table.
     """
 
     local: Masses
@@ -427,16 +420,32 @@ class TwoCellTable(Record):
             (Fraction(w0, w0 + w1), Fraction(w1, w0 + w1)) for w0, w1 in self.whole
         )
 
+    @derived
+    def _radicals(self) -> tuple[tuple[int, int], tuple[int, int]]:
+        """(N_j, D_j) for j = 0, 1, with D_j = 4 R_0 R_1 r_0 r_1 W_0j W_1j the
+        denominator of lambda_j^2 = N_j^2 / D_j."""
+        (l00, l01), (l10, l11) = self.local
+        (W00, W01), (W10, W11) = self.whole
+        r0, r1, R0, R1 = l00 + l01, l10 + l11, W00 + W01, W10 + W11
+        R = R0 * R1
+        scale = 4 * R * r0 * r1
+        return (
+            ((l00 + l10) * R - r0 * W00 * R1 - r1 * W10 * R0, scale * W00 * W10),
+            ((l01 + l11) * R - r0 * W01 * R1 - r1 * W11 * R0, scale * W01 * W11),
+        )
+
+    def _radical(self, j: int) -> tuple[int, int]:
+        """(N_j, D_j); raises :class:`DegenerateRadicalError` where D_j = 0."""
+        found = self._radicals[j]
+        if not found[1]:
+            raise DegenerateRadicalError(
+                "a factor under the normalising radical vanishes"
+            )
+        return found
+
     def _share(self, j: int) -> int:
         """N_j, the disturbance delta_j times M R_0 R_1."""
-        local, whole = self.local, self.whole
-        r0, r1 = map(sum, local)
-        R0, R1 = map(sum, whole)
-        return (
-            (local[0][j] + local[1][j]) * R0 * R1
-            - r0 * whole[0][j] * R1
-            - r1 * whole[1][j] * R0
-        )
+        return self._radicals[j][0]
 
     def delta(self, j: int) -> Fraction:
         R0, R1 = map(sum, self.whole)
@@ -446,33 +455,32 @@ class TwoCellTable(Record):
     @derived
     def _pair(self) -> tuple[LambdaCoefficient | None, LambdaCoefficient | None]:
         """Both coefficients, None where the radicand vanishes."""
-        r0, r1 = map(sum, self.local)
-        R0, R1 = map(sum, self.whole)
-        scale = R0 * R1 * r0 * r1
-        pair = [None, None]
-        for j, (w0, w1) in enumerate(zip(*self.whole)):
-            if scale * w0 * w1:
-                pair[j] = LambdaCoefficient.of(self._share(j), scale * w0 * w1)
-        return tuple(pair)
+        return tuple(
+            LambdaCoefficient(Fraction(N * N, D), _sign(N)) if D else None
+            for N, D in self._radicals
+        )
 
     def coefficient(self, j: int) -> LambdaCoefficient:
-        found = self._pair[j]
-        if found is None:
-            raise DegenerateRadicalError(
-                "a factor under the normalising radical vanishes"
-            )
-        return found
+        self._radical(j)  # raises where the radicand vanishes
+        return self._pair[j]
 
     def coefficients(self) -> tuple[LambdaCoefficient, LambdaCoefficient]:
         return (self.coefficient(0), self.coefficient(1))
 
+    @derived
+    def phases(self) -> tuple[float, float]:
+        """theta_0 and theta_1, each :attr:`LambdaCoefficient.phase` of the
+        coefficient, taken from one integer division of N_j^2 by D_j."""
+        (N0, D0), (N1, D1) = self._radical(0), self._radical(1)
+        return (
+            _angle(N0 * N0 <= D0, _signed_root(_sign(N0), N0 * N0, D0)),
+            _angle(N1 * N1 <= D1, _signed_root(_sign(N1), N1 * N1, D1)),
+        )
+
     def reconstructed(self, j: int) -> float:
-        """P(B_j|C) rebuilt by the interference form of total probability:
-        the expansion sum_i P(A_i|C) P(B_j|A_i) plus the interference term
-        of lambda_j.  The expansion and the radicand are each one correctly
-        rounded integer division of the masses, the float of their
-        Fraction, so the result is bit for bit that of
-        :func:`reconstruct_total_probability`."""
+        """P(B_j|C) rebuilt as the expansion sum_i P(A_i|C) P(B_j|A_i) plus
+        the interference term of lambda_j, each quotient one integer division:
+        bit for bit :func:`reconstruct_total_probability`."""
         r0, r1 = map(sum, self.local)
         R0, R1 = map(sum, self.whole)
         W0, W1 = self.whole[0][j], self.whole[1][j]
@@ -486,14 +494,20 @@ class TwoCellTable(Record):
         """Every cell intersection A_i & B_j carries positive probability."""
         return all(w > 0 for row in self.whole for w in row)
 
-    @property
+    @derived
     def mappable(self) -> bool:
         """No squared coefficient exceeds one: the context has an amplitude."""
-        return all(k.squared <= 1 for k in self.coefficients())
+        (N0, D0), (N1, D1) = self._radical(0), self._radical(1)
+        return N0 * N0 <= D0 and N1 * N1 <= D1
 
     @derived
     def classification(self) -> Classification:
-        return Classification.of([k.squared for k in self.coefficients()])
+        return Classification.of([(N * N, D) for N, D in map(self._radical, (0, 1))])
+
+    @property
+    def nonsensitive(self) -> bool:
+        """Both disturbances vanish: N_0 = N_1 = 0."""
+        return not any(N for N, _ in self._radicals)
 
 
 def classify(

@@ -26,7 +26,7 @@ from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 from collections import Counter
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Hashable, Sequence
@@ -285,7 +285,7 @@ def sweep(q_values: Sequence[Fraction | int | str | float]) -> SweepResult:
         atlas = ContextAtlas(spec.space, a, b)
         entries = {e.context.members: e for e in atlas.entries}
         probe, witness = entries["w1", "w2", "w3"], entries["w2", "w3", "w4"]
-        theta_first, theta_second = (k.phase for k in probe.table.coefficients())
+        theta_first, theta_second = probe.table.phases
         obs = CompositeObservable.sum_of(a, b)
         gamma = float(b.values[0])
         report = MismatchReport.of(
@@ -570,26 +570,43 @@ _TEXTS: tuple[tuple[type | tuple[type, ...], Callable | None], ...] = (
 )
 
 
-#: Bundle kind -> its CSV header and the function that yields the values
-#: of each line below the header.  An analysis row is read by one key, so a
-#: :class:`Shared` row makes its row once.
-_CSV_LAYOUTS: dict[str, tuple[str, Callable[[Mapping], Iterable[Sequence]]]] = {
+def _csv_field(value: Any) -> str:
+    text = _key_str(value)
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _csv_line(values: Iterable[Any]) -> str:
+    return ",".join([_csv_field(v) for v in values]) + "\n"
+
+
+def _analysis_lines(bundle: Mapping) -> Iterator[str]:
+    """One line per (context, outcome).  The lines of a :class:`Shared` row
+    differ from those of its table's other contexts only in the context,
+    so the rest is made and formatted once per table."""
+
+    def tail(r) -> str:
+        values = (r.outcome, r.classification.value, r.delta, r.lambda_squared)
+        return "," + _csv_line(values + (r.lambda_sign, r.lambda_value, r.phase))
+
+    tails: dict[Hashable, list[str]] = {}  # None: the last unshared row
+    for row in bundle["analyses"]:
+        shared = row.__class__ is Shared
+        key = row.key if shared else None
+        if key is None or key not in tails:
+            reports = (row.make(CONTEXT) if shared else row)["per_outcome"]
+            tails[key] = [tail(r) for r in reports]
+        context = _csv_field(row.context if shared else row["context"])
+        yield from (context + text for text in tails[key])
+
+
+#: Bundle kind -> its CSV header and the function that yields each line
+#: below the header, as a string or as the values it holds.
+_CSV_LAYOUTS: dict[str, tuple[str, Callable[[Mapping], Iterable]]] = {
     "analysis": (
         "context,outcome,classification,delta,lambda_squared,lambda_sign,lambda,phase",
-        lambda bundle: (
-            (
-                r.context,
-                r.outcome,
-                r.classification.value,
-                r.delta,
-                r.lambda_squared,
-                r.lambda_sign,
-                r.lambda_value,
-                r.phase,
-            )
-            for row in bundle["analyses"]
-            for r in row["per_outcome"]
-        ),
+        _analysis_lines,
     ),
     "distribution": (
         "value,probability",
@@ -611,22 +628,15 @@ _CSV_LAYOUTS: dict[str, tuple[str, Callable[[Mapping], Iterable[Sequence]]]] = {
 }
 
 
-def _csv_field(value: Any) -> str:
-    text = _key_str(value)
-    if "," in text or '"' in text or "\n" in text:
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
 def _write_csv(
     bundle: Mapping[str, Any],
     header: str,
-    lines: Callable[[Mapping], Iterable[Sequence]],
+    lines: Callable[[Mapping], Iterable],
     write: _Out,
 ) -> None:
     write(header + "\n")
-    for values in lines(bundle):
-        write(",".join([_csv_field(v) for v in values]) + "\n")
+    for line in lines(bundle):
+        write(line if line.__class__ is str else _csv_line(line))
 
 
 def report_writer(

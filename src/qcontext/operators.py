@@ -14,11 +14,11 @@ closed-form 2x2 quadratic, not an iterative solver.
 
 A composite observable takes one value v_ij on each cell A_i & B_j, so its
 conditional law on an event C depends only on the integer masses l_ij of C
-in the four cells: the mean is sum l_ij v_ij / M, one Fraction over a common
-denominator, the variance is (T sum n x^2 - (sum n x)^2) / (T L)^2 over
-the values x scaled by their common denominator L, and the distribution
-groups the cells by value.  Reports pass the masses an atlas already holds
-(:class:`hilbert.ContextAtlas`); the functions that take an event sum them.
+in the four cells: the mean is sum l_ij v_ij / M, the variance
+(T sum n x^2 - (sum n x)^2) / (T L)^2 over the values x scaled by their
+common denominator L and the total mass T, and the distribution groups the
+cells by value.  Reports pass the masses an atlas already holds; the
+functions that take an event sum them.
 
 :meth:`CompositeObservable.operator` is the one operator builder, given the
 pair's transition matrix, which reports read from their atlas;
@@ -418,10 +418,10 @@ def _cell_masses(
     return local
 
 
-def _variance(pairs: Iterable[tuple[Fraction, int]]) -> Fraction:
-    """Variance of the values v weighted by the integer masses n, as one
-    Fraction: with x = v L the values over their common denominator L and
-    T the total mass, (T sum n x^2 - (sum n x)^2) / (T L)^2."""
+def _variance_terms(pairs: Iterable[tuple[Fraction | int, int]]) -> tuple[int, int]:
+    """The variance of the values v weighted by the integer masses n as
+    (T sum n x^2 - (sum n x)^2, (T L)^2), x, T and L as in the module
+    docstring: it is zero exactly when the first integer is."""
     pairs = list(pairs)
     scale = math.lcm(*(v.denominator for v, _ in pairs))
     total = first = second = 0
@@ -430,7 +430,7 @@ def _variance(pairs: Iterable[tuple[Fraction, int]]) -> Fraction:
         total += n
         first += n * x
         second += n * x * x
-    return Fraction(total * second - first * first, (total * scale) ** 2)
+    return total * second - first * first, (total * scale) ** 2
 
 
 def classical_mean(
@@ -576,7 +576,7 @@ def conditional_variance(
     pairs = [(values[p], masses[p]) for p in c.members]
     if not pairs:
         raise ZeroConditionError(f"{c.label()} has measure zero")
-    return _variance(pairs)
+    return Fraction(*_variance_terms(pairs))
 
 
 def dispersion(
@@ -585,21 +585,20 @@ def dispersion(
     """Exact conditional variance of the observable, from its cell masses."""
     local = _cell_masses(space, obs, c)
     values = obs.cell_values
-    return _variance(zip((*values[0], *values[1]), (*local[0], *local[1])))
+    pairs = zip((*values[0], *values[1]), (*local[0], *local[1]))
+    return Fraction(*_variance_terms(pairs))
 
 
 class DispersionFreeReport(Record):
     """Events of zero conditional variance for *every* random variable.
 
-    Point indicators separate any two points, so exactly the atoms qualify.
-    ``representable`` lists the events of the represented family (mappable
-    contexts plus the two a-cells); for an incompatible pair the intersection
-    is empty because each cell of a dichotomous pair needs two points and an
-    atom meets only one cell.
-
-    The search stays a brute force over every event of the space: each
-    event is kept only if the exact conditional variance of every point
-    indicator on it is zero, so the atoms are found, not assumed.
+    Point indicators separate any two points, so exactly the atoms qualify;
+    the search is a brute force over every event, kept only if the integer
+    variance numerator of every point indicator on it is zero, so the atoms
+    are found, not assumed.  ``representable`` lists the represented family
+    (mappable contexts plus the two a-cells); for an incompatible pair the
+    intersection is empty, as each cell of a dichotomous pair needs two
+    points and an atom meets only one cell.
     """
 
     dispersion_free: tuple[Event, ...]
@@ -615,14 +614,15 @@ def dispersion_free_search(
 ) -> DispersionFreeReport:
     """Brute force over every event; the represented family comes from
     ``atlas``, built for the pair when not given."""
-    indicators = [
-        {p: Fraction(1 if p == q else 0) for p in space.points}
-        for q in space.points
-    ]
+    indicators = [{p: int(p == q) for p in space.points} for q in space.points]
+    masses = space._masses
     free = [
         evt
         for evt in all_events(space)
-        if all(conditional_variance(space, ind, evt) == 0 for ind in indicators)
+        if all(
+            _variance_terms([(ind[p], masses[p]) for p in evt.members])[0] == 0
+            for ind in indicators
+        )
     ]
     free.sort(key=lambda e: (len(e.members), e.members))
     if atlas is None:

@@ -12,7 +12,9 @@ table equal to the Event-level ``reconstruct_total_probability`` (bit for
 bit) and ``delta_outcome_sum``, and composite means, distributions and
 dispersions equal to plain Fraction sums over the points.  Contexts with
 equal local masses share one table and one amplitude, which must equal
-what a table of their own gives.
+what a table of their own gives.  Only ``analyze`` builds coefficient
+records from its tables (at most two per table); every other report decides
+and takes its floats from the tables' integers.
 """
 
 import cmath
@@ -30,8 +32,11 @@ from qcontext.errors import NotAContextError, NotTrigonometricError
 from qcontext.hilbert import (
     SIGNS,
     ContextAtlas,
+    ImageSet,
+    StateVector,
     _amplitude,
     amplitude,
+    group_states,
     image_set,
     mappable_contexts,
     nonsensitive_contexts,
@@ -53,6 +58,7 @@ from qcontext.operators import (
     mean_preservation_gap,
 )
 from qcontext.prob import Event, contexts_of
+from qcontext.record import derived
 from qcontext.verify import born_in_a_basis_check
 from randmodels import (
     _assemble,
@@ -398,3 +404,106 @@ def test_mean_preservation_gap_sums_the_whole_space_once(whole_space_sums):
     f, g = ({v: v * v for v in x.values} for x in (a, b))
     assert mean_preservation_gap(spec.space, a, b, f, g) < 1e-10
     assert calls.count(True) == 1
+
+
+# ---------------------------------- coefficient records and shared states
+
+
+def _coefficient_counts(monkeypatch):
+    """Lists that grow with every coefficient record built, and with every
+    one a two-cell table builds."""
+    built, by_tables = [], []
+    init = interference.LambdaCoefficient.__init__
+    pair = TwoCellTable.__dict__["_pair"]
+
+    def counted_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    def counted_pair(table):
+        found = pair.method(table)
+        by_tables.extend(k for k in found if k is not None)
+        return found
+
+    kept = derived(counted_pair)
+    kept.__set_name__(TwoCellTable, "_pair")
+    monkeypatch.setattr(interference.LambdaCoefficient, "__init__", counted_init)
+    monkeypatch.setattr(TwoCellTable, "_pair", kept)
+    return built, by_tables
+
+
+@pytest.mark.parametrize("model", ["--kq 1/4", "shared_tables.json"])
+@pytest.mark.parametrize(
+    "command",
+    ["analyze", "represent", "operators", "compare-dist", "dispersion-free", "verify"],
+)
+def test_only_analyze_builds_coefficient_records_from_tables(
+    capsys, monkeypatch, command, model
+):
+    if model.startswith("--"):
+        argv, spec = [command, *model.split()], kq_model(model.split()[1])
+    else:
+        argv = [command, "--model", str(DATA / model)]
+        spec = parse_model((DATA / model).read_text(encoding="utf-8"))
+    atlas = ContextAtlas(spec.space, spec.variables["a"], spec.variables["b"])
+    tables = {e.table.local for e in atlas.entries}
+    built, by_tables = _coefficient_counts(monkeypatch)
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    if command == "analyze":
+        assert 0 < len(by_tables) <= 2 * len(tables)
+    else:
+        assert by_tables == []
+    # Only verify's Event-level reference objects build records of their own.
+    assert (len(built) > len(by_tables)) == (command == "verify")
+
+
+def _parsed(text):
+    spec = parse_model(text)
+    return spec.space, spec.variables["a"], spec.variables["b"]
+
+
+def _ds10():
+    from test_report_bytes import _doubly_stochastic, _first, _shape_10
+
+    return _parsed(_first(_doubly_stochastic, _shape_10))  # 289 tables
+
+
+SHARED_MODELS = {
+    "shared_tables": lambda: _parsed(
+        (DATA / "shared_tables.json").read_text(encoding="utf-8")
+    ),
+    "equal_atoms": lambda: EQUAL_ATOMS,
+    "ds10": _ds10,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHARED_MODELS))
+def test_shared_states_give_the_image_set_of_their_copies(name):
+    space, a, b = SHARED_MODELS[name]()
+    atlas = ContextAtlas(space, a, b)
+    entries = atlas.represented_states()
+    states = [state for _, state in entries]
+    assert len({id(state) for state in states}) < len(states)
+    # Copies are distinct objects, so each is compared with the leaders.
+    copies = group_states([StateVector(state.components) for state in states])
+    groups = tuple(tuple(entries[i][0] for i in group) for group in copies)
+    assert atlas.image_set() == ImageSet(entries=entries, groups=groups)
+
+
+def test_a_repeated_state_with_a_nan_component_is_close_to_nothing():
+    odd = StateVector((1 + 0j, complex(math.nan, 0.0)))
+    fine = StateVector((1 + 0j, 0j))
+    assert group_states([odd, fine, odd, fine]) == ((0,), (1, 3), (2,))
+
+
+def test_every_atlas_state_is_finite():
+    # group_states and verify's equal_marginals_equal_states compare a
+    # repeated state object with itself by identity; that needs finite
+    # components, which a modulus of at most 2 gives.
+    for space, a, b in [*MODELS, EQUAL_ATOMS]:
+        atlas = ContextAtlas(space, a, b)
+        if not atlas.omega.incompatible:
+            continue
+        for e in atlas.represented:
+            assert all(cmath.isfinite(z) and abs(z) <= 2 for z in e.state.components)

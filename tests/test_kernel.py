@@ -13,16 +13,20 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qcontext import interference, prob, verify
 from qcontext.errors import (
     DegenerateRadicalError,
+    FloatRangeError,
     ForeignPointError,
     NotAContextError,
     ZeroConditionError,
 )
 from qcontext.hilbert import ContextAtlas
 from qcontext.interference import (
+    Classification,
     LambdaCoefficient,
     TwoCellTable,
     classical_part,
@@ -32,6 +36,7 @@ from qcontext.interference import (
     pairwise_delta,
     reconstruct_total_probability,
 )
+from qcontext.model_io import kq_model
 from qcontext.operators import (
     CompositeObservable,
     classical_distribution,
@@ -504,3 +509,100 @@ def test_verify_builds_one_reference_object_per_context_and_outcome(monkeypatch)
     # Two more, one per b-cell, come from verify.cell_duality_check.
     assert 0 < len(built) <= 2 * contexts + 2
     assert 0 < len(calls) <= 2 * contexts + 2 * mappable
+
+
+# ------------------------- the table's integer kernel against the records
+
+
+def _records(table):
+    """Both coefficients as :meth:`LambdaCoefficient.of` builds them from
+    the masses, None where the radicand vanishes."""
+    (l00, l01), (l10, l11) = table.local
+    (W00, W01), (W10, W11) = table.whole
+    r0, r1, R0, R1 = l00 + l01, l10 + l11, W00 + W01, W10 + W11
+    records = []
+    for l0, l1, w0, w1 in ((l00, l10, W00, W10), (l01, l11, W01, W11)):
+        share = (l0 + l1) * R0 * R1 - r0 * w0 * R1 - r1 * w1 * R0
+        try:
+            records.append(LambdaCoefficient.of(share, R0 * R1 * r0 * r1 * w0 * w1))
+        except DegenerateRadicalError:
+            records.append(None)
+    return records
+
+
+def _textbook_class(squares):
+    if all(s < 1 for s in squares):
+        return Classification.TRIGONOMETRIC
+    if all(s > 1 for s in squares):
+        return Classification.HYPERBOLIC
+    return Classification.BOUNDARY if 1 in squares else Classification.MIXED
+
+
+def _check_kernel(table):
+    records = _records(table)
+    for j, record in enumerate(records):
+        if record is None:
+            with pytest.raises(DegenerateRadicalError):
+                table.coefficient(j)
+        else:
+            assert table.coefficient(j) == record
+    if None in records:
+        for read in ("mappable", "classification", "phases"):
+            with pytest.raises(DegenerateRadicalError):
+                getattr(table, read)
+        return
+    squares = [k.squared for k in records]
+    assert table.mappable == all(s <= 1 for s in squares)
+    assert table.classification is _textbook_class(squares)
+    assert table.nonsensitive == (squares == [0, 0])
+    for (N, D), record in zip(table._radicals, records):
+        sign = (N > 0) - (N < 0)
+        try:
+            value = record.value
+        except FloatRangeError:
+            with pytest.raises(FloatRangeError):
+                interference._signed_root(sign, N * N, D)
+        else:
+            assert interference._signed_root(sign, N * N, D) == value
+    try:
+        phases = tuple(k.phase for k in records)
+    except FloatRangeError:
+        for _ in range(2):
+            with pytest.raises(FloatRangeError):
+                table.phases  # noqa: B018
+    else:
+        assert table.phases == phases
+        assert not table.mappable or all(0.0 <= t <= math.pi for t in phases)
+
+
+MASSES = st.one_of(
+    st.integers(0, 12),
+    st.integers(1, 10**6),
+    st.builds(lambda m, e: m * 10**e, st.integers(1, 9), st.integers(100, 330)),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.tuples(*[MASSES] * 8))
+@example((10**320, 1, 1, 1, 1, 1, 1, 1))  # squared coefficients beyond floats
+@example((1, 1, 10**160, 1, 1, 10**160, 10**320, 1))  # a subnormal square
+@example((1, 0, 3, 0, 1, 3, 3, 1))  # a b-cell of --kq 1/8: both squares are 1
+@example((0, 0, 1, 1, 1, 1, 1, 1))  # r_0 = 0: both radicands vanish
+@example((1, 1, 1, 1, 0, 2, 3, 4))  # W_00 W_10 = 0: only the first vanishes
+def test_table_kernel_equals_the_coefficient_records(masses):
+    l00, l01, l10, l11, W00, W01, W10, W11 = masses
+    _check_kernel(TwoCellTable(((l00, l01), (l10, l11)), ((W00, W01), (W10, W11))))
+
+
+@pytest.mark.parametrize("q", ["1/8", "1/4", "3/8"])
+def test_table_kernel_puts_the_cells_on_the_boundary(q):
+    # The b-cells of a doubly stochastic pair whose reverse matrix is doubly
+    # stochastic too have both squared coefficients exactly 1: a comparison
+    # that is off at equality reads them as hyperbolic.
+    spec = kq_model(q)
+    space, a, b = spec.space, spec.variables["a"], spec.variables["b"]
+    atlas = ContextAtlas(space, a, b, b.partition(space).cells)
+    for e in atlas.entries:
+        _check_kernel(e.table)
+        assert e.table.classification is Classification.BOUNDARY
+        assert e.table.mappable and e.state is not None

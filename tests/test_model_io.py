@@ -666,6 +666,24 @@ def test_each_shared_row_is_rendered_once_per_distinct_table(
     assert len(states) == len({e.table.local for e in atlas.represented}) + 2
 
 
+def test_csv_analysis_makes_one_analysis_per_distinct_table(capsys, monkeypatch):
+    spec = parse_model(Path(SHARED).read_text(encoding="utf-8"))
+    atlas = ContextAtlas(spec.space, spec.variables["a"], spec.variables["b"])
+    tables = {e.table.local for e in atlas.entries}
+    assert len(tables) < len(atlas.entries)
+    analyses = []
+    of = interference.ContextAnalysis.of.__func__
+    monkeypatch.setattr(
+        interference.ContextAnalysis,
+        "of",
+        classmethod(lambda cls, *args: analyses.append(1) or of(cls, *args)),
+    )
+    assert cli.main(["analyze", "--format", "csv", "--model", SHARED]) == 0
+    assert len(analyses) == len(tables)
+    plain = _plain(_bundle("analyze", "--model", SHARED))  # one per context
+    assert capsys.readouterr().out == emit_report(plain, "csv")
+
+
 @pytest.mark.parametrize("q", ["1/4", "1e-4200"])
 def test_writer_equals_the_two_step_form_on_model_documents(q):
     doc = model_document(kq_model(q))
