@@ -104,10 +104,10 @@ class _CellMasses:
     wrappers over one; ``verify`` builds one per context and outcome
     (:func:`outcome_masses`) and reads every per-context check from it.
 
-    ``total`` is M, the mass of C; :meth:`cell` gives (R_n, r_n, W_n, l_n),
-    the masses of A_n, A_n & C, B & A_n and B & A_n & C, summed once when a
-    formula first needs it, so a foreign point surfaces at the same step as
-    in the conditional-probability definitions."""
+    ``total`` is M, the mass of C, and ``cells[n]`` is (R_n, r_n, W_n, l_n),
+    the masses of A_n, A_n & C, B & A_n and B & A_n & C, all summed over the
+    points once, here; every cell is validated, so a foreign point in any
+    cell raises :class:`ForeignPointError` whatever a formula reads."""
 
     def __init__(
         self,
@@ -116,39 +116,27 @@ class _CellMasses:
         partition: Partition,
         c: Event,
     ) -> None:
-        self._space = space
-        self._cells = partition.cells
-        self._b = set(b_outcome.members)
-        self._c = set(c.members)
-        self._found: dict[int, tuple[int, int, int, int]] = {}
-        self._coefficients: dict[tuple[int, int], LambdaCoefficient] = {}
-        masses = space._masses
+        masses, b, inside = space._masses, set(b_outcome.members), set(c.members)
         self.total = sum(masses[p] for p in c.members)
-
-    def cell(self, n: int) -> tuple[int, int, int, int]:
-        found = self._found.get(n)
-        if found is None:
-            cell = self._cells[n]
-            self._space.validate_event(cell)
-            masses, b, c = self._space._masses, self._b, self._c
+        cells = []
+        for cell in partition.cells:
+            space.validate_event(cell)
             whole = local = b_whole = b_local = 0
             for p in cell.members:
                 mass = masses[p]
                 whole += mass
-                if p in c:
+                if p in inside:
                     local += mass
                 if p in b:
                     b_whole += mass
-                    if p in c:
+                    if p in inside:
                         b_local += mass
-            found = self._found[n] = (whole, local, b_whole, b_local)
-        return found
-
-    def cells(self) -> list[tuple[int, int, int, int]]:
-        return [self.cell(n) for n in range(len(self._cells))]
+            cells.append((whole, local, b_whole, b_local))
+        self.cells = tuple(cells)
+        self._coefficients: dict[tuple[int, int], LambdaCoefficient] = {}
 
     def pairs(self) -> list[tuple[int, int]]:
-        k = len(self._cells)
+        k = len(self.cells)
         return [(n, m) for n in range(k) for m in range(n + 1, k)]
 
     def over_cells(self, terms: Sequence[tuple[int, int]]) -> int:
@@ -157,30 +145,30 @@ class _CellMasses:
         return sum(x * (common // R) for x, R in terms)
 
     def denominator(self) -> int:
-        return self.total * math.prod(R for R, _, _, _ in self.cells())
+        return self.total * math.prod(R for R, _, _, _ in self.cells)
 
     def expansion(self) -> Fraction:
         """sum_n P(A_n|C) P(B|A_n) = sum_n r_n W_n / (M R_n)."""
-        numerator = self.over_cells([(r * W, R) for R, r, W, _ in self.cells()])
+        numerator = self.over_cells([(r * W, R) for R, r, W, _ in self.cells])
         return Fraction(numerator, self.denominator())
 
     def delta(self) -> int:
         """sum_n P(A_n|C) (P(B|A_n & C) - P(B|A_n))
         = sum_n (l_n R_n - r_n W_n) / (M R_n), times :meth:`denominator`."""
-        return self.over_cells([(l * R - r * W, R) for R, r, W, l in self.cells()])
+        return self.over_cells([(l * R - r * W, R) for R, r, W, l in self.cells])
 
     def share(self, n: int, m: int) -> int:
         """N, the pairwise share (n, m) times (k - 1) M R_n R_m."""
-        Rn, rn, Wn, ln = self.cell(n)
-        Rm, rm, Wm, lm = self.cell(m)
+        Rn, rn, Wn, ln = self.cells[n]
+        Rm, rm, Wm, lm = self.cells[m]
         return (ln * Rn - rn * Wn) * Rm + (lm * Rm - rm * Wm) * Rn
 
     def coefficient(self, n: int, m: int) -> LambdaCoefficient:
         found = self._coefficients.get((n, m))
         if found is None:
-            Rn, rn, Wn, _ = self.cell(n)
-            Rm, rm, Wm, _ = self.cell(m)
-            scale = (len(self._cells) - 1) ** 2 * Rn * Rm
+            Rn, rn, Wn, _ = self.cells[n]
+            Rm, rm, Wm, _ = self.cells[m]
+            scale = (len(self.cells) - 1) ** 2 * Rn * Rm
             found = self._coefficients[n, m] = LambdaCoefficient.of(
                 self.share(n, m), scale * rn * rm * Wn * Wm
             )
@@ -189,8 +177,8 @@ class _CellMasses:
     def radicand(self, n: int, m: int) -> float:
         """P(A_n|C) P(B|A_n) P(A_m|C) P(B|A_m) = r_n W_n r_m W_m / (M^2 R_n R_m),
         as one correctly rounded division, which is the float of that Fraction."""
-        Rn, rn, Wn, _ = self.cell(n)
-        Rm, rm, Wm, _ = self.cell(m)
+        Rn, rn, Wn, _ = self.cells[n]
+        Rm, rm, Wm, _ = self.cells[m]
         return (rn * Wn * rm * Wm) / (self.total**2 * Rn * Rm)
 
     def reconstructed(self) -> float:
@@ -274,8 +262,8 @@ def pairwise_delta(
     the shares of all pairs n < m sum to :func:`delta` exactly, as each cell
     term is divided by (k - 1), the number of pairs a cell is in."""
     masses = _masses(space, b_outcome, partition, c, (n, m))
-    scale = (len(partition) - 1) * masses.total * masses.cell(n)[0]
-    return Fraction(masses.share(n, m), scale * masses.cell(m)[0])
+    scale = (len(partition) - 1) * masses.total * masses.cells[n][0]
+    return Fraction(masses.share(n, m), scale * masses.cells[m][0])
 
 
 class LambdaCoefficient(Record):

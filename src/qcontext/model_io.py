@@ -375,8 +375,9 @@ def write_json(obj: Any, write: _Out) -> None:
     state: its components), sets sorted lists, and mapping keys strings
     (of two keys that read alike, the later value stays).  Objects are
     written with sorted keys, containers with a two-space indent, strings
-    as ``json.dumps(ensure_ascii=False)`` writes them, and the text ends in
-    one newline.  A :class:`Shared` row is written as the row it reads as.
+    as ``json.dumps(ensure_ascii=False)`` writes them, U+0000 escaped, so
+    the text holds no NUL; it ends in one newline.  A :class:`Shared` row
+    is written as the row it reads as.
     """
     _write(obj, write, "\n", 2, "")
     write("\n")
@@ -385,14 +386,8 @@ def write_json(obj: Any, write: _Out) -> None:
 def _write(obj: Any, write: _Out, newline: str, depth: int, lead: str) -> None:
     """Hand ``lead`` and the text of ``obj`` to ``write``: whole at depth
     0, else a nonempty array, mapping or record one member at a time at
-    ``depth - 1``, and at every level below for a negative depth.  A
-    :class:`Slot` is handed over as (slot, newline) after its lead.
-    ``newline`` is a line break followed by the indent of the line ``obj``
-    starts on."""
-    if obj.__class__ is Slot:
-        write(lead)
-        write((obj, newline))
-        return
+    ``depth - 1``.  ``newline`` is a line break followed by the indent of
+    the line ``obj`` starts on."""
     text = _text_of[type(obj)]
     if depth and text is _mapping_text and obj:
         brackets, pairs = "{}", [(_key_prefix(k), v) for k, v in _fields(obj)]
@@ -433,7 +428,7 @@ class Shared(Mapping):
     slots in the places of the context.  The writer renders that row once
     per table and indent into ``texts``, a dict the rows of one list share,
     keyed by the table's raw local masses ``key`` and the indent, and fills
-    in each slot as it would render the context's own value there."""
+    in each place of a slot as it would render the context's own value."""
 
     __slots__ = ("context", "key", "make", "texts")
 
@@ -459,28 +454,29 @@ def _shared_text(row: Shared, newline: str) -> str:
     if key not in row.texts:
         row.texts[key] = _cut(row.make(CONTEXT), newline)
     parts, slots = row.texts[key]
-    parts = parts.copy()
-    for slot, inner, places in slots:
-        text = _text(slot.of(row.context), inner)
-        for i in places:
-            parts[i] = text
-    return "".join(parts)
+    filled = [parts[0]]
+    for (slot, inner), part in zip(slots, parts[1:]):
+        filled += (_text(slot.of(row.context), inner), part)
+    return "".join(filled)
 
 
-def _cut(obj: Any, newline: str) -> tuple[list[str], list[tuple[Slot, str, list]]]:
-    """The text of ``obj`` cut at its slots: the pieces between them, with
-    an empty piece in the place of each slot, and each slot with a newline
-    it sits after and the places where it sits after that newline."""
-    pieces: list = []
-    _write(obj, pieces.append, newline, -1, "")
-    parts, places = [""], {}
-    for piece in pieces:
-        if piece.__class__ is str:
-            parts[-1] += piece
-        else:
-            places.setdefault(piece, []).append(len(parts))
-            parts += ["", ""]
-    return parts, [(*slot, at) for slot, at in places.items()]
+#: (slot, newline) of each slot rendered since :func:`_cut` last cleared it.
+_slots: list[tuple[Slot, str]] = []
+
+
+def _slot_text(slot: Slot, newline: str) -> str:
+    """A NUL marks the slot's place; no other text of the writer holds one,
+    as ``encode_basestring`` escapes U+0000 in every string."""
+    _slots.append((slot, newline))
+    return "\0"
+
+
+def _cut(obj: Any, newline: str) -> tuple[list[str], list[tuple[Slot, str]]]:
+    """The text of ``obj`` cut at its slots: the pieces between them, and
+    each slot, in order, with the newline of the line it sits on."""
+    _slots.clear()
+    parts = _text(obj, newline).split("\0")
+    return parts, _slots.copy()
 
 
 class _TextOf(dict):
@@ -564,6 +560,7 @@ _TEXTS: tuple[tuple[type | tuple[type, ...], Callable | None], ...] = (
     (Enum, lambda obj, newline: _text(obj.value, newline)),
     (Record, None),  # per class: _record_text
     (Shared, _shared_text),
+    (Slot, _slot_text),
     (Mapping, _mapping_text),
     ((list, tuple), _array_text),
     ((set, frozenset), lambda obj, newline: _array_text(sorted(obj), newline)),

@@ -13,7 +13,7 @@ pinned tolerances ``hilbert.STATE_TOL`` = 1e-12 (amplitude level) and
 
 :func:`unitarity_check`, :func:`born_in_a_basis_check`,
 :func:`phase_gap_constancy_check` and :func:`cell_duality_check` test the
-pair geometry of :mod:`hilbert`; ``qcontext`` exports them.
+pair geometry of :mod:`hilbert`, read from atlases; ``qcontext`` exports them.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Sequence
 
 from . import hilbert, interference, operators
 from .errors import NotDoubleStochasticError
-from .hilbert import STATE_TOL, is_double_stochastic, transition_matrix
+from .hilbert import STATE_TOL, is_double_stochastic
 from .model_io import format_float
 from .prob import (
     MAX_ENUMERATION_POINTS,
@@ -68,8 +68,9 @@ def unitarity_check(
 ) -> tuple[bool, bool]:
     """(basis change is unitary within ``STATE_TOL``, transition matrix is
     exactly doubly stochastic); the two agree for every incompatible pair."""
-    unitary = _gram_error(hilbert.context_basis(space, a_var, b_var).e_a) <= STATE_TOL
-    return unitary, is_double_stochastic(transition_matrix(space, a_var, b_var))
+    atlas = hilbert.ContextAtlas(space, a_var, b_var)
+    ds = is_double_stochastic(atlas.transition)  # NotAContextError comes first
+    return _gram_error(hilbert._basis(atlas.omega).e_a) <= STATE_TOL, ds
 
 
 class BornRow(Record):
@@ -107,8 +108,9 @@ def born_in_a_basis_check(
     The rows agree within tolerance exactly when the transition matrix is
     doubly stochastic; failures are reported, never raised.
     """
-    basis = hilbert.context_basis(space, a_var, b_var)
     atlas = hilbert.ContextAtlas(space, a_var, b_var, contexts)
+    atlas.transition  # where a takes one value: NotAContextError comes first
+    basis = hilbert._basis(atlas.omega)
     if contexts is not None:
         atlas.amplitudes()  # every listed context needs an amplitude
     return _born_rows(atlas, basis)
@@ -146,7 +148,6 @@ def cell_duality_check(
             "the duality check presumes a doubly stochastic forward matrix"
         )
     a_part, b_part = a_var.partition(space), b_var.partition(space)
-    reverse_ds = is_double_stochastic(transition_matrix(space, b_var, a_var))
     cells_mappable = closed_form_ok = True
     for i, b_cell in enumerate(b_part.cells):
         table = interference.TwoCellTable.of(
@@ -162,7 +163,8 @@ def cell_duality_check(
         squared = (m[0] + m[1]) ** 2 / (4 * m[0] * m[1])
         if direct.sign != -1 or direct.squared != squared:
             closed_form_ok = False
-    return closed_form_ok and (cells_mappable == reverse_ds)
+    reverse = hilbert.ContextAtlas(space, b_var, a_var).transition
+    return closed_form_ok and cells_mappable == is_double_stochastic(reverse)
 
 
 def mean_gap(
@@ -199,15 +201,14 @@ def run_checks(
     if not variables_incompatible(space, a_var, b_var):
         raise ValueError("verification requires an incompatible variable pair")
 
-    a_part = a_var.partition(space)
-    b_part = b_var.partition(space)
+    a_part, b_part = a_var.partition(space), b_var.partition(space)
     if atlas is None:
         atlas = hilbert.ContextAtlas(space, a_var, b_var)
     count = len(atlas.contexts)
     mappable = atlas.mappable
     trans = atlas.transition
     forward_ds = is_double_stochastic(trans)
-    reverse = transition_matrix(space, b_var, a_var)
+    reverse = hilbert.ContextAtlas(space, b_var, a_var).transition
     reverse_ds = is_double_stochastic(reverse)
     results: list[CheckResult] = []
 
@@ -381,8 +382,7 @@ def run_checks(
                 outcomes = interference.outcome_masses(space, a_part, b_part, ci)
                 for j, m in enumerate(outcomes):
                     coeff = m.coefficient(0, 1)
-                    if coeff.squared != 1 or coeff.sign != (1 if i == j else -1):
-                        ok = False
+                    ok &= coeff.squared == 1 and coeff.sign == (1 if i == j else -1)
             check(
                 "boundary_coefficients_on_cells",
                 ok,

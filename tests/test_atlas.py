@@ -27,7 +27,7 @@ from pathlib import Path
 
 import pytest
 
-from qcontext import cli, interference
+from qcontext import cli, interference, verify
 from qcontext.errors import NotAContextError, NotTrigonometricError
 from qcontext.hilbert import (
     SIGNS,
@@ -395,6 +395,26 @@ def test_only_verify_builds_event_level_objects(capsys, monkeypatch, command):
     assert cli.main(argv if argv[0] == "sweep" else [*argv, "--kq", "1/4"]) == 0
     capsys.readouterr()
     assert bool(built) == (command == "verify")
+
+
+# Whole-space sums of each geometry check on --kq 1/4: one per atlas, as
+# each reads its raw basis and transition matrices from atlases; the
+# duality check reads the pair in both orders.
+GEOMETRY_SUMS = {
+    "unitarity_check": 1,
+    "born_in_a_basis_check": 1,
+    "phase_gap_constancy_check": 1,
+    "cell_duality_check": 2,
+}
+
+
+@pytest.mark.parametrize("name", list(GEOMETRY_SUMS))
+def test_a_geometry_check_sums_the_whole_space_once_per_atlas(whole_space_sums, name):
+    spec = kq_model("1/4")
+    a, b = spec.variables["a"], spec.variables["b"]
+    calls = whole_space_sums()
+    assert getattr(verify, name)(spec.space, a, b)
+    assert calls.count(True) == GEOMETRY_SUMS[name]
 
 
 def test_mean_preservation_gap_sums_the_whole_space_once(whole_space_sums):

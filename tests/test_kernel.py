@@ -379,6 +379,17 @@ def test_disturbance_error_paths():
         with pytest.raises(ForeignPointError, match="'zz'"):
             call()
 
+    # Three cells, the foreign point in the one that pair (0, 1) does not
+    # read: every cell is validated all the same.
+    first, *rest = a_part.cells[1].members
+    third = Partition((a_part.cells[0], Event([first]), Event([*rest, "zz"])))
+    for call in (
+        lambda: pairwise_delta(space, outcome, third, c, 0, 1),
+        lambda: lambda_coefficient(space, outcome, third, c, 0, 1),
+    ):
+        with pytest.raises(ForeignPointError, match="'zz'"):
+            call()
+
     # A non-context comes first, before a bad cell pair or a foreign point.
     for n, m in ((0, 0), (0, 2), (-1, 1)):
         with pytest.raises(NotAContextError):

@@ -486,6 +486,9 @@ HYPERBOLIC = str(DATA / "hyperbolic_witness.json")
 # need escaping: a quote, a backslash, a newline, a control character, a
 # tab and non-ASCII text.
 SHARED = str(DATA / "shared_tables.json")
+# The same model with the id "日本" renamed "日\x00本": the writer marks a
+# slot of a shared row with a NUL, which no text it writes may hold.
+SHARED_NUL = str(DATA / "shared_tables_nul.json")
 SHARED_CONTEXT = "ctl\x01,line\nbreak,ünï"
 BUNDLES = {
     "analysis": ("analyze", "--kq", "1/4"),
@@ -509,6 +512,7 @@ BUNDLES = {
     "shared-distribution-context": (
         "compare-dist", "--model", SHARED, "--context", SHARED_CONTEXT
     ),
+    "shared-nul-analysis": ("analyze", "--model", SHARED_NUL),
 }
 
 
