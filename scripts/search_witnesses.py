@@ -18,7 +18,7 @@ import random
 import sys
 from fractions import Fraction
 
-from qcontext.hilbert import is_double_stochastic, transition_matrix
+from qcontext.hilbert import ContextAtlas, is_double_stochastic
 from qcontext.interference import Classification, classify
 from qcontext.model_io import ModelSpec, serialize_model
 from qcontext.prob import (
@@ -65,9 +65,10 @@ def find_hyperbolic(rng: random.Random):
 def find_born_failure(rng: random.Random, margin: float = 1e-2):
     while True:
         space, a, b = random_model(rng)
-        if is_double_stochastic(transition_matrix(space, a, b)):
+        atlas = ContextAtlas(space, a, b)
+        if is_double_stochastic(atlas.transition):
             continue
-        rows = born_in_a_basis_check(space, a, b)
+        rows = born_in_a_basis_check(atlas)
         worst = max(row.error for row in rows)
         if worst > margin:
             return space, a, b, worst

@@ -746,16 +746,15 @@ def _analysis_bundle(atlas: ContextAtlas, args) -> dict:
     b_values = atlas.b_var.values
 
     def row_of(table, state) -> Callable:
-        checks = {
-            "disturbance_sum": table.delta(0) + table.delta(1),
-            "reconstruction_error": max(
-                abs(table.reconstructed(j) - float(table.b_given_c[j]))
-                for j in (0, 1)
-            ),
-        }
-
         def row(c) -> dict:
             analysis = ContextAnalysis.of(c, table, b_values)
+            checks = {
+                "disturbance_sum": sum(r.delta for r in analysis.outcomes),
+                "reconstruction_error": max(
+                    abs(table.reconstructed(j) - float(table.b_given_c[j]))
+                    for j in (0, 1)
+                ),
+            }
             return {
                 "context": c,
                 "classification": analysis.classification,

@@ -624,7 +624,6 @@ def dispersion_free_search(
             for ind in indicators
         )
     ]
-    free.sort(key=lambda e: (len(e.members), e.members))
     if atlas is None:
         atlas = ContextAtlas(space, a_var, b_var)
     represented = [e.context for e in atlas.represented]

@@ -336,8 +336,8 @@ def require_enumerable(space: FiniteProbabilitySpace) -> None:
 
 
 def all_events(space: FiniteProbabilitySpace) -> Iterator[Event]:
-    """Every nonempty subset of the space, smallest first.  Capped at
-    :data:`MAX_ENUMERATION_POINTS` points."""
+    """Every nonempty subset of the space, sorted by (size, members).
+    Capped at :data:`MAX_ENUMERATION_POINTS` points."""
     require_enumerable(space)
     ordered = sorted(space.points)
     for size in range(1, len(ordered) + 1):
@@ -349,12 +349,8 @@ def contexts_of(
     space: FiniteProbabilitySpace, partition: Partition
 ) -> tuple[Event, ...]:
     """All events that are contexts with respect to ``partition``, sorted by
-    (size, members)."""
-    found = [
-        evt for evt in all_events(space) if is_context(space, evt, partition)
-    ]
-    found.sort(key=lambda e: (len(e.members), e.members))
-    return tuple(found)
+    (size, members) as :func:`all_events` yields them."""
+    return tuple(evt for evt in all_events(space) if is_context(space, evt, partition))
 
 
 class CoverOverlapReport(Record):

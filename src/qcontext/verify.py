@@ -1,5 +1,5 @@
-"""Registered consistency checks run by the ``verify`` CLI subcommand, and
-the four checks of the pair's two-basis geometry that only they need.
+"""Registered consistency checks run by the ``verify`` CLI subcommand, four
+of them the exported checks of the pair's two-basis geometry.
 
 Every check is a universal statement about one model and one incompatible
 variable pair; checks whose hypotheses the model does not satisfy (for
@@ -13,7 +13,9 @@ pinned tolerances ``hilbert.STATE_TOL`` = 1e-12 (amplitude level) and
 
 :func:`unitarity_check`, :func:`born_in_a_basis_check`,
 :func:`phase_gap_constancy_check` and :func:`cell_duality_check` test the
-pair geometry of :mod:`hilbert`, read from atlases; ``qcontext`` exports them.
+pair geometry of :mod:`hilbert` on atlases; :func:`run_checks` calls them
+with its own atlas and the atlas of the reversed pair, and ``qcontext``
+exports them.
 """
 
 from __future__ import annotations
@@ -61,16 +63,21 @@ def _gram_error(vectors: Sequence[hilbert.StateVector]) -> float:
     )
 
 
-def unitarity_check(
-    space: FiniteProbabilitySpace,
-    a_var: DichotomousVariable,
-    b_var: DichotomousVariable,
-) -> tuple[bool, bool]:
+def _raw_basis(atlas: hilbert.ContextAtlas) -> hilbert.BasisPair:
+    """The a-basis read off the whole space of ``atlas``; raises
+    :class:`NotAContextError` where a takes one value, ValueError where b does."""
+    atlas.transition  # where a takes one value: NotAContextError comes first
+    if not atlas.omega.incompatible:
+        raise ValueError("context enumeration requires an incompatible pair")
+    return hilbert._basis(atlas.omega)
+
+
+def unitarity_check(atlas: hilbert.ContextAtlas) -> tuple[bool, bool]:
     """(basis change is unitary within ``STATE_TOL``, transition matrix is
-    exactly doubly stochastic); the two agree for every incompatible pair."""
-    atlas = hilbert.ContextAtlas(space, a_var, b_var)
-    ds = is_double_stochastic(atlas.transition)  # NotAContextError comes first
-    return _gram_error(hilbert._basis(atlas.omega).e_a) <= STATE_TOL, ds
+    exactly doubly stochastic) for the pair of ``atlas``; the two agree for
+    every incompatible pair."""
+    unitary = _gram_error(_raw_basis(atlas).e_a) <= STATE_TOL
+    return unitary, is_double_stochastic(atlas.transition)
 
 
 class BornRow(Record):
@@ -84,87 +91,64 @@ class BornRow(Record):
         return abs(self.projected - float(self.expected))
 
 
-def _born_rows(
-    atlas: hilbert.ContextAtlas, basis: hilbert.BasisPair
-) -> tuple[BornRow, ...]:
-    """Squared projections of every mappable amplitude of ``atlas`` onto
-    ``basis``, against the exact P(a_j|C)."""
-    return tuple(
-        BornRow(e.context, a_j, abs(e.state.inner(v)) ** 2, e.table.a_given_c[j])
-        for e in atlas.mappable
-        for j, (a_j, v) in enumerate(zip(atlas.a_var.values, basis.e_a))
-    )
-
-
-def born_in_a_basis_check(
-    space: FiniteProbabilitySpace,
-    a_var: DichotomousVariable,
-    b_var: DichotomousVariable,
-    contexts: Sequence[Event] | None = None,
-) -> tuple[BornRow, ...]:
-    """Squared projections onto the a-basis read off the whole space,
-    compared against the direct conditional probabilities of a.
+def born_in_a_basis_check(atlas: hilbert.ContextAtlas) -> tuple[BornRow, ...]:
+    """Squared projections of every mappable amplitude of ``atlas`` onto the
+    a-basis read off the whole space, against the exact P(a_j|C).
 
     The rows agree within tolerance exactly when the transition matrix is
     doubly stochastic; failures are reported, never raised.
     """
-    atlas = hilbert.ContextAtlas(space, a_var, b_var, contexts)
-    atlas.transition  # where a takes one value: NotAContextError comes first
-    basis = hilbert._basis(atlas.omega)
-    if contexts is not None:
-        atlas.amplitudes()  # every listed context needs an amplitude
-    return _born_rows(atlas, basis)
+    e_a = _raw_basis(atlas).e_a
+    return tuple(
+        BornRow(e.context, a_j, abs(e.state.inner(v)) ** 2, e.table.a_given_c[j])
+        for e in atlas.mappable
+        for j, (a_j, v) in enumerate(zip(atlas.a_var.values, e_a))
+    )
 
 
 def phase_gap_constancy_check(
-    space: FiniteProbabilitySpace,
-    a_var: DichotomousVariable,
-    b_var: DichotomousVariable,
-) -> tuple[bool, tuple[tuple[Event, float], ...]]:
+    atlas: hilbert.ContextAtlas,
+) -> tuple[float, tuple[tuple[Event, float], ...]]:
     """With the opposite :data:`hilbert.SIGNS` and a doubly stochastic matrix
-    the gap is pi (mod 2 pi) on every mappable context; returns (all within
-    ``STATE_TOL``, profile)."""
-    profile = hilbert.phase_gap_profile(space, a_var, b_var, *hilbert.SIGNS)
-    ok = all(abs(gap - math.pi) <= STATE_TOL for _, gap in profile)
-    return ok, profile
+    the gap is pi (mod 2 pi) on every mappable context of ``atlas``; returns
+    (the largest distance of a gap from pi, 0 with none, profile), the
+    distance to compare with ``STATE_TOL``."""
+    profile = atlas.phase_gap_profile(*hilbert.SIGNS)
+    return max((abs(gap - math.pi) for _, gap in profile), default=0.0), profile
 
 
 def cell_duality_check(
-    space: FiniteProbabilitySpace,
-    a_var: DichotomousVariable,
-    b_var: DichotomousVariable,
+    forward: hilbert.ContextAtlas, reverse: hilbert.ContextAtlas
 ) -> bool:
     """With a doubly stochastic forward matrix, the b-cells admit amplitudes
     exactly when the reverse matrix is doubly stochastic as well.
 
-    Returns True when that biconditional holds on this model and the closed
-    form -(m_1 + m_2) / (2 sqrt(m_1 m_2)), m_n = P(A_n|C) P(B_other|A_n),
+    ``forward`` is an atlas of the pair (a, b) and ``reverse`` one of (b, a)
+    on the same space; anything else raises ValueError.  Returns True when
+    the biconditional holds on this model and the closed form
+    -(m_1 + m_2) / (2 sqrt(m_1 m_2)), m_n = P(A_n|C) P(B_other|A_n),
     reproduces the directly computed coefficient of the opposite cell; both
     are compared exactly, as sign and square.
     """
-    forward = hilbert.ContextAtlas(space, a_var, b_var)
+    space, a_var, b_var = forward.space, forward.a_var, forward.b_var
+    if (reverse.space, reverse.a_var, reverse.b_var) != (space, b_var, a_var):
+        raise ValueError("the duality check needs the pair's atlases in both orders")
     if not is_double_stochastic(forward.transition):
         raise NotDoubleStochasticError(
             "the duality check presumes a doubly stochastic forward matrix"
         )
-    a_part, b_part = a_var.partition(space), b_var.partition(space)
+    a_part, b_cells = a_var.partition(space), reverse.a_cells
     cells_mappable = closed_form_ok = True
-    for i, b_cell in enumerate(b_part.cells):
+    for i, b_cell in enumerate(b_cells):
         table = interference.TwoCellTable.of(
             space, a_var.assignment, b_var.assignment, b_cell, forward.omega.whole
         )
-        if not table.mappable:
-            cells_mappable = False
-        other = 1 - i
-        m = [table.a_given_c[n] * table.b_given_a[n][other] for n in range(2)]
-        direct = interference.lambda_coefficient(
-            space, b_part.cells[other], a_part, b_cell
-        )
+        cells_mappable &= table.mappable
+        m = [table.a_given_c[n] * table.b_given_a[n][1 - i] for n in range(2)]
+        direct = interference.lambda_coefficient(space, b_cells[1 - i], a_part, b_cell)
         squared = (m[0] + m[1]) ** 2 / (4 * m[0] * m[1])
-        if direct.sign != -1 or direct.squared != squared:
-            closed_form_ok = False
-    reverse = hilbert.ContextAtlas(space, b_var, a_var).transition
-    return closed_form_ok and cells_mappable == is_double_stochastic(reverse)
+        closed_form_ok &= direct.sign == -1 and direct.squared == squared
+    return closed_form_ok and cells_mappable == is_double_stochastic(reverse.transition)
 
 
 def mean_gap(
@@ -207,9 +191,9 @@ def run_checks(
     count = len(atlas.contexts)
     mappable = atlas.mappable
     trans = atlas.transition
-    forward_ds = is_double_stochastic(trans)
-    reverse = hilbert.ContextAtlas(space, b_var, a_var).transition
-    reverse_ds = is_double_stochastic(reverse)
+    unitary, forward_ds = unitarity_check(atlas)
+    reverse = hilbert.ContextAtlas(space, b_var, a_var)
+    reverse_ds = is_double_stochastic(reverse.transition)
     results: list[CheckResult] = []
 
     def check(name: str, passed: bool, detail: str) -> None:
@@ -280,8 +264,6 @@ def run_checks(
         right_angle <= STATE_TOL,
         f"count={quiet} " + _worst("max_phase_gap", right_angle),
     )
-    raw = hilbert._basis(atlas.omega)
-    unitary = _gram_error(raw.e_a) <= STATE_TOL
     check(
         "unitarity_iff_double_stochastic",
         unitary == forward_ds,
@@ -292,23 +274,18 @@ def run_checks(
     if forward_ds:
         bounded("cosine_antisymmetry", "max_abs", antisymmetry)
 
-        rows = _born_rows(atlas, raw)
-        worst = max((row.error for row in rows), default=0.0)
+        worst = max((row.error for row in born_in_a_basis_check(atlas)), default=0.0)
         bounded("born_rule_a_basis", "max_abs_error", worst)
-
-        profile = atlas.phase_gap_profile(*hilbert.SIGNS)
-        worst = max((abs(gap - math.pi) for _, gap in profile), default=0.0)
+        worst, _ = phase_gap_constancy_check(atlas)
         bounded("phase_gap_constant", "max_gap_from_pi", worst)
-
         check(
             "cell_duality",
-            cell_duality_check(space, a_var, b_var),
+            cell_duality_check(atlas, reverse),
             f"reverse_double_stochastic={reverse_ds}",
         )
 
-        symmetric = all(
-            p[i][j] == reverse.entries[j][i] for i in range(2) for j in range(2)
-        )
+        back = reverse.transition.entries
+        symmetric = all(p[i][j] == back[j][i] for i in range(2) for j in range(2))
         uniform = all(
             probability(space, cell) == Fraction(1, 2)
             for cell in a_part.cells + b_part.cells
@@ -393,7 +370,7 @@ def run_checks(
             for x_var, y_var in ((a_var, b_var), (b_var, a_var)):
                 cells = y_var.partition(space).cells
                 states = hilbert.ContextAtlas(space, x_var, y_var, cells).amplitudes()
-                for state, target in zip(states, raw.e_b):
+                for state, target in zip(states, atlas.basis.e_b):
                     gaps = zip(state.components, target.components)
                     worst = max(worst, max(abs(x - y) for x, y in gaps))
             bounded("cells_map_to_basis_states", "max_abs_error", worst)

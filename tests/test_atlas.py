@@ -59,7 +59,6 @@ from qcontext.operators import (
 )
 from qcontext.prob import Event, contexts_of
 from qcontext.record import derived
-from qcontext.verify import born_in_a_basis_check
 from randmodels import (
     _assemble,
     random_double_stochastic_model,
@@ -243,8 +242,10 @@ def test_amplitude_and_born_rows_raise_on_a_hyperbolic_context():
     )
     with pytest.raises(NotTrigonometricError, match=re.escape(hyperbolic.label())):
         amplitude(space, a, b, hyperbolic)
+    # The Born rows of a listed atlas cover its mappable entries; asked for
+    # every amplitude, it raises.
     with pytest.raises(NotTrigonometricError):
-        born_in_a_basis_check(space, a, b, contexts=[hyperbolic])
+        ContextAtlas(space, a, b, [hyperbolic]).amplitudes()
 
 
 def test_a_compatible_pair_has_contexts_but_no_amplitudes():
@@ -334,9 +335,8 @@ def whole_space_sums(monkeypatch):
 
 # Whole-space sums per report on --kq 1/4, or on the stored model named; a
 # sweep reads one atlas per grid value.
-# verify's six on a doubly stochastic model: the atlas, the reverse
-# transition matrix, cell_duality_check's atlas and reverse transition
-# matrix, and one atlas of the cell states per ordering of the pair.
+# verify's four on a doubly stochastic model: the atlas, the atlas of the
+# reversed pair, and one atlas of the cell states per ordering of the pair.
 WHOLE_SPACE_SUMS = {
     "analyze": 1,
     "represent": 1,
@@ -344,7 +344,7 @@ WHOLE_SPACE_SUMS = {
     "dispersion-free": 1,
     "compare-dist": 1,
     "compare-dist --context w1,w2,w3": 1,
-    "verify": 6,
+    "verify": 4,
     "verify --model hyperbolic_witness.json": 2,
     "sweep --grid 1/8,1/4,3/8": 3,
 }
@@ -397,9 +397,10 @@ def test_only_verify_builds_event_level_objects(capsys, monkeypatch, command):
     assert bool(built) == (command == "verify")
 
 
-# Whole-space sums of each geometry check on --kq 1/4: one per atlas, as
-# each reads its raw basis and transition matrices from atlases; the
-# duality check reads the pair in both orders.
+# Whole-space sums of each geometry check on --kq 1/4, its atlases built
+# in the counting window: one per atlas, as each reads its raw basis and
+# transition matrices from atlases; the duality check reads the pair in
+# both orders.
 GEOMETRY_SUMS = {
     "unitarity_check": 1,
     "born_in_a_basis_check": 1,
@@ -413,7 +414,11 @@ def test_a_geometry_check_sums_the_whole_space_once_per_atlas(whole_space_sums, 
     spec = kq_model("1/4")
     a, b = spec.variables["a"], spec.variables["b"]
     calls = whole_space_sums()
-    assert getattr(verify, name)(spec.space, a, b)
+    forward = ContextAtlas(spec.space, a, b)
+    if name == "cell_duality_check":
+        assert verify.cell_duality_check(forward, ContextAtlas(spec.space, b, a))
+    else:
+        assert getattr(verify, name)(forward)
     assert calls.count(True) == GEOMETRY_SUMS[name]
 
 
@@ -468,12 +473,18 @@ def test_only_analyze_builds_coefficient_records_from_tables(
     atlas = ContextAtlas(spec.space, spec.variables["a"], spec.variables["b"])
     tables = {e.table.local for e in atlas.entries}
     built, by_tables = _coefficient_counts(monkeypatch)
+    deltas, delta = [], TwoCellTable.delta
+    monkeypatch.setattr(
+        TwoCellTable, "delta", lambda table, j: deltas.append(j) or delta(table, j)
+    )
     assert cli.main(argv) == 0
     capsys.readouterr()
+    # A table's disturbances, like its coefficients, are built at most once.
     if command == "analyze":
         assert 0 < len(by_tables) <= 2 * len(tables)
+        assert 0 < len(deltas) <= 2 * len(tables)
     else:
-        assert by_tables == []
+        assert by_tables == deltas == []
     # Only verify's Event-level reference objects build records of their own.
     assert (len(built) > len(by_tables)) == (command == "verify")
 

@@ -20,6 +20,7 @@ from qcontext.hilbert import (
     SIGNS,
     STATE_TOL,
     BasisPair,
+    ContextAtlas,
     StateVector,
     a_basis,
     amplitude,
@@ -37,13 +38,14 @@ from qcontext.hilbert import (
     transition_matrix,
     TransitionMatrix,
 )
-from qcontext.model_io import kq_model
+from qcontext.model_io import format_float, kq_model
 from qcontext.prob import DichotomousVariable, FiniteProbabilitySpace, conditional
 from qcontext.verify import (
     _gram_error,
     born_in_a_basis_check,
     cell_duality_check,
     phase_gap_constancy_check,
+    run_checks,
     unitarity_check,
 )
 from randmodels import random_double_stochastic_model, random_incompatible_model
@@ -81,6 +83,25 @@ class TestTransitionMatrix:
         for view in (transition_matrix, a_basis):
             with pytest.raises(NotAContextError, match="w1\\+w2 is not a context"):
                 view(space, a, b)
+
+    def test_geometry_checks_name_the_variable_that_takes_one_value(self):
+        # Each variable's second value is assigned only to a point outside
+        # the space: where a takes one value the pair has no context, where b
+        # does it is compatible.
+        space = FiniteProbabilitySpace(("w1", "w2"), {"w1": "1/2", "w2": "1/2"})
+        one = DichotomousVariable("a", ("0", "1"), {"w1": 1, "w2": 1, "x": 2})
+        two = DichotomousVariable("b", ("0", "1"), {"w1": 1, "w2": 2, "x": 1})
+        for check in (unitarity_check, born_in_a_basis_check):
+            with pytest.raises(NotAContextError, match="w1\\+w2 is not a context"):
+                check(ContextAtlas(space, one, two))
+        checks = (unitarity_check, born_in_a_basis_check, phase_gap_constancy_check)
+        for check in checks:
+            with pytest.raises(ValueError) as raised:
+                check(ContextAtlas(space, two, one))
+            assert raised.type is ValueError
+            assert str(raised.value) == (
+                "context enumeration requires an incompatible pair"
+            )
 
     def test_column_failure_detected(self):
         uneven = TransitionMatrix(
@@ -215,22 +236,24 @@ class TestBornInABasis:
     @pytest.mark.parametrize("q", QS)
     def test_reference_family_passes(self, q):
         space, a, b = _kq(q)
-        rows = born_in_a_basis_check(space, a, b)
+        rows = born_in_a_basis_check(ContextAtlas(space, a, b))
         assert rows and max(row.error for row in rows) < 1e-12
 
     def test_random_double_stochastic_models_pass(self):
         rng = random.Random(31)
         for _ in range(15):
             space, a, b = random_double_stochastic_model(rng)
-            rows = born_in_a_basis_check(space, a, b)
+            rows = born_in_a_basis_check(ContextAtlas(space, a, b))
             assert max(row.error for row in rows) < 1e-12
 
     def test_stored_witness_fails(self, non_ds_witness):
         space = non_ds_witness.space
         rows = born_in_a_basis_check(
-            space,
-            non_ds_witness.variables["a"],
-            non_ds_witness.variables["b"],
+            ContextAtlas(
+                space,
+                non_ds_witness.variables["a"],
+                non_ds_witness.variables["b"],
+            )
         )
         assert max(row.error for row in rows) > 1e-3
 
@@ -239,8 +262,8 @@ class TestPhaseGap:
     @pytest.mark.parametrize("q", QS)
     def test_constant_at_pi_with_opposite_signs(self, q):
         space, a, b = _kq(q)
-        ok, profile = phase_gap_constancy_check(space, a, b)
-        assert ok
+        worst, profile = phase_gap_constancy_check(ContextAtlas(space, a, b))
+        assert worst <= STATE_TOL
         assert all(abs(gap - math.pi) < 1e-12 for _, gap in profile)
 
     def test_right_angle_case(self):
@@ -258,8 +281,8 @@ class TestPhaseGap:
         rng = random.Random(37)
         for _ in range(15):
             space, a, b = random_double_stochastic_model(rng)
-            ok, _ = phase_gap_constancy_check(space, a, b)
-            assert ok
+            worst, _ = phase_gap_constancy_check(ContextAtlas(space, a, b))
+            assert worst <= STATE_TOL
 
 
 class TestNonsensitive:
@@ -485,14 +508,16 @@ class TestUnitarity:
     @pytest.mark.parametrize("q", QS)
     def test_reference_family_unitary(self, q):
         space, a, b = _kq(q)
-        assert unitarity_check(space, a, b) == (True, True)
+        assert unitarity_check(ContextAtlas(space, a, b)) == (True, True)
 
     def test_witness_not_unitary(self, non_ds_witness):
         space = non_ds_witness.space
         got = unitarity_check(
-            space,
-            non_ds_witness.variables["a"],
-            non_ds_witness.variables["b"],
+            ContextAtlas(
+                space,
+                non_ds_witness.variables["a"],
+                non_ds_witness.variables["b"],
+            )
         )
         assert got == (False, False)
 
@@ -500,7 +525,7 @@ class TestUnitarity:
         rng = random.Random(47)
         for _ in range(25):
             space, a, b = random_incompatible_model(rng)
-            unitary, ds = unitarity_check(space, a, b)
+            unitary, ds = unitarity_check(ContextAtlas(space, a, b))
             assert unitary == ds
 
     def test_gram_against_numpy(self):
@@ -513,16 +538,33 @@ class TestUnitarity:
         assert np.allclose(gram, np.eye(2), atol=1e-12)
 
 
+def _both_orders(space, a, b):
+    return ContextAtlas(space, a, b), ContextAtlas(space, b, a)
+
+
 class TestCellDuality:
     @pytest.mark.parametrize("q", QS + ["1e-400"])
     def test_reference_family(self, q):
         space, a, b = _kq(q)
-        assert cell_duality_check(space, a, b)
+        assert cell_duality_check(*_both_orders(space, a, b))
+
+    def test_atlases_of_another_pair_or_space_are_refused(self):
+        space, a, b = _kq(Fraction(1, 4))
+        forward, reverse = _both_orders(space, a, b)
+        other = _kq(Fraction(1, 8))[0]
+        for pair in (
+            (forward, forward),
+            (forward, ContextAtlas(space, b, b)),
+            (forward, ContextAtlas(other, b, a)),
+            (ContextAtlas(other, a, b), reverse),
+        ):
+            with pytest.raises(ValueError, match="atlases in both orders"):
+                cell_duality_check(*pair)
 
     def test_requires_double_stochastic(self, non_ds_witness):
         space, variables = non_ds_witness.space, non_ds_witness.variables
         with pytest.raises(NotDoubleStochasticError):
-            cell_duality_check(space, variables["a"], variables["b"])
+            cell_duality_check(*_both_orders(space, variables["a"], variables["b"]))
 
     def test_forward_only_double_stochastic(self):
         # Forward matrix doubly stochastic, reverse not; both sides of the
@@ -531,14 +573,43 @@ class TestCellDuality:
         for _ in range(15):
             space, a, b = random_double_stochastic_model(rng, uniform=False)
             assert not is_double_stochastic(transition_matrix(space, b, a))
-            assert cell_duality_check(space, a, b)
+            assert cell_duality_check(*_both_orders(space, a, b))
 
     def test_uniform_random_models(self):
         rng = random.Random(59)
         for _ in range(15):
             space, a, b = random_double_stochastic_model(rng, uniform=True)
             assert is_double_stochastic(transition_matrix(space, b, a))
-            assert cell_duality_check(space, a, b)
+            assert cell_duality_check(*_both_orders(space, a, b))
+
+
+@pytest.mark.parametrize(
+    "make", [random_double_stochastic_model, random_incompatible_model]
+)
+def test_run_checks_reports_what_the_geometry_checks_return(make):
+    rng = random.Random(61)
+    seen = set()
+    for _ in range(6):
+        space, a, b = make(rng)
+        forward, reverse = _both_orders(space, a, b)
+        results = {r.name: r for r in run_checks(space, a, b, atlas=forward)}
+        unitary, ds = unitarity_check(forward)
+        seen.add(ds)
+        got = results["unitarity_iff_double_stochastic"]
+        assert got.detail == f"unitary={unitary} double_stochastic={ds}"
+        assert got.passed == (unitary == ds)
+        if not ds:
+            assert "born_rule_a_basis" not in results
+            continue
+        worst = max(row.error for row in born_in_a_basis_check(forward))
+        got = results["born_rule_a_basis"]
+        assert got.detail == f"max_abs_error={format_float(worst)}"
+        worst, _ = phase_gap_constancy_check(forward)
+        got = results["phase_gap_constant"]
+        assert got.detail == f"max_gap_from_pi={format_float(worst)}"
+        assert got.passed == (worst <= STATE_TOL)
+        assert results["cell_duality"].passed == cell_duality_check(forward, reverse)
+    assert seen == {make is random_double_stochastic_model}
 
 
 @st.composite
@@ -561,7 +632,7 @@ def test_born_rule_both_bases_property(model, pick):
             abs(state.probabilities()[j] - float(conditional(space, cell, c)))
             < 1e-12
         )
-    rows = born_in_a_basis_check(space, a, b, contexts=[c])
+    rows = born_in_a_basis_check(ContextAtlas(space, a, b, [c]))
     assert max(row.error for row in rows) < 1e-12
 
 

@@ -133,6 +133,19 @@ class TestContexts:
         assert set(contexts_of(space, part)) == expected
         assert len(expected) == 9
 
+    def test_events_and_contexts_come_sorted_by_size_then_members(self):
+        # Ids given out of order, and "p10" sorts before "p2".
+        ids = ("p2", "p10", "p1", "p3", "p11")
+        space = FiniteProbabilitySpace(ids, {p: "1/5" for p in ids})
+        a = DichotomousVariable(
+            "a", ("0", "1"), {"p2": 1, "p10": 2, "p1": 2, "p3": 1, "p11": 1}
+        )
+        events = list(all_events(space))
+        contexts = list(contexts_of(space, a.partition(space)))
+        assert (len(events), len(contexts)) == (31, 21)
+        for found in (events, contexts):
+            assert found == sorted(found, key=lambda e: (len(e.members), e.members))
+
 
 class TestIncompatibility:
     @pytest.mark.parametrize("q", QS)

@@ -103,7 +103,7 @@ def _instances() -> list:
         hilbert.transition_matrix(space, a, b),
         state,
         basis,
-        verify.born_in_a_basis_check(space, a, b)[0],
+        verify.born_in_a_basis_check(atlas)[0],
         hilbert.image_set(space, a, b),
         hilbert.dual_inner_products(space, a, b, state, basis),
         model_io.sweep(["1/4"]),
