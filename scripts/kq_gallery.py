@@ -12,20 +12,15 @@ import sys
 from fractions import Fraction
 
 from qcontext.hilbert import (
+    ContextAtlas,
     amplitude,
     image_set,
     mappable_contexts,
-    represented_states,
     transition_matrix,
 )
 from qcontext.interference import analyze_context
 from qcontext.model_io import format_float, kq_model
-from qcontext.operators import (
-    CompositeObservable,
-    classical_mean,
-    quantum_mean,
-    to_operator,
-)
+from qcontext.operators import CompositeObservable, quantum_mean
 from qcontext.prob import contexts_of
 
 
@@ -60,12 +55,12 @@ def main() -> int:
     print()
 
     obs = CompositeObservable.sum_of(a, b)
-    op = to_operator(space, obs)
+    op = obs.operator(trans)
     print("sum observable: quantum vs exact conditional mean")
-    for c, state in represented_states(space, a, b):
-        lhs = quantum_mean(op, state)
-        rhs = classical_mean(space, obs, c)
-        print(f"  {c.label():<18} {lhs:+.12f}  vs  {str(rhs):>8}")
+    for e in ContextAtlas(space, a, b).represented:
+        lhs = quantum_mean(op, e.state)
+        rhs = obs.mean_on(e.table.local)
+        print(f"  {e.context.label():<18} {lhs:+.12f}  vs  {str(rhs):>8}")
     print()
 
     image = image_set(space, a, b)

@@ -48,12 +48,10 @@ _MODULE_OF = {
         "operators": (
             "CompositeObservable", "DispersionFreeReport", "HermitianOperator",
             "MismatchReport", "SpectralDecomposition", "a_operator",
-            "b_operator", "classical_distribution", "classical_mean",
-            "commutator", "conditional_variance", "dispersion",
-            "dispersion_free_search", "distribution_mismatch", "hamiltonian",
-            "hamiltonian_observable", "mean_preservation_gap",
-            "observable_distribution", "quantum_mean", "spectral_decomposition",
-            "symmetrized_product", "to_operator",
+            "b_operator", "commutator", "dispersion_free_search",
+            "distribution_mismatch", "hamiltonian_observable",
+            "mean_preservation_gap", "quantum_mean", "spectral_decomposition",
+            "symmetrized_product",
         ),
         "prob": (
             "CoverOverlapReport", "DichotomousVariable", "Event",

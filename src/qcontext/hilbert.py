@@ -160,6 +160,16 @@ def _amplitude(table: TwoCellTable) -> StateVector | None:
     )
 
 
+def _mapped(c: Event, state: StateVector | None) -> StateVector:
+    """``state``, the amplitude of ``c``, which is None where a squared
+    coefficient exceeds one: then raises :class:`NotTrigonometricError`."""
+    if state is None:
+        raise NotTrigonometricError(
+            f"{c.label()} carries a coefficient beyond the trigonometric range"
+        )
+    return state
+
+
 def mappable_contexts(
     space: FiniteProbabilitySpace,
     a_var: DichotomousVariable,
@@ -479,13 +489,7 @@ class ContextAtlas:
         entries = self.entries
         if not self.omega.incompatible:
             raise ValueError("amplitudes require an incompatible variable pair")
-        for e in entries:
-            if e.state is None:
-                raise NotTrigonometricError(
-                    f"{e.context.label()} carries a coefficient beyond the "
-                    "trigonometric range"
-                )
-        return tuple(e.state for e in entries)
+        return tuple(_mapped(e.context, e.state) for e in entries)
 
     @property
     def transition(self) -> TransitionMatrix:

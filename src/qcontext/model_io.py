@@ -449,14 +449,18 @@ class Shared(Mapping):
 
 def _shared_text(row: Shared, newline: str) -> str:
     """The text of its table's row, cut at the slots on the first row of
-    that table and indent, with each slot filled in for the row's context."""
+    that table and indent, with each slot filled in for the row's context,
+    rendered once per distinct (slot, newline)."""
     key = (row.key, newline)
     if key not in row.texts:
-        row.texts[key] = _cut(row.make(CONTEXT), newline)
-    parts, slots = row.texts[key]
+        parts, slots = _cut(row.make(CONTEXT), newline)
+        distinct = list(dict.fromkeys(slots))
+        row.texts[key] = parts, distinct, [distinct.index(s) for s in slots]
+    parts, distinct, marks = row.texts[key]
+    texts = [_text(slot.of(row.context), inner) for slot, inner in distinct]
     filled = [parts[0]]
-    for (slot, inner), part in zip(slots, parts[1:]):
-        filled += (_text(slot.of(row.context), inner), part)
+    for k, part in zip(marks, parts[1:]):
+        filled += (texts[k], part)
     return "".join(filled)
 
 

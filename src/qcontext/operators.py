@@ -17,12 +17,12 @@ conditional law on an event C depends only on the integer masses l_ij of C
 in the four cells: the mean is sum l_ij v_ij / M, the variance
 (T sum n x^2 - (sum n x)^2) / (T L)^2 over the values x scaled by their
 common denominator L and the total mass T, and the distribution groups the
-cells by value.  Reports pass the masses an atlas already holds; the
-functions that take an event sum them.
+cells by value.  Callers pass the masses their atlas holds.
 
 :meth:`CompositeObservable.operator` is the one operator builder, given the
-pair's transition matrix, which reports read from their atlas;
-:func:`to_operator` and :func:`hamiltonian` are views that derive it.
+pair's transition matrix from an atlas, and :func:`mean_gap` the one
+mean-preservation gap; :func:`mean_preservation_gap` and
+:func:`distribution_mismatch` are views over one atlas built for the call.
 """
 
 from __future__ import annotations
@@ -30,22 +30,19 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
-from .errors import FloatRangeError, NotDoubleStochasticError, ZeroConditionError
+from .errors import FloatRangeError, NotDoubleStochasticError
 from .hilbert import (
-    AtlasEntry,
     ContextAtlas,
     StateVector,
     TransitionMatrix,
-    amplitude,
     is_double_stochastic,
     phase_normalized,
     # Unused here: perfbench/tracer.py traces operators.represented_states.
     represented_states,
-    transition_matrix,
 )
-from .interference import Masses, mass_table
+from .interference import Masses, TwoCellTable
 from .prob import (
     DichotomousVariable,
     Event,
@@ -108,12 +105,6 @@ def _mat_add(a: Matrix, b: Matrix, sb: complex = 1.0) -> Matrix:
 
 def op_add(x: HermitianOperator, y: HermitianOperator) -> HermitianOperator:
     return HermitianOperator(_mat_add(x.entries, y.entries))
-
-
-def op_scale(s: float, x: HermitianOperator) -> HermitianOperator:
-    return HermitianOperator(
-        tuple(tuple(s * z for z in row) for row in x.entries)
-    )
 
 
 def b_operator(b_var: DichotomousVariable) -> HermitianOperator:
@@ -247,12 +238,6 @@ def spectral_decomposition(op: HermitianOperator) -> SpectralDecomposition:
     )
 
 
-def observable_distribution(
-    op: HermitianOperator, state: StateVector
-) -> dict[float, float]:
-    return spectral_decomposition(op).distribution(state)
-
-
 class ObservableKind(Enum):
     F_OF_A = "f_of_a"
     G_OF_B = "g_of_b"
@@ -379,6 +364,12 @@ class CompositeObservable(Record):
         found = zip(self.masses_by_value(local), spread)
         return {v: Fraction(n, total) for (v, n), (_, w) in found if w}
 
+    def variance_on(self, local: Masses) -> Fraction:
+        """Exact variance given the masses of the event in the four cells."""
+        values = self.cell_values
+        pairs = zip((*values[0], *values[1]), (*local[0], *local[1]))
+        return Fraction(*_variance_terms(pairs))
+
     def operator(self, transition: TransitionMatrix | None) -> HermitianOperator:
         """Operator counterpart in the b-basis, given the pair's transition
         matrix (None for g(b), which does not read it)."""
@@ -391,31 +382,6 @@ class CompositeObservable(Record):
                 function_of_a(self.a, transition, self.f), function_of_b(self.b, self.g)
             )
         return symmetrized_product(a_operator(self.a, transition), b_operator(self.b))
-
-
-def to_operator(
-    space: FiniteProbabilitySpace, obs: CompositeObservable
-) -> HermitianOperator:
-    """:meth:`CompositeObservable.operator` with the pair's transition
-    matrix, which g(b) does not need."""
-    if obs.kind is ObservableKind.G_OF_B:
-        return obs.operator(None)
-    return obs.operator(transition_matrix(space, obs.a, obs.b))
-
-
-def _cell_masses(
-    space: FiniteProbabilitySpace, obs: CompositeObservable, c: Event
-) -> Masses:
-    """Integer masses of ``c`` in the cells of the variables the observable
-    reads; raises :class:`ZeroConditionError` when ``c`` is empty."""
-    space.validate_event(c)
-    one = dict.fromkeys(space.points, 1)
-    a_cell = one if obs.kind is ObservableKind.G_OF_B else obs.a.assignment
-    b_cell = one if obs.kind is ObservableKind.F_OF_A else obs.b.assignment
-    local = mass_table(space, a_cell, b_cell, c.members)
-    if not any(map(any, local)):
-        raise ZeroConditionError(f"{c.label()} has measure zero")
-    return local
 
 
 def _variance_terms(pairs: Iterable[tuple[Fraction | int, int]]) -> tuple[int, int]:
@@ -433,32 +399,24 @@ def _variance_terms(pairs: Iterable[tuple[Fraction | int, int]]) -> tuple[int, i
     return total * second - first * first, (total * scale) ** 2
 
 
-def classical_mean(
-    space: FiniteProbabilitySpace, obs: CompositeObservable, c: Event
-) -> Fraction:
-    """Exact conditional expectation of the observable: sum of values weighted
-    by the conditional cell masses."""
-    return obs.mean_on(_cell_masses(space, obs, c))
-
-
-def classical_distribution(
-    space: FiniteProbabilitySpace, obs: CompositeObservable, c: Event
-) -> dict[Fraction, Fraction]:
-    """Exact pushforward of the conditional measure under the observable."""
-    local = _cell_masses(space, obs, c)
-    return obs.distribution_on(local, _cell_masses(space, obs, space.omega()))
-
-
-def max_mean_gap(
-    obs: CompositeObservable, op: HermitianOperator, entries: Iterable[AtlasEntry]
+def mean_gap(
+    atlas: ContextAtlas,
+    pairs: Sequence[tuple[CompositeObservable, HermitianOperator]],
 ) -> float:
-    """Largest |quantum mean of ``op`` - exact conditional mean of ``obs``|
-    over atlas entries."""
-    worst = 0.0
-    for e in entries:
-        gap = abs(quantum_mean(op, e.state) - float(obs.mean_on(e.table.local)))
-        worst = max(worst, gap)
-    return worst
+    """Largest |quantum mean of op - exact conditional mean of obs| over the
+    (obs, op) ``pairs`` and the represented entries of ``atlas``, 0 with
+    none; computed once per distinct table, each exact mean rounded by one
+    integer division."""
+
+    def gaps(table: TwoCellTable, state: StateVector) -> float:
+        worst = 0.0
+        for obs, op in pairs:
+            weighted, total = obs.mean_terms(table.local)
+            worst = max(worst, abs(quantum_mean(op, state) - weighted / total))
+        return worst
+
+    found = atlas.per_table(gaps, atlas.represented)
+    return max((worst for _, worst in found), default=0.0)
 
 
 def mean_preservation_gap(
@@ -468,11 +426,11 @@ def mean_preservation_gap(
     f: Mapping[Fraction, Fraction],
     g: Mapping[Fraction, Fraction],
 ) -> float:
-    """Largest |quantum mean - exact conditional mean| of f(a) + g(b) over
-    every represented context, including the two a-cells."""
+    """:func:`mean_gap` of f(a) + g(b) over every represented context of the
+    pair, the two a-cells included."""
     obs = CompositeObservable.sum_of(a_var, b_var, f, g)
     atlas = ContextAtlas(space, a_var, b_var)
-    return max_mean_gap(obs, obs.operator(atlas.transition), atlas.represented)
+    return mean_gap(atlas, [(obs, obs.operator(atlas.transition))])
 
 
 class MismatchReport(Record):
@@ -528,28 +486,16 @@ def distribution_mismatch(
     c: Event,
     alignment: tuple[float, float] | None = None,
 ) -> MismatchReport:
+    """The report of ``c`` that ``compare-dist --context`` prints, read from
+    an atlas of ``c`` alone: raises as :meth:`ContextAtlas.amplitudes` does
+    unless ``c`` is a mappable context."""
     if obs.kind not in (ObservableKind.SUM, ObservableKind.PRODUCT):
         raise ValueError("mismatch reports cover sum and product observables")
-    classical = classical_distribution(space, obs, c)
-    state = amplitude(space, a_var, b_var, c)
-    quantum = observable_distribution(to_operator(space, obs), state)
-    return MismatchReport.of(classical, quantum, alignment)
-
-
-def hamiltonian(
-    space: FiniteProbabilitySpace,
-    a_var: DichotomousVariable,
-    b_var: DichotomousVariable,
-    h: Fraction | int | str | float,
-    potential: Mapping[Fraction, Fraction],
-) -> HermitianOperator:
-    """Energy-style operator (h/2) (a-op squared + potential(b-op))."""
-    h = as_fraction(h)
-    if h <= 0:
-        raise ValueError("the scale constant must be positive")
-    squared = {v: v * v for v in a_var.values}
-    obs = CompositeObservable.sum_of(a_var, b_var, squared, potential)
-    return op_scale(float(h) / 2, to_operator(space, obs))
+    atlas = ContextAtlas(space, a_var, b_var, (c,))
+    law = obs.distribution_on(atlas.entries[0].table.local, atlas.omega.whole)
+    (state,), op = atlas.amplitudes(), obs.operator(atlas.transition)
+    quantum = spectral_decomposition(op).distribution(state)
+    return MismatchReport.of(law, quantum, alignment)
 
 
 def hamiltonian_observable(
@@ -558,35 +504,15 @@ def hamiltonian_observable(
     h: Fraction | int | str | float,
     potential: Mapping[Fraction, Fraction],
 ) -> CompositeObservable:
-    """The random variable (h/2) (a^2 + potential(b)) matching
-    :func:`hamiltonian` by construction."""
+    """The random variable (h/2) (a^2 + potential(b)); its
+    :meth:`~CompositeObservable.operator` is the energy operator
+    (h/2) (a-op squared + potential(b-op)).  The scale h must be positive."""
     h = as_fraction(h)
+    if h <= 0:
+        raise ValueError("the scale constant must be positive")
     f = {v: h / 2 * v * v for v in a_var.values}
     g = {v: h / 2 * potential[v] for v in b_var.values}
     return CompositeObservable.sum_of(a_var, b_var, f, g)
-
-
-def conditional_variance(
-    space: FiniteProbabilitySpace, values: Mapping[str, Fraction], c: Event
-) -> Fraction:
-    """Exact conditional variance of an arbitrary point-valued map; raises
-    :class:`ZeroConditionError` when ``c`` is empty."""
-    space.validate_event(c)
-    masses = space._masses
-    pairs = [(values[p], masses[p]) for p in c.members]
-    if not pairs:
-        raise ZeroConditionError(f"{c.label()} has measure zero")
-    return Fraction(*_variance_terms(pairs))
-
-
-def dispersion(
-    space: FiniteProbabilitySpace, obs: CompositeObservable, c: Event
-) -> Fraction:
-    """Exact conditional variance of the observable, from its cell masses."""
-    local = _cell_masses(space, obs, c)
-    values = obs.cell_values
-    pairs = zip((*values[0], *values[1]), (*local[0], *local[1]))
-    return Fraction(*_variance_terms(pairs))
 
 
 class DispersionFreeReport(Record):

@@ -15,7 +15,7 @@ pinned tolerances ``hilbert.STATE_TOL`` = 1e-12 (amplitude level) and
 :func:`phase_gap_constancy_check` and :func:`cell_duality_check` test the
 pair geometry of :mod:`hilbert` on atlases; :func:`run_checks` calls them
 with its own atlas and the atlas of the reversed pair, and ``qcontext``
-exports them.
+exports them.  ``mean_preservation`` is :func:`operators.mean_gap`.
 """
 
 from __future__ import annotations
@@ -149,27 +149,6 @@ def cell_duality_check(
         squared = (m[0] + m[1]) ** 2 / (4 * m[0] * m[1])
         closed_form_ok &= direct.sign == -1 and direct.squared == squared
     return closed_form_ok and cells_mappable == is_double_stochastic(reverse.transition)
-
-
-def mean_gap(
-    atlas: hilbert.ContextAtlas,
-    pairs: Sequence[tuple[operators.CompositeObservable, operators.HermitianOperator]],
-) -> float:
-    """The largest :func:`operators.max_mean_gap` of the (observable,
-    operator) ``pairs`` over the represented entries of ``atlas``, the same
-    float: the gaps are computed once per distinct table, each exact mean
-    rounded by one integer division."""
-
-    def gaps(table: interference.TwoCellTable, state: hilbert.StateVector) -> float:
-        worst = 0.0
-        for obs, op in pairs:
-            weighted, total = obs.mean_terms(table.local)
-            mean = operators.quantum_mean(op, state)
-            worst = max(worst, abs(mean - weighted / total))
-        return worst
-
-    found = atlas.per_table(gaps, atlas.represented)
-    return max((worst for _, worst in found), default=0.0)
 
 
 def run_checks(
@@ -306,7 +285,7 @@ def run_checks(
             )
             obs = operators.CompositeObservable.sum_of(a_var, b_var, f, g)
             pairs.append((obs, obs.operator(trans)))
-        worst = mean_gap(atlas, pairs)
+        worst = operators.mean_gap(atlas, pairs)
         bounded("mean_preservation", "max_abs_gap", worst, OPERATOR_TOL)
 
         a_op = operators.a_operator(a_var, trans)
@@ -366,11 +345,19 @@ def run_checks(
                 "squared coefficients on cells are exactly one",
             )
 
+            # Each cell's state from its table over the whole-space masses
+            # that the atlas of each order of the pair already holds.
             worst = 0.0
-            for x_var, y_var in ((a_var, b_var), (b_var, a_var)):
+            for x_var, y_var, whole in (
+                (a_var, b_var, atlas.omega.whole),
+                (b_var, a_var, reverse.omega.whole),
+            ):
                 cells = y_var.partition(space).cells
-                states = hilbert.ContextAtlas(space, x_var, y_var, cells).amplitudes()
-                for state, target in zip(states, atlas.basis.e_b):
+                for cell, target in zip(cells, atlas.basis.e_b):
+                    table = interference.TwoCellTable.of(
+                        space, x_var.assignment, y_var.assignment, cell, whole
+                    )
+                    state = hilbert._mapped(cell, hilbert._amplitude(table))
                     gaps = zip(state.components, target.components)
                     worst = max(worst, max(abs(x - y) for x, y in gaps))
             bounded("cells_map_to_basis_states", "max_abs_error", worst)

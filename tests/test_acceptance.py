@@ -37,15 +37,11 @@ from qcontext.operators import (
     CompositeObservable,
     a_operator,
     b_operator,
-    classical_distribution,
-    classical_mean,
     commutator,
     dispersion_free_search,
     distribution_mismatch,
-    observable_distribution,
     quantum_mean,
-    represented_states,
-    to_operator,
+    spectral_decomposition,
 )
 from qcontext.prob import (
     conditional,
@@ -280,17 +276,17 @@ def test_07_mean_preservation_random_observables():
     rng = random.Random(1007)
     for q in QS:
         space, a, b = _kq(q)
-        states = represented_states(space, a, b)
-        assert len(states) == 11
+        atlas = ContextAtlas(space, a, b)
+        assert len(atlas.represented) == 11
         for _ in range(100):
             f = {v: Fraction(rng.randint(-30, 30), rng.randint(1, 11)) for v in a.values}
             g = {v: Fraction(rng.randint(-30, 30), rng.randint(1, 11)) for v in b.values}
             obs = CompositeObservable.sum_of(a, b, f, g)
-            op = to_operator(space, obs)
-            for c, state in states:
+            op = obs.operator(atlas.transition)
+            for e in atlas.represented:
                 gap = abs(
-                    quantum_mean(op, state)
-                    - float(classical_mean(space, obs, c))
+                    quantum_mean(op, e.state)
+                    - float(obs.mean_on(e.table.local))
                 )
                 assert gap <= OPERATOR_TOL
     _passed("07 mean preservation for random sum observables")
@@ -305,14 +301,15 @@ def test_08_distribution_mismatch_witness():
     space, a, b = _kq(q)
     c234 = space.event(["w2", "w3", "w4"])
     obs = CompositeObservable.sum_of(a, b)
-    classical = classical_distribution(space, obs, c234)
+    atlas = ContextAtlas(space, a, b, (c234,))
+    classical = obs.distribution_on(atlas.entries[0].table.local, atlas.omega.whole)
     assert classical == {
         Fraction(-2): Fraction(1, 7),
         Fraction(0): Fraction(6, 7),
         Fraction(2): Fraction(0),
     }
-    state = amplitude(space, a, b, c234)
-    dist = observable_distribution(to_operator(space, obs), state)
+    (state,) = atlas.amplitudes()
+    dist = spectral_decomposition(obs.operator(atlas.transition)).distribution(state)
     root = math.sqrt(float(2 * q))
     spread = 2.0 * root
     lo_weight = (1 + root) * (2 - root) / float(4 * (1 - q))

@@ -620,7 +620,7 @@ def ds_models(draw):
 
 
 @given(ds_models(), st.integers(min_value=0, max_value=10**6))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
 def test_born_rule_both_bases_property(model, pick):
     space, a, b = model
     contexts = mappable_contexts(space, a, b)

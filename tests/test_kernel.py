@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qcontext import interference, prob, verify
+from qcontext import interference, operators, prob, verify
 from qcontext.errors import (
     DegenerateRadicalError,
     FloatRangeError,
@@ -37,13 +37,7 @@ from qcontext.interference import (
     reconstruct_total_probability,
 )
 from qcontext.model_io import kq_model
-from qcontext.operators import (
-    CompositeObservable,
-    classical_distribution,
-    classical_mean,
-    conditional_variance,
-    dispersion,
-)
+from qcontext.operators import CompositeObservable
 from qcontext.prob import (
     DichotomousVariable,
     Event,
@@ -221,6 +215,12 @@ def test_kernel_equals_fraction_sums(model):
     ]
     point_maps = [_random_map(rng, space.points), *_variance_maps(rng, space)]
     observables.append(CompositeObservable.of_b(b, _random_map(rng, b.values)))
+    # The masses of each context from one listed atlas, those of any other
+    # event summed directly, as an atlas holds them for a-cells.
+    contexts = [c for c in events if is_context(space, c, a_part)]
+    listed = ContextAtlas(space, a, b, contexts)
+    held = {e.context: e.table.local for e in listed.entries}
+    whole = listed.omega.whole
     for c in events:
         assert probability(space, c) == ref_probability(space, c)
         assert type(probability(space, c)) is Fraction
@@ -245,16 +245,19 @@ def test_kernel_equals_fraction_sums(model):
         else:
             with pytest.raises(NotAContextError):
                 TwoCellTable.of(space, a.assignment, b.assignment, c)
+        local = held.get(c) or interference.mass_table(
+            space, a.assignment, b.assignment, c.members
+        )
         for obs in observables:
             values = {p: obs.value_at(p) for p in space.points}
-            assert classical_mean(space, obs, c) == ref_mean(space, values, c)
-            assert classical_distribution(space, obs, c) == ref_distribution(
+            assert obs.mean_on(local) == ref_mean(space, values, c)
+            assert obs.distribution_on(local, whole) == ref_distribution(
                 space, values, c
             )
-            assert dispersion(space, obs, c) == ref_variance(space, values, c)
+            assert obs.variance_on(local) == ref_variance(space, values, c)
         for point_map in point_maps:
-            got = conditional_variance(space, point_map, c)
-            assert type(got) is Fraction
+            pairs = [(point_map[p], space._masses[p]) for p in c.members]
+            got = Fraction(*operators._variance_terms(pairs))
             assert got == ref_variance(space, point_map, c)
 
 
@@ -262,7 +265,6 @@ def test_kernel_error_cases():
     space, a, b = huge_denominator_model()
     foreign = Event(["p1", "zz"])
     obs = CompositeObservable.sum_of(a, b)
-    point_map = {p: Fraction(1) for p in space.points}
     with pytest.raises(ForeignPointError, match="'zz'"):
         probability(space, foreign)
     with pytest.raises(ForeignPointError):
@@ -271,29 +273,26 @@ def test_kernel_error_cases():
         is_context(space, foreign, a.partition(space))
     with pytest.raises(ForeignPointError):
         TwoCellTable.of(space, a.assignment, b.assignment, foreign)
+    # The masses of a composite observable's laws come from an atlas, which
+    # refuses a foreign point and an empty event (no context) as the table
+    # does.
     with pytest.raises(ForeignPointError):
-        classical_mean(space, obs, foreign)
+        ContextAtlas(space, a, b, (foreign,)).entries
     with pytest.raises(ForeignPointError):
-        classical_distribution(space, obs, foreign)
-    with pytest.raises(ForeignPointError):
-        conditional_variance(space, point_map, foreign)
+        operators.distribution_mismatch(space, a, b, obs, foreign)
 
     empty = Event([])
     with pytest.raises(ZeroConditionError):
         conditional(space, space.omega(), empty)
-    with pytest.raises(ZeroConditionError):
-        classical_mean(space, obs, empty)
-    with pytest.raises(ZeroConditionError):
-        classical_distribution(space, obs, empty)
-    with pytest.raises(ZeroConditionError):
-        conditional_variance(space, point_map, empty)
-    with pytest.raises(ZeroConditionError):
-        dispersion(space, obs, empty)
-    with pytest.raises(ForeignPointError):
-        dispersion(space, obs, foreign)
-    partial = {p: Fraction(1) for p in space.points[1:]}
-    with pytest.raises(KeyError):
-        conditional_variance(space, partial, space.omega())
+    with pytest.raises(NotAContextError):
+        ContextAtlas(space, a, b, (empty,)).entries
+    with pytest.raises(NotAContextError):
+        operators.distribution_mismatch(space, a, b, obs, empty)
+    # Masses with no weight have no law.
+    nothing = ((0, 0), (0, 0))
+    for law in (obs.mean_on, obs.variance_on):
+        with pytest.raises(ZeroDivisionError):
+            law(nothing)
 
 
 def _assert_event_level_matches_reference(space, b, partition, c):

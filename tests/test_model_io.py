@@ -2,6 +2,7 @@
 
 import json
 import math
+from collections import Counter
 from collections.abc import Mapping
 from enum import Enum
 from fractions import Fraction
@@ -300,7 +301,7 @@ class TestReferenceFamily:
             max_denominator=1000,
         )
     )
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     def test_family_invariants_hold_for_every_parameter(self, q):
         spec = kq_model(q)
         space = spec.space
@@ -651,12 +652,27 @@ def test_each_shared_row_is_rendered_once_per_distinct_table(
         Classification,
         lambda obj, newline: renders.append(obj) or text(obj, newline),
     )
+    events = []
+    event_text = model_io._text_of[Event]
+    monkeypatch.setitem(
+        model_io._text_of,
+        Event,
+        lambda obj, newline: events.append((obj, newline)) or event_text(obj, newline),
+    )
     assert cli.main(["analyze", "--model", str(model)]) == 0
     capsys.readouterr()
     # One analysis per table, and three classifications in its row: the
     # row's own and one per outcome.
     assert len(analyses) == len(tables)
     assert len(renders) == 3 * len(tables)
+    # A context of a shared table is rendered once per indent: its row's
+    # own place and the two outcomes' places, which share one indent, make
+    # two.  A row that no other context shares is written as it is made.
+    uses = Counter(e.table.local for e in atlas.entries)
+    shared = {e.context for e in atlas.entries if uses[e.table.local] > 1}
+    assert len(shared) > 900
+    assert {c for c, _ in events} == {e.context for e in atlas.entries}
+    assert Counter(c for c, _ in events if c in shared) == dict.fromkeys(shared, 2)
 
     states = []
     jsonable = StateVector._jsonable
@@ -736,7 +752,7 @@ _trees = st.recursive(
 )
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(_trees)
 def test_writer_equals_the_two_step_form_on_random_trees(tree):
     assert canonical_json(tree) == reference_json(tree)

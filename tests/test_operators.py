@@ -7,7 +7,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qcontext.errors import NotDoubleStochasticError, ZeroConditionError
+from qcontext.errors import (
+    ForeignPointError,
+    NotAContextError,
+    NotDoubleStochasticError,
+)
 from qcontext import verify
 from qcontext.hilbert import (
     ContextAtlas,
@@ -16,36 +20,30 @@ from qcontext.hilbert import (
     amplitude,
     transition_matrix,
 )
+from qcontext.interference import mass_table
 from qcontext.model_io import kq_model
 from qcontext.operators import (
     CompositeObservable,
     HermitianOperator,
+    MismatchReport,
     ObservableKind,
     a_operator,
     b_operator,
-    classical_distribution,
-    classical_mean,
     commutator,
-    conditional_variance,
-    dispersion,
     dispersion_free_search,
     distribution_mismatch,
     function_of_a,
     function_of_b,
-    hamiltonian,
     hamiltonian_observable,
-    max_mean_gap,
+    mean_gap,
     mean_preservation_gap,
-    observable_distribution,
     op_add,
-    op_scale,
     quantum_mean,
     represented_states,
     spectral_decomposition,
     symmetrized_product,
-    to_operator,
 )
-from qcontext.prob import DichotomousVariable, FiniteProbabilitySpace
+from qcontext.prob import DichotomousVariable, Event, FiniteProbabilitySpace
 from randmodels import random_double_stochastic_model, random_incompatible_model
 
 QS = [Fraction(1, 8), Fraction(1, 4), Fraction(3, 8)]
@@ -62,6 +60,25 @@ def _identity(var):
 
 def _zero(var):
     return {v: Fraction(0) for v in var.values}
+
+
+def _local(space, a, b, c):
+    """The masses of the event ``c`` in the four cells of (a, b), which
+    need not be a context: those a listed atlas holds for a context."""
+    return mass_table(space, a.assignment, b.assignment, c.members)
+
+
+def _listed(space, a, b, c):
+    """The masses of the context ``c`` from an atlas of ``c`` alone, and
+    the atlas's whole-space masses."""
+    atlas = ContextAtlas(space, a, b, (c,))
+    return atlas.entries[0].table.local, atlas.omega.whole
+
+
+def _operator(space, a, b, obs=None):
+    """The operator of ``obs`` (a + b by default) on the pair's atlas."""
+    obs = obs or CompositeObservable.sum_of(a, b)
+    return obs.operator(ContextAtlas(space, a, b).transition)
 
 
 class TestFundamentalOperators:
@@ -170,19 +187,21 @@ class TestMeans:
     def test_classical_mean_examples(self):
         space, a, b = _kq(Fraction(1, 4))
         c123 = space.event(["w1", "w2", "w3"])
+        local, _ = _listed(space, a, b, c123)
         obs_b = CompositeObservable.of_b(b, _identity(b))
-        assert classical_mean(space, obs_b, c123) == Fraction(1, 3) - Fraction(2, 3)
+        assert obs_b.mean_on(local) == Fraction(1, 3) - Fraction(2, 3)
         const = CompositeObservable.of_b(b, {v: Fraction(7) for v in b.values})
-        assert classical_mean(space, const, c123) == 7
+        assert const.mean_on(local) == 7
         atom = space.event(["w1"])
         both = CompositeObservable.sum_of(a, b)
-        assert classical_mean(space, both, atom) == 2
+        assert both.mean_on(_local(space, a, b, atom)) == 2
 
     def test_zero_condition(self):
+        # An empty event is no context: an atlas of it refuses it as it
+        # refuses every event that misses a cell, so no mean is taken.
         space, a, b = _kq(Fraction(1, 4))
-        obs = CompositeObservable.sum_of(a, b)
-        with pytest.raises(ZeroConditionError):
-            classical_mean(space, obs, space.event([]))
+        with pytest.raises(NotAContextError):
+            _listed(space, a, b, space.event([]))
 
 
 class TestMeanPreservation:
@@ -199,12 +218,13 @@ class TestMeanPreservation:
         )
         f = {v: v * v for v in rich.values}
         assert mean_preservation_gap(space, rich, b, f, _zero(b)) < 1e-10
-        op = to_operator(
-            space, CompositeObservable.sum_of(rich, b, f, _zero(b))
+        op = _operator(
+            space, rich, b, CompositeObservable.sum_of(rich, b, f, _zero(b))
         )
-        state = amplitude(space, rich, b, space.event(["w1", "w3", "w4"]))
+        c = space.event(["w1", "w3", "w4"])
+        state = amplitude(space, rich, b, c)
         obs = CompositeObservable.of_a(rich, b, f)
-        direct = classical_mean(space, obs, space.event(["w1", "w3", "w4"]))
+        direct = obs.mean_on(_listed(space, rich, b, c)[0])
         assert abs(quantum_mean(op, state) - float(direct)) < 1e-10
 
     def test_random_value_tables(self):
@@ -224,10 +244,11 @@ class TestMeanPreservation:
             assert mean_preservation_gap(space, a, b, f, g) < 1e-10
 
     @pytest.mark.parametrize("points", [8, 10])
-    def test_verify_mean_gap_equals_max_mean_gap(self, points):
-        # verify evaluates the means once per distinct table, with one
-        # integer division per exact mean; the floats must be those of the
-        # per-entry oracle, because the report prints 17 digits.
+    def test_mean_gap_equals_the_per_entry_gap(self, points):
+        # mean_gap, which verify prints, evaluates the means once per
+        # distinct table, with one integer division per exact mean; the
+        # floats must be those of the per-entry oracle, because the report
+        # prints 17 digits.
         rng = random.Random(2024)
         space, a, b = random_double_stochastic_model(rng, max_split=3)
         while len(space.points) != points:
@@ -240,11 +261,19 @@ class TestMeanPreservation:
                 for x in (a, b)
             )
             obs = CompositeObservable.sum_of(a, b, f, g)
-            pairs.append((obs, to_operator(space, obs)))
-        gaps = [max_mean_gap(obs, op, atlas.represented) for obs, op in pairs]
+            pairs.append((obs, obs.operator(atlas.transition)))
+        gaps = [
+            max(
+                abs(quantum_mean(op, e.state) - float(obs.mean_on(e.table.local)))
+                for e in atlas.represented
+            )
+            for obs, op in pairs
+        ]
         assert max(gaps) > 0
-        assert [verify.mean_gap(atlas, [pair]) for pair in pairs] == gaps
-        assert verify.mean_gap(atlas, pairs) == max(gaps)
+        assert [mean_gap(atlas, [pair]) for pair in pairs] == gaps
+        assert mean_gap(atlas, pairs) == max(gaps)
+        first = pairs[0][0]
+        assert mean_preservation_gap(space, a, b, first.f, first.g) == gaps[0]
 
     @pytest.mark.parametrize("q", QS)
     def test_functions_of_one_variable(self, q):
@@ -259,16 +288,17 @@ class TestMeanPreservation:
             (CompositeObservable.of_a(a, b, f), function_of_a(a, trans, f)),
             (CompositeObservable.of_b(b, g), function_of_b(b, g)),
         ):
-            op = to_operator(space, obs)
+            op = obs.operator(trans)
             assert op.entries == want.entries
-            for c, state in represented_states(space, a, b):
-                exact = float(classical_mean(space, obs, c))
-                assert abs(quantum_mean(op, state) - exact) <= verify.OPERATOR_TOL
+            for e in ContextAtlas(space, a, b).represented:
+                exact = float(obs.mean_on(e.table.local))
+                assert abs(quantum_mean(op, e.state) - exact) <= verify.OPERATOR_TOL
 
-    def test_to_operator_is_the_builder_on_the_transition_matrix(self):
-        # to_operator is a view: for every kind of observable its entries
-        # are exactly those the builder gives from the pair's transition
-        # matrix, on the reference family and on random DS models.
+    def test_the_builder_reads_the_atlas_transition_matrix(self):
+        # For every kind of observable, the operator built from the atlas's
+        # transition matrix, which every report passes, is exactly the one
+        # built from the matrix summed directly over the points, on the
+        # reference family and on random DS models; g(b) reads neither.
         rng = random.Random(79)
         models = [_kq(q) for q in QS]
         models += [random_double_stochastic_model(rng) for _ in range(10)]
@@ -283,8 +313,10 @@ class TestMeanPreservation:
                 CompositeObservable.product_of(a, b),
             )
             assert {obs.kind for obs in observables} == set(ObservableKind)
+            atlas_trans = ContextAtlas(space, a, b).transition
             for obs in observables:
-                assert to_operator(space, obs).entries == obs.operator(trans).entries
+                assert obs.operator(atlas_trans).entries == obs.operator(trans).entries
+            assert observables[1].operator(None) == observables[1].operator(trans)
 
     def test_symmetrized_product_breaks_preservation(self):
         # The product observable maps to the symmetrised operator product;
@@ -292,13 +324,13 @@ class TestMeanPreservation:
         # moves with the context.
         space, a, b = _kq(Fraction(1, 8))
         obs = CompositeObservable.product_of(a, b)
-        op = to_operator(space, obs)
+        op = _operator(space, a, b, obs)
         assert abs(op.entries[0][1]) < 1e-12
         assert abs(op.entries[0][0] - op.entries[1][1]) < 1e-12
         c234 = space.event(["w2", "w3", "w4"])
         state = amplitude(space, a, b, c234)
         quantum = quantum_mean(op, state)
-        classical = classical_mean(space, obs, c234)
+        classical = obs.mean_on(_listed(space, a, b, c234)[0])
         assert classical == Fraction(-5, 7)
         assert abs(quantum - (-0.5)) < 1e-12
         assert abs(quantum - float(classical)) > 0.2
@@ -333,8 +365,7 @@ class TestSpectral:
     def test_sum_operator_eigenvalues(self):
         for q in QS:
             space, a, b = _kq(q)
-            op = to_operator(space, CompositeObservable.sum_of(a, b))
-            spec = spectral_decomposition(op)
+            spec = spectral_decomposition(_operator(space, a, b))
             k = 2.0 * math.sqrt(float(2 * q))
             assert spec.eigenvalues == pytest.approx((-k, k), abs=1e-12)
 
@@ -344,7 +375,7 @@ class TestSpectral:
             a_operator(a, transition_matrix(space, a, b)), b_operator(b)
         )
         state = amplitude(space, a, b, space.omega())
-        dist = observable_distribution(op, state)
+        dist = spectral_decomposition(op).distribution(state)
         assert len(dist) == 1
         value, mass = next(iter(dist.items()))
         assert abs(value - float(4 * Fraction(1, 8) - 1)) < 1e-12
@@ -355,9 +386,9 @@ class TestDistributions:
     def test_quantum_weights_on_witness_context(self):
         q = Fraction(1, 8)
         space, a, b = _kq(q)
-        op = to_operator(space, CompositeObservable.sum_of(a, b))
+        op = _operator(space, a, b)
         state = amplitude(space, a, b, space.event(["w2", "w3", "w4"]))
-        dist = observable_distribution(op, state)
+        dist = spectral_decomposition(op).distribution(state)
         root = math.sqrt(float(2 * q))
         lo = (1 + root) * (2 - root) / float(4 * (1 - q))
         hi = (1 - root) * (2 + root) / float(4 * (1 - q))
@@ -370,7 +401,8 @@ class TestDistributions:
 
     def test_eigenstate_distribution_is_point_mass(self):
         _, _, b = _kq(Fraction(1, 4))
-        dist = observable_distribution(b_operator(b), StateVector((1 + 0j, 0j)))
+        spectrum = spectral_decomposition(b_operator(b))
+        dist = spectrum.distribution(StateVector((1 + 0j, 0j)))
         assert sorted(dist) == [-1.0, 1.0]
         assert dist[-1.0] == pytest.approx(0.0, abs=1e-15)
         assert dist[1.0] == pytest.approx(1.0, abs=1e-15)
@@ -379,16 +411,16 @@ class TestDistributions:
         rng = random.Random(73)
         for _ in range(10):
             space, a, b = random_double_stochastic_model(rng)
-            op = to_operator(space, CompositeObservable.sum_of(a, b))
+            spectrum = spectral_decomposition(_operator(space, a, b))
             for _, state in represented_states(space, a, b):
-                dist = observable_distribution(op, state)
+                dist = spectrum.distribution(state)
                 assert abs(sum(dist.values()) - 1.0) < 1e-12
 
     def test_classical_pushforward_on_witness_context(self):
         q = Fraction(1, 8)
         space, a, b = _kq(q)
         obs = CompositeObservable.sum_of(a, b)
-        got = classical_distribution(space, obs, space.event(["w2", "w3", "w4"]))
+        got = obs.distribution_on(*_listed(space, a, b, space.event(["w2", "w3", "w4"])))
         assert got == {
             Fraction(-2): q / (1 - q),
             Fraction(0): (1 - 2 * q) / (1 - q),
@@ -398,13 +430,13 @@ class TestDistributions:
     def test_constant_observable_point_mass(self):
         space, a, b = _kq(Fraction(1, 4))
         const = CompositeObservable.of_b(b, {v: Fraction(3) for v in b.values})
-        got = classical_distribution(space, const, space.omega())
+        got = const.distribution_on(*_listed(space, a, b, space.omega()))
         assert got == {Fraction(3): Fraction(1)}
 
     def test_b_on_own_cell(self):
         space, a, b = _kq(Fraction(1, 4))
         obs = CompositeObservable.of_b(b, _identity(b))
-        got = classical_distribution(space, obs, b.cell(space, 1))
+        got = obs.distribution_on(*_listed(space, a, b, b.cell(space, 1)))
         assert got == {Fraction(-1): Fraction(0), Fraction(1): Fraction(1)}
 
 
@@ -446,17 +478,49 @@ class TestMismatch:
         with pytest.raises(ValueError, match="sum and product"):
             distribution_mismatch(space, a, b, obs, space.omega())
 
+    def test_is_the_report_compare_dist_composes(self):
+        # The view reads one atlas of the context alone, bit for bit the
+        # report built from the masses and amplitude of the full atlas.
+        space, a, b = _kq(Fraction(1, 8))
+        atlas = ContextAtlas(space, a, b)
+        spectrum = spectral_decomposition(_operator(space, a, b))
+        obs = CompositeObservable.sum_of(a, b)
+        for e in atlas.mappable:
+            report = distribution_mismatch(space, a, b, obs, e.context, (2.0, -1.0))
+            law = obs.distribution_on(e.table.local, atlas.omega.whole)
+            assert report == MismatchReport.of(
+                law, spectrum.distribution(e.state), (2.0, -1.0)
+            )
+
+    def test_foreign_and_empty_events(self):
+        # A foreign point raises ForeignPointError and an empty event, like
+        # every event that misses a cell, NotAContextError: the types an
+        # atlas of the event raises.
+        space, a, b = _kq(Fraction(1, 4))
+        obs = CompositeObservable.sum_of(a, b)
+        for c, error in (
+            (Event(["w1", "zz"]), ForeignPointError),
+            (Event([]), NotAContextError),
+            (space.event(["w1"]), NotAContextError),
+        ):
+            with pytest.raises(error):
+                distribution_mismatch(space, a, b, obs, c)
+            with pytest.raises(error):
+                ContextAtlas(space, a, b, (c,)).entries
+
 
 class TestHamiltonian:
     def test_scale_must_be_positive(self):
         space, a, b = _kq(Fraction(1, 4))
-        with pytest.raises(ValueError, match="must be positive"):
-            hamiltonian(space, a, b, 0, _identity(b))
+        for h in (0, -1, "-1/2"):
+            with pytest.raises(ValueError, match="must be positive"):
+                hamiltonian_observable(a, b, h, _identity(b))
 
     def test_is_the_scaled_sum_of_the_two_functions_exactly(self):
-        # hamiltonian is a view over the operator builder; its entries are
-        # bit for bit those of (h/2) (f(a-op) + g(b-op)), f and g the squares
-        # and the potential.
+        # The energy operator is the builder's operator of the energy
+        # observable: bit for bit f(a-op) + g(b-op) with f and g the squares
+        # and the potential scaled by h/2 exactly, and within rounding h/2
+        # times the unscaled sum.
         rng = random.Random(83)
         models = [_kq(q) for q in QS]
         models += [random_double_stochastic_model(rng) for _ in range(10)]
@@ -467,11 +531,19 @@ class TestHamiltonian:
                 (1, {v: v * v for v in b.values}),
                 (Fraction(3, 7), {v: 5 * v - Fraction(2, 3) for v in b.values}),
             ):
-                expected = op_scale(
-                    float(h) / 2,
-                    op_add(function_of_a(a, trans, squared), function_of_b(b, pot)),
+                op = hamiltonian_observable(a, b, h, pot).operator(trans)
+                half = Fraction(h) / 2
+                scaled = op_add(
+                    function_of_a(a, trans, {v: half * w for v, w in squared.items()}),
+                    function_of_b(b, {v: half * w for v, w in pot.items()}),
                 )
-                assert hamiltonian(space, a, b, h, pot).entries == expected.entries
+                assert op.entries == scaled.entries
+                unscaled = op_add(
+                    function_of_a(a, trans, squared), function_of_b(b, pot)
+                )
+                for row, rows in zip(op.entries, unscaled.entries):
+                    for z, w in zip(row, rows):
+                        assert abs(z - float(half) * w) <= 1e-12 * max(1.0, abs(z))
 
     def test_zero_potential_scales_squared_momentum(self):
         space, _, b = _kq(Fraction(1, 8))
@@ -479,8 +551,8 @@ class TestHamiltonian:
             "a", (Fraction(2), Fraction(-1)), {"w1": 1, "w2": 1, "w3": 2, "w4": 2}
         )
         h = Fraction(3)
-        op = hamiltonian(space, rich, b, h, _zero(b))
         trans = transition_matrix(space, rich, b)
+        op = hamiltonian_observable(rich, b, h, _zero(b)).operator(trans)
         expected = function_of_a(rich, trans, {v: v * v for v in rich.values})
         for i in range(2):
             for j in range(2):
@@ -489,7 +561,7 @@ class TestHamiltonian:
     def test_unit_values_make_kinetic_part_scalar(self):
         space, a, b = _kq(Fraction(1, 4))
         pot = {v: 5 * v for v in b.values}
-        op = hamiltonian(space, a, b, 2, pot)
+        op = _operator(space, a, b, hamiltonian_observable(a, b, 2, pot))
         kinetic = (
             op.entries[0][0] - pot[b.values[0]],
             op.entries[1][1] - pot[b.values[1]],
@@ -503,13 +575,13 @@ class TestHamiltonian:
             "a", (Fraction(2), Fraction(-1)), {"w1": 1, "w2": 1, "w3": 2, "w4": 2}
         )
         pot = {v: v * v + 1 for v in b.values}
-        op = hamiltonian(space, rich, b, "1/2", pot)
         obs = hamiltonian_observable(rich, b, "1/2", pot)
-        for c, state in represented_states(space, rich, b):
-            gap = abs(
-                quantum_mean(op, state) - float(classical_mean(space, obs, c))
-            )
+        atlas = ContextAtlas(space, rich, b)
+        op = obs.operator(atlas.transition)
+        for e in atlas.represented:
+            gap = abs(quantum_mean(op, e.state) - float(obs.mean_on(e.table.local)))
             assert gap < 1e-10
+        assert mean_gap(atlas, [(obs, op)]) < 1e-10
 
     def test_energy_distribution_differs_somewhere(self):
         space, _, b = _kq(Fraction(1, 8))
@@ -528,17 +600,19 @@ class TestDispersion:
     def test_atom_has_zero_dispersion(self):
         space, a, b = _kq(Fraction(1, 4))
         obs = CompositeObservable.sum_of(a, b)
-        assert dispersion(space, obs, space.event(["w1"])) == 0
+        assert obs.variance_on(_local(space, a, b, space.event(["w1"]))) == 0
 
     def test_constant_on_cell(self):
         space, a, b = _kq(Fraction(1, 4))
         obs = CompositeObservable.of_b(b, _identity(b))
-        assert dispersion(space, obs, b.cell(space, 1)) == 0
+        local, _ = _listed(space, a, b, b.cell(space, 1))
+        assert obs.variance_on(local) == 0
 
     def test_bernoulli_variance(self):
         space, a, b = _kq(Fraction(1, 4))
         obs = CompositeObservable.of_b(b, _identity(b))
-        got = dispersion(space, obs, space.event(["w1", "w2", "w3"]))
+        local, _ = _listed(space, a, b, space.event(["w1", "w2", "w3"]))
+        got = obs.variance_on(local)
         spread = (b.values[0] - b.values[1]) ** 2
         assert got == spread * Fraction(1, 3) * Fraction(2, 3)
 
@@ -546,12 +620,16 @@ class TestDispersion:
         space, a, _ = _kq(Fraction(1, 4))
         obs = CompositeObservable.of_a(a, a, _identity(a))
         for idx in (1, 2):
-            assert dispersion(space, obs, a.cell(space, idx)) == 0
+            assert obs.variance_on(_local(space, a, a, a.cell(space, idx))) == 0
 
     def test_single_point_space(self):
+        # The one point holds the whole mass, in one cell: no spread.
         space = FiniteProbabilitySpace.from_pairs([("only", 1)])
-        values = {"only": Fraction(9)}
-        assert conditional_variance(space, values, space.omega()) == 0
+        local = mass_table(space, {"only": 1}, {"only": 2}, space.points)
+        assert local == ((0, 1), (0, 0))
+        _, a, b = _kq(Fraction(1, 4))
+        obs = CompositeObservable.sum_of(a, b, {v: 9 * v for v in a.values})
+        assert obs.variance_on(local) == 0
 
 
 class TestDispersionFreeSearch:

@@ -260,7 +260,7 @@ def test_bayes_consistency(space, rng):
 
 
 @given(small_spaces())
-@settings(max_examples=60)
+@settings(max_examples=60, derandomize=True, database=None)
 def test_context_conditionals_sum_to_one(space):
     if len(space.points) < 2:
         return
@@ -277,7 +277,7 @@ def test_context_conditionals_sum_to_one(space):
 
 
 @given(st.integers(min_value=0, max_value=10**9))
-@settings(max_examples=100)
+@settings(max_examples=100, derandomize=True, database=None)
 def test_full_overlap_implies_no_inclusions(seed):
     # Random pairs of partitions into 2..4 nonempty cells: whenever every
     # pairwise intersection is nonempty, no cell can sit inside another,

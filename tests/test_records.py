@@ -3,7 +3,8 @@
 Every record class compares and hashes by its field values, rejects
 attribute assignment and builds from positional or keyword fields with
 defaults; ``Event`` also orders by its members.  The package exports the
-same names as when it imported every layer eagerly.
+names it exported when it imported every layer eagerly, less the per-call
+operator functions that the atlas path replaced.
 """
 
 import importlib
@@ -18,7 +19,8 @@ from qcontext import hilbert, interference, model_io, operators, prob, verify
 from qcontext.errors import DegenerateRadicalError, FloatRangeError
 from qcontext.record import Record
 
-# qcontext.__all__ as listed when the package imported all of its layers.
+# qcontext.__all__ as listed when the package imported all of its layers,
+# less the per-call operator functions that the atlas path replaced.
 EXPORTS = [
     "BasisPair", "Classification", "CompositeObservable", "ContextAnalysis",
     "ContextAtlas", "CoverOverlapReport", "DegenerateRadicalError",
@@ -29,23 +31,22 @@ EXPORTS = [
     "NotAContextError", "NotDoubleStochasticError", "NotTrigonometricError",
     "PartialAssignmentError", "Partition", "QOutOfRangeError",
     "SingularBasisError", "SpectralDecomposition", "StateVector", "SweepResult",
-    "SweepRow", "TransitionMatrix", "WeightSumNotOneError", "ZeroConditionError",
-    "a_basis", "a_operator", "amplitude", "analyze_context", "b_operator",
-    "born_in_a_basis_check", "cell_duality_check", "classical_distribution",
-    "classical_mean", "classify", "commutator", "conditional",
-    "conditional_variance", "context_basis", "contexts_of",
-    "cover_overlap_report", "delta", "delta_outcome_sum", "dispersion",
-    "dispersion_free_search", "distribution_mismatch", "dual_inner_products",
-    "emit_report", "errors", "extend_to_cells", "hamiltonian",
+    "SweepRow", "TransitionMatrix", "WeightSumNotOneError",
+    "ZeroConditionError", "a_basis", "a_operator", "amplitude",
+    "analyze_context", "b_operator", "born_in_a_basis_check",
+    "cell_duality_check", "classify", "commutator", "conditional",
+    "context_basis", "contexts_of", "cover_overlap_report", "delta",
+    "delta_outcome_sum", "dispersion_free_search", "distribution_mismatch",
+    "dual_inner_products", "emit_report", "errors", "extend_to_cells",
     "hamiltonian_observable", "hilbert", "image_set", "interference",
     "is_context", "is_double_stochastic", "kq_model", "lambda_coefficient",
     "mappable_contexts", "mean_preservation_gap", "model_io",
-    "nonsensitive_contexts", "observable_distribution", "operators",
-    "pairwise_delta", "parse_model", "phase_gap", "phase_gap_constancy_check",
-    "prob", "probability", "quantum_mean", "reconstruct_total_probability",
-    "serialize_model", "spectral_decomposition", "sweep", "symmetrized_product",
-    "to_operator", "transition_matrix", "unitarity_check",
-    "variables_incompatible", "CheckResult", "run_checks", "verify",
+    "nonsensitive_contexts", "operators", "pairwise_delta", "parse_model",
+    "phase_gap", "phase_gap_constancy_check", "prob", "probability",
+    "quantum_mean", "reconstruct_total_probability", "serialize_model",
+    "spectral_decomposition", "sweep", "symmetrized_product",
+    "transition_matrix", "unitarity_check", "variables_incompatible",
+    "CheckResult", "run_checks", "verify",
 ]
 
 

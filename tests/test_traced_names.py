@@ -4,7 +4,9 @@ keeps an import only the tracer reads.
 ``perfbench/tracer.py`` names the functions it traces as ``module.attr``
 under ``qcontext``; a traced name that no longer resolves stops every
 ``--trace 1`` run.  The tracer is loaded from its file, so this test
-follows its list as it changes.  Code that moves between modules can leave
+follows its list as it changes.  That is why ``operators`` keeps
+``mean_preservation_gap`` and ``distribution_mismatch``, each a view over
+one atlas, though no report calls them.  Code that moves between modules can leave
 a ``from``-import behind; a scan of the sources finds every name so
 imported that its module never reads.
 """
