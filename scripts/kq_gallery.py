@@ -11,13 +11,7 @@ observable.  Finishes with the image structure (collisions, distinct states).
 import sys
 from fractions import Fraction
 
-from qcontext.hilbert import (
-    ContextAtlas,
-    amplitude,
-    image_set,
-    mappable_contexts,
-    transition_matrix,
-)
+from qcontext.hilbert import ContextAtlas
 from qcontext.interference import analyze_context
 from qcontext.model_io import format_float, kq_model
 from qcontext.operators import CompositeObservable, quantum_mean
@@ -29,7 +23,8 @@ def main() -> int:
     spec = kq_model(q)
     space = spec.space
     a, b = spec.variables["a"], spec.variables["b"]
-    trans = transition_matrix(space, a, b)
+    atlas = ContextAtlas(space, a, b)
+    trans = atlas.transition
     print(f"reference family at q = {q}")
     print(f"transition matrix: {trans.entries[0]} / {trans.entries[1]}")
     print()
@@ -46,24 +41,21 @@ def main() -> int:
     print()
 
     print("amplitudes (components on the two b-values):")
-    for c in mappable_contexts(space, a, b):
-        state = amplitude(space, a, b, c)
-        parts = ", ".join(
-            f"{z.real:+.6f}{z.imag:+.6f}i" for z in state.components
-        )
-        print(f"  {c.label():<18} ({parts})")
+    for e in atlas.mappable:
+        parts = ", ".join(f"{z.real:+.6f}{z.imag:+.6f}i" for z in e.state.components)
+        print(f"  {e.context.label():<18} ({parts})")
     print()
 
     obs = CompositeObservable.sum_of(a, b)
     op = obs.operator(trans)
     print("sum observable: quantum vs exact conditional mean")
-    for e in ContextAtlas(space, a, b).represented:
+    for e in atlas.represented:
         lhs = quantum_mean(op, e.state)
         rhs = obs.mean_on(e.table.local)
         print(f"  {e.context.label():<18} {lhs:+.12f}  vs  {str(rhs):>8}")
     print()
 
-    image = image_set(space, a, b)
+    image = atlas.image_set()
     print(f"distinct states: {image.distinct_count} of {len(image.entries)} events")
     for group in image.collisions:
         print("  collision:", ", ".join(evt.label() for evt in group))

@@ -36,10 +36,9 @@ _MODULE_OF = {
         ),
         "hilbert": (
             "BasisPair", "ContextAtlas", "StateVector", "TransitionMatrix",
-            "a_basis", "amplitude", "context_basis", "dual_inner_products",
-            "extend_to_cells", "image_set", "is_double_stochastic",
-            "mappable_contexts", "nonsensitive_contexts", "phase_gap",
-            "transition_matrix",
+            "amplitude", "context_basis", "dual_inner_products", "image_set",
+            "is_double_stochastic", "mappable_contexts", "nonsensitive_contexts",
+            "phase_gap", "transition_matrix",
         ),
         "model_io": (
             "ModelSpec", "SweepResult", "SweepRow", "emit_report", "kq_model",

@@ -22,9 +22,10 @@ r_i, R_i and W_ij the masses of A_i & C, A_i and A_i & B_j, and M that of C,
 each phase theta_j and each modulus sqrt(r_i W_ij / (M R_i)) comes from one
 correctly rounded integer division, so building the amplitudes builds no
 Fraction.  The transition matrix and the a-basis are read off the
-whole-space masses.  The functions that take a space and a pair are views
-over an atlas built for the call; :mod:`verify` holds the checks of this
-geometry.
+whole-space masses.  The atlas is the one way to each quantity of the pair,
+and an entry's table to each quantity of its context (:func:`context_basis`
+and :func:`phase_gap` take a table); the functions of a space and a pair at
+the end are views kept for ``perfbench``.  :mod:`verify` holds the checks.
 """
 
 from __future__ import annotations
@@ -34,12 +35,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
-from .errors import (
-    NotAContextError,
-    NotDoubleStochasticError,
-    NotTrigonometricError,
-    SingularBasisError,
-)
+from .errors import NotAContextError, NotTrigonometricError, SingularBasisError
 from .interference import Masses, TwoCellTable, mass_table
 from .prob import (
     DichotomousVariable,
@@ -78,14 +74,6 @@ class TransitionMatrix(Record):
             for p in row:
                 if p < 0 or p > 1:
                     raise ValueError("transition entries must lie in [0, 1]")
-
-
-def transition_matrix(
-    space: FiniteProbabilitySpace,
-    a_var: DichotomousVariable,
-    b_var: DichotomousVariable,
-) -> TransitionMatrix:
-    return ContextAtlas(space, a_var, b_var).transition
 
 
 def is_double_stochastic(matrix: TransitionMatrix) -> bool:
@@ -170,30 +158,6 @@ def _mapped(c: Event, state: StateVector | None) -> StateVector:
     return state
 
 
-def mappable_contexts(
-    space: FiniteProbabilitySpace,
-    a_var: DichotomousVariable,
-    b_var: DichotomousVariable,
-) -> tuple[Event, ...]:
-    """Contexts whose squared coefficients never exceed one (trigonometric,
-    boundary included); exactly these receive amplitudes."""
-    return tuple(e.context for e in ContextAtlas(space, a_var, b_var).mappable)
-
-
-def amplitude(
-    space: FiniteProbabilitySpace,
-    a_var: DichotomousVariable,
-    b_var: DichotomousVariable,
-    c: Event,
-) -> StateVector:
-    """Amplitude of a trigonometric (or boundary) context.
-
-    Raises :class:`NotTrigonometricError` when some squared coefficient
-    exceeds one, and :class:`NotAContextError` when conditioning is undefined.
-    """
-    return ContextAtlas(space, a_var, b_var, (c,)).amplitudes()[0]
-
-
 class BasisPair(Record):
     """The canonical b-basis together with a (possibly non-orthonormal)
     a-basis expressed in b-coordinates."""
@@ -209,25 +173,15 @@ class BasisPair(Record):
         )
 
 
-def context_basis(
-    space: FiniteProbabilitySpace,
-    a_var: DichotomousVariable,
-    b_var: DichotomousVariable,
-    reference_context: Event | None = None,
-) -> BasisPair:
-    """a-basis read off from the amplitude of one reference context.
+def context_basis(table: TwoCellTable) -> BasisPair:
+    """a-basis read off from the amplitude of the reference context of
+    ``table``: an atlas entry's table, or the atlas's ``omega`` (whole space).
 
     e_1 = (u11, u12) and e_2 = (exp(i eps1 theta1) u21, exp(i eps2 theta2)
     u22), with u_ij the square roots of the transition probabilities and the
     phases taken from the reference context.  Defined for any incompatible
     pair; orthonormal exactly in the doubly stochastic case.
     """
-    c0 = reference_context if reference_context is not None else space.omega()
-    return _basis(TwoCellTable.of(space, a_var.assignment, b_var.assignment, c0))
-
-
-def _basis(table: TwoCellTable) -> BasisPair:
-    """The basis of :func:`context_basis` from the reference context's table."""
     theta = _phases(table, "the reference context must be trigonometric")
     u = [[math.sqrt(float(p)) for p in row] for row in table.b_given_a]
     e1 = StateVector((u[0][0] + 0j, u[0][1] + 0j))
@@ -240,80 +194,15 @@ def _basis(table: TwoCellTable) -> BasisPair:
     return BasisPair(e_a=(e1, e2))
 
 
-def a_basis(
-    space: FiniteProbabilitySpace,
-    a_var: DichotomousVariable,
-    b_var: DichotomousVariable,
-) -> BasisPair:
-    """Phase-stripped real orthonormal a-basis (q1, q2), (-q2, q1).
-
-    Requires an exactly doubly stochastic transition matrix, in which case
-    the phases of the whole space contribute only a per-vector global
-    factor; the stripped factor is recorded for reproducibility.
-    """
-    atlas = ContextAtlas(space, a_var, b_var)
-    if not is_double_stochastic(atlas.transition):
-        raise NotDoubleStochasticError(
-            "a context-independent orthonormal a-basis needs a doubly "
-            "stochastic transition matrix"
-        )
-    return atlas.basis
-
-
-def extend_to_cells(
-    space: FiniteProbabilitySpace,
-    a_var: DichotomousVariable,
-    basis: BasisPair,
-) -> dict[Event, StateVector]:
-    """Assign the a-basis vectors as the states of the partition cells, which
-    are not contexts themselves (they miss the opposite cell)."""
-    part = a_var.partition(space)
-    return {part.cells[0]: basis.e_a[0], part.cells[1]: basis.e_a[1]}
-
-
-def _gap(table: TwoCellTable, eps1: int, eps2: int) -> float:
-    theta = _phases(table, "phase gap needs a trigonometric context")
-    return (eps1 * theta[0] - eps2 * theta[1]) % (2.0 * math.pi)
-
-
-def phase_gap(
-    space: FiniteProbabilitySpace,
-    a_var: DichotomousVariable,
-    b_var: DichotomousVariable,
-    c: Event,
-    eps1: int,
-    eps2: int,
-) -> float:
-    """Sign-weighted phase gap eps1*theta(b1) - eps2*theta(b2), reduced
-    modulo 2 pi into [0, 2 pi).
+def phase_gap(table: TwoCellTable, eps1: int, eps2: int) -> float:
+    """Sign-weighted phase gap eps1*theta(b1) - eps2*theta(b2) of the
+    context whose table is ``table``, reduced modulo 2 pi into [0, 2 pi).
 
     Takes raw signs so that the drift under an equal-sign choice can be
     demonstrated; amplitudes always use the opposite :data:`SIGNS`.
     """
-    return _gap(
-        TwoCellTable.of(space, a_var.assignment, b_var.assignment, c), eps1, eps2
-    )
-
-
-def phase_gap_profile(
-    space: FiniteProbabilitySpace,
-    a_var: DichotomousVariable,
-    b_var: DichotomousVariable,
-    eps1: int,
-    eps2: int,
-) -> tuple[tuple[Event, float], ...]:
-    return ContextAtlas(space, a_var, b_var).phase_gap_profile(eps1, eps2)
-
-
-def nonsensitive_contexts(
-    space: FiniteProbabilitySpace,
-    a_var: DichotomousVariable,
-    b_var: DichotomousVariable,
-) -> tuple[Event, ...]:
-    """Contexts with exactly zero disturbance for every outcome; the whole
-    space always qualifies.  Their phases are right angles and the second
-    amplitude term is purely imaginary."""
-    return ContextAtlas(space, a_var, b_var).nonsensitive_contexts()
+    theta = _phases(table, "phase gap needs a trigonometric context")
+    return (eps1 * theta[0] - eps2 * theta[1]) % (2.0 * math.pi)
 
 
 class ImageSet(Record):
@@ -332,15 +221,6 @@ class ImageSet(Record):
     @property
     def collisions(self) -> tuple[tuple[Event, ...], ...]:
         return tuple(g for g in self.groups if len(g) > 1)
-
-
-def represented_states(
-    space: FiniteProbabilitySpace,
-    a_var: DichotomousVariable,
-    b_var: DichotomousVariable,
-) -> tuple[tuple[Event, StateVector], ...]:
-    """(event, state) pairs for every mappable context plus the two a-cells."""
-    return ContextAtlas(space, a_var, b_var).represented_states()
 
 
 def group_states(states: Sequence[StateVector]) -> tuple[tuple[int, ...], ...]:
@@ -382,14 +262,6 @@ def group_states(states: Sequence[StateVector]) -> tuple[tuple[int, ...], ...]:
         if all(map(cmath.isfinite, norm.components)):
             seen[id(state)] = g
     return tuple(tuple(group) for group in groups)
-
-
-def image_set(
-    space: FiniteProbabilitySpace,
-    a_var: DichotomousVariable,
-    b_var: DichotomousVariable,
-) -> ImageSet:
-    return ContextAtlas(space, a_var, b_var).image_set()
 
 
 class AtlasEntry(NamedTuple):
@@ -473,19 +345,17 @@ class ContextAtlas:
         found.sort(key=lambda item: len(item[0]))
         return [(Event(c), local) for c, local in found]
 
-    @property
-    def contexts(self) -> tuple[Event, ...]:
-        return tuple(e.context for e in self.entries)
-
     @derived
     def mappable(self) -> tuple[AtlasEntry, ...]:
-        """The entries with an amplitude."""
+        """The entries with an amplitude: those whose squared coefficients
+        never exceed one (trigonometric, boundary included)."""
         if not self.omega.incompatible:
             raise ValueError("context enumeration requires an incompatible pair")
         return tuple(e for e in self.entries if e.state is not None)
 
     def amplitudes(self) -> tuple[StateVector, ...]:
-        """Every entry's amplitude; raises as :func:`amplitude` does."""
+        """Every entry's amplitude.  Raises :class:`NotTrigonometricError`
+        when some squared coefficient exceeds one."""
         entries = self.entries
         if not self.omega.incompatible:
             raise ValueError("amplitudes require an incompatible variable pair")
@@ -503,8 +373,9 @@ class ContextAtlas:
     def basis(self) -> BasisPair:
         """The a-basis of the represented states, :func:`context_basis` of
         the whole space: phase-stripped when the transition matrix is doubly
-        stochastic."""
-        raw, trans = _basis(self.omega), self.transition
+        stochastic.  Where a takes one value, reading that matrix first
+        raises :class:`NotAContextError`."""
+        trans, raw = self.transition, context_basis(self.omega)
         if not is_double_stochastic(trans):
             return raw
         stripped = cmath.exp(1j * SIGNS[1] * self.omega.phases[1])
@@ -521,26 +392,18 @@ class ContextAtlas:
         """The mappable entries plus the two a-cells, which carry the a-basis
         vectors and their masses (a cell is no context: its table's
         coefficients are undefined), sorted by (size, members)."""
-        mappable = self.mappable  # raises for a compatible pair
+        ordered = list(self.mappable)  # raises for a compatible pair
         whole, none = self.omega.whole, (0, 0)
-        cells = [
+        locals_ = ((whole[0], none), (none, whole[1]))
+        ordered += [
             AtlasEntry(cell, TwoCellTable(local, whole), vector)
-            for (cell, vector), local in zip(
-                extend_to_cells(self.space, self.a_var, self.basis).items(),
-                ((whole[0], none), (none, whole[1])),
-            )
+            for cell, local, vector in zip(self.a_cells, locals_, self.basis.e_a)
         ]
-        ordered = sorted(
-            [*mappable, *cells],
-            key=lambda e: (len(e.context.members), e.context.members),
-        )
+        ordered.sort(key=lambda e: (len(e.context.members), e.context.members))
         return tuple(ordered)
 
-    def represented_states(self) -> tuple[tuple[Event, StateVector], ...]:
-        return tuple((e.context, e.state) for e in self.represented)
-
     def image_set(self) -> ImageSet:
-        entries = self.represented_states()
+        entries = tuple((e.context, e.state) for e in self.represented)
         groups = group_states([state for _, state in entries])
         return ImageSet(
             entries=entries,
@@ -567,9 +430,14 @@ class ContextAtlas:
     def phase_gap_profile(
         self, eps1: int, eps2: int
     ) -> tuple[tuple[Event, float], ...]:
-        return tuple((e.context, _gap(e.table, eps1, eps2)) for e in self.mappable)
+        return tuple(
+            (e.context, phase_gap(e.table, eps1, eps2)) for e in self.mappable
+        )
 
     def nonsensitive_contexts(self) -> tuple[Event, ...]:
+        """Contexts with exactly zero disturbance for every outcome; the whole
+        space always qualifies.  Their phases are right angles and the second
+        amplitude term is purely imaginary."""
         return tuple(e.context for e in self.entries if e.table.nonsensitive)
 
 
@@ -591,7 +459,6 @@ class DualCoordinates(Record):
 
 
 def dual_inner_products(
-    space: FiniteProbabilitySpace,
     a_var: DichotomousVariable,
     b_var: DichotomousVariable,
     state: StateVector,
@@ -619,3 +486,69 @@ def dual_inner_products(
         mean_a=mean_a,
         mean_b=mean_b,
     )
+
+
+# Views of a space and a pair over an atlas built for the call.  No report
+# reads them; they stay because perfbench traces them or, for
+# transition_matrix, calls it.
+
+
+def transition_matrix(
+    space: FiniteProbabilitySpace,
+    a_var: DichotomousVariable,
+    b_var: DichotomousVariable,
+) -> TransitionMatrix:
+    return ContextAtlas(space, a_var, b_var).transition
+
+
+def mappable_contexts(
+    space: FiniteProbabilitySpace,
+    a_var: DichotomousVariable,
+    b_var: DichotomousVariable,
+) -> tuple[Event, ...]:
+    return tuple(e.context for e in ContextAtlas(space, a_var, b_var).mappable)
+
+
+def amplitude(
+    space: FiniteProbabilitySpace,
+    a_var: DichotomousVariable,
+    b_var: DichotomousVariable,
+    c: Event,
+) -> StateVector:
+    return ContextAtlas(space, a_var, b_var, (c,)).amplitudes()[0]
+
+
+def phase_gap_profile(
+    space: FiniteProbabilitySpace,
+    a_var: DichotomousVariable,
+    b_var: DichotomousVariable,
+    eps1: int,
+    eps2: int,
+) -> tuple[tuple[Event, float], ...]:
+    return ContextAtlas(space, a_var, b_var).phase_gap_profile(eps1, eps2)
+
+
+def nonsensitive_contexts(
+    space: FiniteProbabilitySpace,
+    a_var: DichotomousVariable,
+    b_var: DichotomousVariable,
+) -> tuple[Event, ...]:
+    return ContextAtlas(space, a_var, b_var).nonsensitive_contexts()
+
+
+def represented_states(
+    space: FiniteProbabilitySpace,
+    a_var: DichotomousVariable,
+    b_var: DichotomousVariable,
+) -> tuple[tuple[Event, StateVector], ...]:
+    """(event, state) pairs for every mappable context plus the two a-cells."""
+    represented = ContextAtlas(space, a_var, b_var).represented
+    return tuple((e.context, e.state) for e in represented)
+
+
+def image_set(
+    space: FiniteProbabilitySpace,
+    a_var: DichotomousVariable,
+    b_var: DichotomousVariable,
+) -> ImageSet:
+    return ContextAtlas(space, a_var, b_var).image_set()

@@ -742,30 +742,32 @@ def _labelled(c: Event, suffix: str) -> str | Slot:
 
 
 def _analysis_bundle(atlas: ContextAtlas, args) -> dict:
-    """Each context's analysis and its two checks, read once per distinct
-    table: the exact sum of both disturbances, and the largest gap between
-    P(B_j|C) and its interference-form reconstruction."""
+    """Each context's analysis, read once per distinct table, and for a JSON
+    report, which alone prints them, its two checks: the exact sum of both
+    disturbances, and the largest gap between P(B_j|C) and its
+    interference-form reconstruction."""
     from .interference import ContextAnalysis
 
-    b_values = atlas.b_var.values
+    b_values, with_checks = atlas.b_var.values, args.fmt == "json"
 
     def row_of(table, state) -> Callable:
         def row(c) -> dict:
             analysis = ContextAnalysis.of(c, table, b_values)
-            checks = {
-                "disturbance_sum": sum(r.delta for r in analysis.outcomes),
-                "reconstruction_error": max(
-                    abs(table.reconstructed(j) - float(table.b_given_c[j]))
-                    for j in (0, 1)
-                ),
-            }
-            return {
+            made = {
                 "context": c,
                 "classification": analysis.classification,
                 "per_outcome": analysis.outcomes,
                 "state": state,
-                "checks": checks,
             }
+            if with_checks:
+                made["checks"] = {
+                    "disturbance_sum": sum(r.delta for r in analysis.outcomes),
+                    "reconstruction_error": max(
+                        abs(table.reconstructed(j) - float(table.b_given_c[j]))
+                        for j in (0, 1)
+                    ),
+                }
+            return made
 
         return row
 
@@ -782,7 +784,7 @@ def _represent_bundle(atlas: ContextAtlas, args) -> dict:
     )
 
     def gap_row(table, _) -> Callable:
-        gap = hilbert._gap(table, *hilbert.SIGNS)
+        gap = hilbert.phase_gap(table, *hilbert.SIGNS)
         return lambda c: {"context": c, "gap": gap}
 
     gaps = atlas.per_table(gap_row, atlas.mappable)

@@ -69,7 +69,7 @@ def _raw_basis(atlas: hilbert.ContextAtlas) -> hilbert.BasisPair:
     atlas.transition  # where a takes one value: NotAContextError comes first
     if not atlas.omega.incompatible:
         raise ValueError("context enumeration requires an incompatible pair")
-    return hilbert._basis(atlas.omega)
+    return hilbert.context_basis(atlas.omega)
 
 
 def unitarity_check(atlas: hilbert.ContextAtlas) -> tuple[bool, bool]:
@@ -167,7 +167,7 @@ def run_checks(
     a_part, b_part = a_var.partition(space), b_var.partition(space)
     if atlas is None:
         atlas = hilbert.ContextAtlas(space, a_var, b_var)
-    count = len(atlas.contexts)
+    count = len(atlas.entries)
     mappable = atlas.mappable
     trans = atlas.transition
     unitary, forward_ds = unitarity_check(atlas)

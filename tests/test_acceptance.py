@@ -15,9 +15,7 @@ from pathlib import Path
 from qcontext import cli
 from qcontext.hilbert import (
     ContextAtlas,
-    a_basis,
     amplitude,
-    extend_to_cells,
     is_double_stochastic,
     mappable_contexts,
     nonsensitive_contexts,
@@ -124,8 +122,7 @@ def test_01_reference_family_closed_forms():
         assert abs(cell_state.components[0] - 1.0) <= AMPLITUDE_TOL
         assert abs(cell_state.components[1]) <= AMPLITUDE_TOL
 
-        basis = a_basis(space, a, b)
-        cells = extend_to_cells(space, a, basis)
+        cells = {e.context: e.state for e in ContextAtlas(space, a, b).represented}
         q1, q2 = math.sqrt(float(2 * q)), math.sqrt(float(1 - 2 * q))
         got_first = cells[ap.cells[0]].components
         got_second = cells[ap.cells[1]].components
@@ -242,8 +239,10 @@ def test_05_phase_gap_constancy():
         worst, profile = phase_gap_constancy_check(ContextAtlas(space, a, b))
         assert worst <= AMPLITUDE_TOL and profile
     space, a, b = _kq(Fraction(1, 8))
-    g1 = phase_gap(space, a, b, space.event(["w1", "w2", "w3"]), +1, +1)
-    g2 = phase_gap(space, a, b, space.event(["w1", "w2", "w4"]), +1, +1)
+    events = (space.event(["w1", "w2", "w3"]), space.event(["w1", "w2", "w4"]))
+    g1, g2 = (
+        phase_gap(e.table, +1, +1) for e in ContextAtlas(space, a, b, events).entries
+    )
     assert abs(g1 - g2) > 1e-6
     _passed("05 phase gap constancy and equal-sign violation")
 

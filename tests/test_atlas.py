@@ -155,7 +155,7 @@ def test_atlas_equals_the_per_context_path(index):
     space, a, b = MODELS[index]
     ap, bp = a.partition(space), b.partition(space)
     atlas = ContextAtlas(space, a, b)
-    assert atlas.contexts == contexts_of(space, ap)
+    assert tuple(e.context for e in atlas.entries) == contexts_of(space, ap)
     for e in atlas.entries:
         table = TwoCellTable.of(space, a.assignment, b.assignment, e.context)
         assert e.table == table
@@ -182,7 +182,8 @@ def test_atlas_equals_the_per_context_path(index):
         e.context for e in atlas.entries if e.table.delta(0) == e.table.delta(1) == 0
     )
     for c, gap in atlas.phase_gap_profile(-1, +1):
-        assert gap == phase_gap(space, a, b, c, -1, +1)
+        table = TwoCellTable.of(space, a.assignment, b.assignment, c)
+        assert gap == phase_gap(table, -1, +1)
 
 
 @pytest.mark.parametrize("index", range(len(MODELS)))
@@ -220,7 +221,7 @@ def test_listed_contexts_keep_their_order_and_errors():
     every = contexts_of(space, a.partition(space))
     listed = (every[-1], every[0], every[len(every) // 2])
     atlas = ContextAtlas(space, a, b, listed)
-    assert atlas.contexts == listed
+    assert tuple(e.context for e in atlas.entries) == listed
     for e in atlas.entries:
         assert e.table == TwoCellTable.of(space, a.assignment, b.assignment, e.context)
     cell = a.partition(space).cells[0]
@@ -270,7 +271,9 @@ def test_contexts_with_equal_masses_share_one_table_and_amplitude(listed):
     contexts = every[::-3] if listed else None
     atlas = ContextAtlas(space, a, b, contexts)
     entries = atlas.entries
-    assert atlas.contexts == (every[::-3] if listed else every)
+    assert tuple(e.context for e in atlas.entries) == (
+        every[::-3] if listed else every
+    )
     locals_ = {e.table.local for e in entries}
     assert len({id(e.table) for e in entries}) == len(locals_) < len(entries)
     if not listed:
@@ -508,7 +511,7 @@ SHARED_MODELS = {
 def test_shared_states_give_the_image_set_of_their_copies(name):
     space, a, b = SHARED_MODELS[name]()
     atlas = ContextAtlas(space, a, b)
-    entries = atlas.represented_states()
+    entries = tuple((e.context, e.state) for e in atlas.represented)
     states = [state for _, state in entries]
     assert len({id(state) for state in states}) < len(states)
     # Copies are distinct objects, so each is compared with the leaders.

@@ -22,11 +22,9 @@ from qcontext.hilbert import (
     BasisPair,
     ContextAtlas,
     StateVector,
-    a_basis,
     amplitude,
     context_basis,
     dual_inner_products,
-    extend_to_cells,
     group_states,
     image_set,
     is_double_stochastic,
@@ -80,7 +78,7 @@ class TestTransitionMatrix:
         space = FiniteProbabilitySpace(("w1", "w2"), {"w1": "1/2", "w2": "1/2"})
         a = DichotomousVariable("a", ("0", "1"), {"w1": 1, "w2": 1, "x": 2})
         b = DichotomousVariable("b", ("0", "1"), {"w1": 1, "w2": 2, "x": 1})
-        for view in (transition_matrix, a_basis):
+        for view in (transition_matrix, lambda *pair: ContextAtlas(*pair).basis):
             with pytest.raises(NotAContextError, match="w1\\+w2 is not a context"):
                 view(space, a, b)
 
@@ -194,7 +192,7 @@ class TestABasis:
     @pytest.mark.parametrize("q", QS)
     def test_reference_family_basis(self, q):
         space, a, b = _kq(q)
-        basis = a_basis(space, a, b)
+        basis = ContextAtlas(space, a, b).basis
         q1 = math.sqrt(float(2 * q))
         q2 = math.sqrt(float(1 - 2 * q))
         assert abs(basis.e_a[0].components[0] - q1) < 1e-12
@@ -206,25 +204,25 @@ class TestABasis:
 
     def test_balanced_matrix_gives_rotation_by_quarter(self):
         space, a, b = _kq(Fraction(1, 4))
-        basis = a_basis(space, a, b)
+        basis = ContextAtlas(space, a, b).basis
         r = 1 / math.sqrt(2)
         flat = [z for vec in basis.e_a for z in vec.components]
         for got, want in zip(flat, [r, r, -r, r]):
             assert abs(got - want) < 1e-12
 
-    def test_requires_double_stochastic(self, non_ds_witness):
-        space = non_ds_witness.space
-        with pytest.raises(NotDoubleStochasticError):
-            a_basis(
-                space,
-                non_ds_witness.variables["a"],
-                non_ds_witness.variables["b"],
-            )
+    def test_witness_basis_keeps_its_phases(self, non_ds_witness):
+        # Without a doubly stochastic matrix the atlas's basis is the raw
+        # whole-space basis: nothing is stripped.
+        space, variables = non_ds_witness.space, non_ds_witness.variables
+        atlas = ContextAtlas(space, variables["a"], variables["b"])
+        assert atlas.basis.stripped_phase is None
+        assert atlas.basis == context_basis(atlas.omega)
 
     def test_cells_take_basis_vectors(self):
         space, a, b = _kq(Fraction(1, 8))
-        basis = a_basis(space, a, b)
-        states = extend_to_cells(space, a, basis)
+        atlas = ContextAtlas(space, a, b)
+        basis = atlas.basis
+        states = {e.context: e.state for e in atlas.represented}
         ap = a.partition(space)
         assert states[ap.cells[0]] is basis.e_a[0]
         assert states[ap.cells[1]] is basis.e_a[1]
@@ -268,13 +266,14 @@ class TestPhaseGap:
 
     def test_right_angle_case(self):
         space, a, b = _kq(Fraction(1, 4))
-        gap = phase_gap(space, a, b, space.omega(), -1, +1)
+        gap = phase_gap(ContextAtlas(space, a, b).omega, -1, +1)
         assert abs(gap - math.pi) < 1e-12
 
     def test_equal_signs_drift(self):
         space, a, b = _kq(Fraction(1, 8))
-        g1 = phase_gap(space, a, b, space.event(["w1", "w2", "w3"]), +1, +1)
-        g2 = phase_gap(space, a, b, space.event(["w1", "w2", "w4"]), +1, +1)
+        events = (space.event(["w1", "w2", "w3"]), space.event(["w1", "w2", "w4"]))
+        atlas = ContextAtlas(space, a, b, events)
+        g1, g2 = (phase_gap(e.table, +1, +1) for e in atlas.entries)
         assert abs(g1 - g2) > 1e-6
 
     def test_random_double_stochastic_models(self):
@@ -433,10 +432,10 @@ class TestDualInnerProducts:
     @pytest.mark.parametrize("q", QS)
     def test_orthonormal_case_matches_projections(self, q):
         space, a, b = _kq(q)
-        basis = a_basis(space, a, b)
+        basis = ContextAtlas(space, a, b).basis
         c124 = space.event(["w1", "w2", "w4"])
         state = amplitude(space, a, b, c124)
-        coords = dual_inner_products(space, a, b, state, basis)
+        coords = dual_inner_products(a, b, state, basis)
         for coeff, e in zip(coords.a_coords, basis.e_a):
             assert abs(coeff - state.inner(e)) < 1e-12
 
@@ -444,9 +443,9 @@ class TestDualInnerProducts:
     def test_complementary_context_coefficients(self, q):
         # Expansion coefficients in the stripped real basis, closed form.
         space, a, b = _kq(q)
-        basis = a_basis(space, a, b)
+        basis = ContextAtlas(space, a, b).basis
         state = amplitude(space, a, b, space.event(["w1", "w2", "w4"]))
-        coords = dual_inner_products(space, a, b, state, basis)
+        coords = dual_inner_products(a, b, state, basis)
         theta = math.acos(math.sqrt(float(q) / 2.0))
         first = 1.0 / math.sqrt(2.0 * float(1 - q))
         second = -cmath.exp(-1j * theta) * math.sqrt(
@@ -462,13 +461,11 @@ class TestDualInnerProducts:
         a = non_ds_witness.variables["a"]
         b = non_ds_witness.variables["b"]
         ap = a.partition(space)
-        for c in mappable_contexts(space, a, b):
-            basis = context_basis(space, a, b, c)
-            state = amplitude(space, a, b, c)
-            coords = dual_inner_products(space, a, b, state, basis)
+        for e in ContextAtlas(space, a, b).mappable:
+            coords = dual_inner_products(a, b, e.state, context_basis(e.table))
             for j, cell in enumerate(ap.cells):
                 assert (
-                    abs(coords.a_probs[j] - float(conditional(space, cell, c)))
+                    abs(coords.a_probs[j] - float(conditional(space, cell, e.context)))
                     < 1e-12
                 )
 
@@ -482,15 +479,13 @@ class TestDualInnerProducts:
             )
         )
         with pytest.raises(SingularBasisError):
-            dual_inner_products(space, a, b, state, broken)
+            dual_inner_products(a, b, state, broken)
 
     def test_means_match_exact_conditionals(self):
         space, a, b = _kq(Fraction(1, 8))
-        basis = a_basis(space, a, b)
+        basis = ContextAtlas(space, a, b).basis
         c = space.event(["w1", "w2", "w3"])
-        coords = dual_inner_products(
-            space, a, b, amplitude(space, a, b, c), basis
-        )
+        coords = dual_inner_products(a, b, amplitude(space, a, b, c), basis)
         ap, bp = a.partition(space), b.partition(space)
         mean_b = sum(
             float(v) * float(conditional(space, cell, c))
@@ -530,7 +525,7 @@ class TestUnitarity:
 
     def test_gram_against_numpy(self):
         space, a, b = _kq(Fraction(3, 8))
-        basis = context_basis(space, a, b)
+        basis = context_basis(ContextAtlas(space, a, b).omega)
         m = np.array(
             [list(vec.components) for vec in basis.e_a], dtype=complex
         ).T

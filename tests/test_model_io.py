@@ -704,6 +704,26 @@ def test_csv_analysis_makes_one_analysis_per_distinct_table(capsys, monkeypatch)
     assert capsys.readouterr().out == emit_report(plain, "csv")
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_only_a_json_analysis_builds_the_checks(capsys, monkeypatch, fmt):
+    # The reconstruction check reads each table's two reconstructions; the
+    # CSV layout prints no checks, so it reads none.
+    spec = parse_model(Path(SHARED).read_text(encoding="utf-8"))
+    atlas = ContextAtlas(spec.space, spec.variables["a"], spec.variables["b"])
+    tables = {e.table.local for e in atlas.entries}
+    calls = []
+    reconstructed = interference.TwoCellTable.reconstructed
+    monkeypatch.setattr(
+        interference.TwoCellTable,
+        "reconstructed",
+        lambda table, j: calls.append(j) or reconstructed(table, j),
+    )
+    assert cli.main(["analyze", "--format", fmt, "--model", SHARED]) == 0
+    capsys.readouterr()
+    assert 2 * len(tables) == 176
+    assert len(calls) == (176 if fmt == "json" else 0)
+
+
 @pytest.mark.parametrize("q", ["1/4", "1e-4200"])
 def test_writer_equals_the_two_step_form_on_model_documents(q):
     doc = model_document(kq_model(q))

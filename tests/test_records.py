@@ -4,7 +4,7 @@ Every record class compares and hashes by its field values, rejects
 attribute assignment and builds from positional or keyword fields with
 defaults; ``Event`` also orders by its members.  The package exports the
 names it exported when it imported every layer eagerly, less the per-call
-operator functions that the atlas path replaced.
+operator and a-basis functions that the atlas path replaced.
 """
 
 import importlib
@@ -20,7 +20,8 @@ from qcontext.errors import DegenerateRadicalError, FloatRangeError
 from qcontext.record import Record
 
 # qcontext.__all__ as listed when the package imported all of its layers,
-# less the per-call operator functions that the atlas path replaced.
+# less the per-call operator functions, a_basis and extend_to_cells, which
+# the atlas path replaced.
 EXPORTS = [
     "BasisPair", "Classification", "CompositeObservable", "ContextAnalysis",
     "ContextAtlas", "CoverOverlapReport", "DegenerateRadicalError",
@@ -32,12 +33,12 @@ EXPORTS = [
     "PartialAssignmentError", "Partition", "QOutOfRangeError",
     "SingularBasisError", "SpectralDecomposition", "StateVector", "SweepResult",
     "SweepRow", "TransitionMatrix", "WeightSumNotOneError",
-    "ZeroConditionError", "a_basis", "a_operator", "amplitude",
+    "ZeroConditionError", "a_operator", "amplitude",
     "analyze_context", "b_operator", "born_in_a_basis_check",
     "cell_duality_check", "classify", "commutator", "conditional",
     "context_basis", "contexts_of", "cover_overlap_report", "delta",
     "delta_outcome_sum", "dispersion_free_search", "distribution_mismatch",
-    "dual_inner_products", "emit_report", "errors", "extend_to_cells",
+    "dual_inner_products", "emit_report", "errors",
     "hamiltonian_observable", "hilbert", "image_set", "interference",
     "is_context", "is_double_stochastic", "kq_model", "lambda_coefficient",
     "mappable_contexts", "mean_preservation_gap", "model_io",
@@ -88,7 +89,7 @@ def _instances() -> list:
     c = space.event(["w1", "w2", "w3"])
     atlas = hilbert.ContextAtlas(space, a, b)
     state = hilbert.amplitude(space, a, b, c)
-    basis = hilbert.a_basis(space, a, b)
+    basis = atlas.basis
     analysis = interference.analyze_context(space, a, b, c)
     obs = operators.CompositeObservable.sum_of(a, b)
     return [
@@ -106,7 +107,7 @@ def _instances() -> list:
         basis,
         verify.born_in_a_basis_check(atlas)[0],
         hilbert.image_set(space, a, b),
-        hilbert.dual_inner_products(space, a, b, state, basis),
+        hilbert.dual_inner_products(a, b, state, basis),
         model_io.sweep(["1/4"]),
         model_io.sweep(["1/4"]).rows[0],
         operators.b_operator(b),
