@@ -305,6 +305,21 @@ class ContextAtlas:
         return TwoCellTable(local=whole, whole=whole)
 
     @derived
+    def reverse(self) -> "ContextAtlas":
+        """The atlas of (b, a) over every context of b's partition; its
+        whole-space masses are this atlas's transposed, not summed again."""
+        whole = tuple(zip(*self.omega.whole))
+        atlas = ContextAtlas(self.space, self.b_var, self.a_var)
+        atlas.omega = TwoCellTable(local=whole, whole=whole)
+        return atlas
+
+    def over(self, events: Sequence[Event]) -> "ContextAtlas":
+        """This pair's atlas over ``events``, with this whole-space table."""
+        atlas = ContextAtlas(self.space, self.a_var, self.b_var, events)
+        atlas.omega = self.omega
+        return atlas
+
+    @derived
     def a_cells(self) -> tuple[Event, ...]:
         return self.a_var.partition(self.space).cells
 

@@ -690,19 +690,21 @@ def _load_model(args: Namespace) -> ModelSpec:
     return parse_model(path.read_text(encoding="utf-8"))
 
 
-def _resolve_pair(spec: ModelSpec, names: str):
-    from .prob import variables_incompatible
+def _resolve_pair(spec: ModelSpec, names: str) -> ContextAtlas:
+    """The atlas of the pair ``names``, which must be incompatible."""
+    from .hilbert import ContextAtlas
 
     parts = [p.strip() for p in names.split(",")]
     if len(parts) != 2 or not all(parts):
         raise ModelError(f"--vars needs two names, got {quoted(names)}")
     a, b = (spec.variable(p) for p in parts)
-    if not variables_incompatible(spec.space, a, b):
+    atlas = ContextAtlas(spec.space, a, b, _contexts_for(spec, a))
+    if not atlas.omega.incompatible:
         raise ModelError(
             f"variables {quoted(parts[0])} and {quoted(parts[1])} are not "
             "incompatible"
         )
-    return a, b
+    return atlas
 
 
 def _contexts_for(spec: ModelSpec, a_var) -> tuple[Event, ...] | None:
@@ -853,7 +855,7 @@ def _compare_bundle(atlas: ContextAtlas, args) -> dict:
     entry of the atlas, or of an atlas of the --context event alone, which
     must have an amplitude; the operator's spectrum is computed once, each
     report once per table."""
-    from . import hilbert, operators
+    from . import operators
 
     a_var, b_var = atlas.a_var, atlas.b_var
     if args.observable == "sum":
@@ -862,8 +864,7 @@ def _compare_bundle(atlas: ContextAtlas, args) -> dict:
         obs = operators.CompositeObservable.product_of(a_var, b_var)
     alignment = _alignment(args)
     if args.context:
-        c = atlas.space.event(args.context.split(","))
-        atlas = hilbert.ContextAtlas(atlas.space, a_var, b_var, (c,))
+        atlas = atlas.over((atlas.space.event(args.context.split(",")),))
         atlas.amplitudes()  # raises unless the event is a mappable context
     made: list = []
     if atlas.mappable:
@@ -908,9 +909,7 @@ def _verify_bundle(atlas: ContextAtlas, args) -> dict:
     from . import verify
 
     seed = _seed_from_env()
-    checks = verify.run_checks(
-        atlas.space, atlas.a_var, atlas.b_var, seed=seed, atlas=atlas
-    )
+    checks = verify.run_checks(atlas, seed=seed)
     return {
         "kind": "verification",
         "seed": seed,
@@ -922,9 +921,7 @@ def _verify_bundle(atlas: ContextAtlas, args) -> dict:
 def _dispersion_bundle(atlas: ContextAtlas, args) -> dict:
     from . import operators
 
-    report = operators.dispersion_free_search(
-        atlas.space, atlas.a_var, atlas.b_var, atlas
-    )
+    report = operators.dispersion_free_search(atlas)
     return {
         "kind": "dispersion",
         "dispersion_free": list(report.dispersion_free),
@@ -946,15 +943,11 @@ _BUNDLES = {
 def model_bundle(args: Namespace) -> dict:
     """The report of a model subcommand, read from one atlas of the pair;
     the atlas is released before the report is emitted."""
-    from .hilbert import ContextAtlas
-
     spec = _load_model(args)
-    a_var, b_var = _resolve_pair(spec, args.vars)
-    contexts = _contexts_for(spec, a_var)
-    atlas = ContextAtlas(spec.space, a_var, b_var, contexts)
+    atlas = _resolve_pair(spec, args.vars)
     return {
         "model": model_document(spec),
-        "variables": [a_var.name, b_var.name],
+        "variables": [atlas.a_var.name, atlas.b_var.name],
         **_BUNDLES[args.command](atlas, args),
     }
 

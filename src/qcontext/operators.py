@@ -532,14 +532,10 @@ class DispersionFreeReport(Record):
     intersection: tuple[Event, ...]
 
 
-def dispersion_free_search(
-    space: FiniteProbabilitySpace,
-    a_var: DichotomousVariable,
-    b_var: DichotomousVariable,
-    atlas: ContextAtlas | None = None,
-) -> DispersionFreeReport:
-    """Brute force over every event; the represented family comes from
-    ``atlas``, built for the pair when not given."""
+def dispersion_free_search(atlas: ContextAtlas) -> DispersionFreeReport:
+    """Brute force over every event of the space of ``atlas``; the
+    represented family is that of its pair."""
+    space = atlas.space
     indicators = [{p: int(p == q) for p in space.points} for q in space.points]
     masses = space._masses
     free = [
@@ -550,8 +546,6 @@ def dispersion_free_search(
             for ind in indicators
         )
     ]
-    if atlas is None:
-        atlas = ContextAtlas(space, a_var, b_var)
     represented = [e.context for e in atlas.represented]
     membership = set(represented)
     inter = [evt for evt in free if evt in membership]

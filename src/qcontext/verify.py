@@ -13,9 +13,9 @@ pinned tolerances ``hilbert.STATE_TOL`` = 1e-12 (amplitude level) and
 
 :func:`unitarity_check`, :func:`born_in_a_basis_check`,
 :func:`phase_gap_constancy_check` and :func:`cell_duality_check` test the
-pair geometry of :mod:`hilbert` on atlases; :func:`run_checks` calls them
-with its own atlas and the atlas of the reversed pair, and ``qcontext``
-exports them.  ``mean_preservation`` is :func:`operators.mean_gap`.
+pair geometry of :mod:`hilbert` on an atlas; :func:`run_checks` calls them
+with its one atlas, and ``qcontext`` exports them.  ``mean_preservation``
+is :func:`operators.mean_gap`.
 """
 
 from __future__ import annotations
@@ -31,13 +31,10 @@ from .hilbert import STATE_TOL, is_double_stochastic
 from .model_io import format_float
 from .prob import (
     MAX_ENUMERATION_POINTS,
-    DichotomousVariable,
     Event,
-    FiniteProbabilitySpace,
     conditional,
     cover_overlap_report,
     probability,
-    variables_incompatible,
 )
 from .record import Record
 
@@ -117,32 +114,25 @@ def phase_gap_constancy_check(
     return max((abs(gap - math.pi) for _, gap in profile), default=0.0), profile
 
 
-def cell_duality_check(
-    forward: hilbert.ContextAtlas, reverse: hilbert.ContextAtlas
-) -> bool:
-    """With a doubly stochastic forward matrix, the b-cells admit amplitudes
-    exactly when the reverse matrix is doubly stochastic as well.
+def cell_duality_check(atlas: hilbert.ContextAtlas) -> bool:
+    """With a doubly stochastic matrix of the pair (a, b) of ``atlas``, the
+    b-cells admit amplitudes exactly when the matrix of (b, a), read from
+    :attr:`~hilbert.ContextAtlas.reverse`, is doubly stochastic as well.
 
-    ``forward`` is an atlas of the pair (a, b) and ``reverse`` one of (b, a)
-    on the same space; anything else raises ValueError.  Returns True when
-    the biconditional holds on this model and the closed form
-    -(m_1 + m_2) / (2 sqrt(m_1 m_2)), m_n = P(A_n|C) P(B_other|A_n),
+    Returns True when the biconditional holds on this model and the closed
+    form -(m_1 + m_2) / (2 sqrt(m_1 m_2)), m_n = P(A_n|C) P(B_other|A_n),
     reproduces the directly computed coefficient of the opposite cell; both
     are compared exactly, as sign and square.
     """
-    space, a_var, b_var = forward.space, forward.a_var, forward.b_var
-    if (reverse.space, reverse.a_var, reverse.b_var) != (space, b_var, a_var):
-        raise ValueError("the duality check needs the pair's atlases in both orders")
-    if not is_double_stochastic(forward.transition):
+    if not is_double_stochastic(atlas.transition):
         raise NotDoubleStochasticError(
             "the duality check presumes a doubly stochastic forward matrix"
         )
-    a_part, b_cells = a_var.partition(space), reverse.a_cells
+    space, reverse = atlas.space, atlas.reverse
+    a_part, b_cells = atlas.a_var.partition(space), reverse.a_cells
     cells_mappable = closed_form_ok = True
-    for i, b_cell in enumerate(b_cells):
-        table = interference.TwoCellTable.of(
-            space, a_var.assignment, b_var.assignment, b_cell, forward.omega.whole
-        )
+    tables = [e.table for e in atlas.over(b_cells).entries]
+    for i, (b_cell, table) in enumerate(zip(b_cells, tables)):
         cells_mappable &= table.mappable
         m = [table.a_given_c[n] * table.b_given_a[n][1 - i] for n in range(2)]
         direct = interference.lambda_coefficient(space, b_cells[1 - i], a_part, b_cell)
@@ -151,27 +141,20 @@ def cell_duality_check(
     return closed_form_ok and cells_mappable == is_double_stochastic(reverse.transition)
 
 
-def run_checks(
-    space: FiniteProbabilitySpace,
-    a_var: DichotomousVariable,
-    b_var: DichotomousVariable,
-    seed: int = 0,
-    atlas: hilbert.ContextAtlas | None = None,
-) -> list[CheckResult]:
-    """Every check that applies to the pair, over the contexts of ``atlas``
-    (every context when it is not given).  ``mean_preservation`` draws 20
-    random (f, g) pairs from ``seed``."""
-    if not variables_incompatible(space, a_var, b_var):
+def run_checks(atlas: hilbert.ContextAtlas, seed: int = 0) -> list[CheckResult]:
+    """Every check that applies to the pair of ``atlas``, over its contexts;
+    (b, a) is ``atlas.reverse``, so the space is summed once.
+    ``mean_preservation`` draws 20 random (f, g) pairs from ``seed``."""
+    if not atlas.omega.incompatible:
         raise ValueError("verification requires an incompatible variable pair")
 
+    space, a_var, b_var = atlas.space, atlas.a_var, atlas.b_var
     a_part, b_part = a_var.partition(space), b_var.partition(space)
-    if atlas is None:
-        atlas = hilbert.ContextAtlas(space, a_var, b_var)
     count = len(atlas.entries)
     mappable = atlas.mappable
     trans = atlas.transition
     unitary, forward_ds = unitarity_check(atlas)
-    reverse = hilbert.ContextAtlas(space, b_var, a_var)
+    reverse = atlas.reverse
     reverse_ds = is_double_stochastic(reverse.transition)
     results: list[CheckResult] = []
 
@@ -259,7 +242,7 @@ def run_checks(
         bounded("phase_gap_constant", "max_gap_from_pi", worst)
         check(
             "cell_duality",
-            cell_duality_check(atlas, reverse),
+            cell_duality_check(atlas),
             f"reverse_double_stochastic={reverse_ds}",
         )
 
@@ -346,18 +329,13 @@ def run_checks(
             )
 
             # Each cell's state from its table over the whole-space masses
-            # that the atlas of each order of the pair already holds.
+            # of each order of the pair.
             worst = 0.0
-            for x_var, y_var, whole in (
-                (a_var, b_var, atlas.omega.whole),
-                (b_var, a_var, reverse.omega.whole),
+            for states in (
+                atlas.over(reverse.a_cells).amplitudes(),
+                reverse.over(atlas.a_cells).amplitudes(),
             ):
-                cells = y_var.partition(space).cells
-                for cell, target in zip(cells, atlas.basis.e_b):
-                    table = interference.TwoCellTable.of(
-                        space, x_var.assignment, y_var.assignment, cell, whole
-                    )
-                    state = hilbert._mapped(cell, hilbert._amplitude(table))
+                for state, target in zip(states, atlas.basis.e_b):
                     gaps = zip(state.components, target.components)
                     worst = max(worst, max(abs(x - y) for x, y in gaps))
             bounded("cells_map_to_basis_states", "max_abs_error", worst)
@@ -375,7 +353,7 @@ def run_checks(
     )
 
     if len(space.points) <= MAX_ENUMERATION_POINTS:
-        found = operators.dispersion_free_search(space, a_var, b_var, atlas)
+        found = operators.dispersion_free_search(atlas)
         check(
             "dispersion_free_exactly_atoms",
             set(found.dispersion_free) == set(space.atoms())

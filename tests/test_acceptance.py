@@ -376,7 +376,7 @@ def test_10_dispersion_free_events_are_atoms():
     represented context."""
     for q in QS:
         space, a, b = _kq(q)
-        report = dispersion_free_search(space, a, b)
+        report = dispersion_free_search(ContextAtlas(space, a, b))
         assert set(report.dispersion_free) == set(space.atoms())
         assert len(report.dispersion_free) == 4
         assert report.intersection == ()

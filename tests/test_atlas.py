@@ -333,8 +333,8 @@ def whole_space_sums(monkeypatch):
 
 # Whole-space sums per report on --kq 1/4, or on the stored model named; a
 # sweep reads one atlas per grid value.
-# verify's two: the atlas and the atlas of the reversed pair, whose
-# whole-space tables the cell states of a doubly stochastic model share.
+# verify reads the reversed pair and the cells as contexts from atlases that
+# share its atlas's one whole-space table.
 WHOLE_SPACE_SUMS = {
     "analyze": 1,
     "represent": 1,
@@ -342,8 +342,8 @@ WHOLE_SPACE_SUMS = {
     "dispersion-free": 1,
     "compare-dist": 1,
     "compare-dist --context w1,w2,w3": 1,
-    "verify": 2,
-    "verify --model hyperbolic_witness.json": 2,
+    "verify": 1,
+    "verify --model hyperbolic_witness.json": 1,
     "sweep --grid 1/8,1/4,3/8": 3,
 }
 
@@ -395,15 +395,15 @@ def test_only_verify_builds_event_level_objects(capsys, monkeypatch, command):
     assert bool(built) == (command == "verify")
 
 
-# Whole-space sums of each geometry check on --kq 1/4, its atlases built
-# in the counting window: one per atlas, as each reads its raw basis and
-# transition matrices from atlases; the duality check reads the pair in
-# both orders.
+# Whole-space sums of each geometry check on --kq 1/4, its atlas built in
+# the counting window: one, as each reads its raw basis and transition
+# matrices from the atlas, and the duality check reads the reversed pair
+# and the b-cells from atlases that share the atlas's whole-space table.
 GEOMETRY_SUMS = {
     "unitarity_check": 1,
     "born_in_a_basis_check": 1,
     "phase_gap_constancy_check": 1,
-    "cell_duality_check": 2,
+    "cell_duality_check": 1,
 }
 
 
@@ -412,12 +412,32 @@ def test_a_geometry_check_sums_the_whole_space_once_per_atlas(whole_space_sums, 
     spec = kq_model("1/4")
     a, b = spec.variables["a"], spec.variables["b"]
     calls = whole_space_sums()
-    forward = ContextAtlas(spec.space, a, b)
-    if name == "cell_duality_check":
-        assert verify.cell_duality_check(forward, ContextAtlas(spec.space, b, a))
-    else:
-        assert getattr(verify, name)(forward)
+    assert getattr(verify, name)(ContextAtlas(spec.space, a, b))
     assert calls.count(True) == GEOMETRY_SUMS[name]
+
+
+@pytest.mark.parametrize(
+    "make", [random_double_stochastic_model, random_incompatible_model]
+)
+def test_derived_atlases_equal_fresh_ones_and_add_no_sum(whole_space_sums, make):
+    # The reversed atlas and an atlas over given events read this atlas's
+    # whole-space table; the events leave out the whole space, whose own
+    # local masses are a sum over every point.
+    rng = random.Random(67)
+    calls = whole_space_sums()
+    for _ in range(20):
+        space, a, b = make(rng)
+        contexts = contexts_of(space, a.partition(space))
+        calls.clear()
+        atlas = ContextAtlas(space, a, b)
+        reverse = atlas.reverse
+        events = rng.sample(contexts[:-1], 6) + list(reverse.a_cells)
+        derived = (reverse.omega, reverse.transition, reverse.a_cells)
+        entries = atlas.over(events).entries
+        assert calls.count(True) == 1
+        fresh = ContextAtlas(space, b, a)
+        assert derived == (fresh.omega, fresh.transition, fresh.a_cells)
+        assert entries == ContextAtlas(space, a, b, events).entries
 
 
 def test_mean_preservation_gap_sums_the_whole_space_once(whole_space_sums):

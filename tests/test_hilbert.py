@@ -533,33 +533,16 @@ class TestUnitarity:
         assert np.allclose(gram, np.eye(2), atol=1e-12)
 
 
-def _both_orders(space, a, b):
-    return ContextAtlas(space, a, b), ContextAtlas(space, b, a)
-
-
 class TestCellDuality:
     @pytest.mark.parametrize("q", QS + ["1e-400"])
     def test_reference_family(self, q):
         space, a, b = _kq(q)
-        assert cell_duality_check(*_both_orders(space, a, b))
-
-    def test_atlases_of_another_pair_or_space_are_refused(self):
-        space, a, b = _kq(Fraction(1, 4))
-        forward, reverse = _both_orders(space, a, b)
-        other = _kq(Fraction(1, 8))[0]
-        for pair in (
-            (forward, forward),
-            (forward, ContextAtlas(space, b, b)),
-            (forward, ContextAtlas(other, b, a)),
-            (ContextAtlas(other, a, b), reverse),
-        ):
-            with pytest.raises(ValueError, match="atlases in both orders"):
-                cell_duality_check(*pair)
+        assert cell_duality_check(ContextAtlas(space, a, b))
 
     def test_requires_double_stochastic(self, non_ds_witness):
         space, variables = non_ds_witness.space, non_ds_witness.variables
         with pytest.raises(NotDoubleStochasticError):
-            cell_duality_check(*_both_orders(space, variables["a"], variables["b"]))
+            cell_duality_check(ContextAtlas(space, variables["a"], variables["b"]))
 
     def test_forward_only_double_stochastic(self):
         # Forward matrix doubly stochastic, reverse not; both sides of the
@@ -568,14 +551,14 @@ class TestCellDuality:
         for _ in range(15):
             space, a, b = random_double_stochastic_model(rng, uniform=False)
             assert not is_double_stochastic(transition_matrix(space, b, a))
-            assert cell_duality_check(*_both_orders(space, a, b))
+            assert cell_duality_check(ContextAtlas(space, a, b))
 
     def test_uniform_random_models(self):
         rng = random.Random(59)
         for _ in range(15):
             space, a, b = random_double_stochastic_model(rng, uniform=True)
             assert is_double_stochastic(transition_matrix(space, b, a))
-            assert cell_duality_check(*_both_orders(space, a, b))
+            assert cell_duality_check(ContextAtlas(space, a, b))
 
 
 @pytest.mark.parametrize(
@@ -586,8 +569,8 @@ def test_run_checks_reports_what_the_geometry_checks_return(make):
     seen = set()
     for _ in range(6):
         space, a, b = make(rng)
-        forward, reverse = _both_orders(space, a, b)
-        results = {r.name: r for r in run_checks(space, a, b, atlas=forward)}
+        forward = ContextAtlas(space, a, b)
+        results = {r.name: r for r in run_checks(forward)}
         unitary, ds = unitarity_check(forward)
         seen.add(ds)
         got = results["unitarity_iff_double_stochastic"]
@@ -603,7 +586,7 @@ def test_run_checks_reports_what_the_geometry_checks_return(make):
         got = results["phase_gap_constant"]
         assert got.detail == f"max_gap_from_pi={format_float(worst)}"
         assert got.passed == (worst <= STATE_TOL)
-        assert results["cell_duality"].passed == cell_duality_check(forward, reverse)
+        assert results["cell_duality"].passed == cell_duality_check(forward)
     assert seen == {make is random_double_stochastic_model}
 
 

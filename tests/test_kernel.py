@@ -481,17 +481,19 @@ def test_a_perturbed_reference_object_fails_its_check(
         method,
         lambda self, *args: perturb(original(self, *args)),
     )
-    failed = {r.name for r in verify.run_checks(space, a, b) if not r.passed}
+    failed = {
+        r.name for r in verify.run_checks(ContextAtlas(space, a, b)) if not r.passed
+    }
     assert broken <= failed
 
 
 def test_event_level_checks_never_read_the_table(monkeypatch):
     space, a, b = ds8()
-    clean = verify.run_checks(space, a, b)
+    clean = verify.run_checks(ContextAtlas(space, a, b))
     assert all(r.passed for r in clean)
     monkeypatch.setattr(TwoCellTable, "delta", lambda self, j: Fraction(7, 3))
     monkeypatch.setattr(TwoCellTable, "reconstructed", lambda self, j: 7.0)
-    garbage = verify.run_checks(space, a, b)
+    garbage = verify.run_checks(ContextAtlas(space, a, b))
     assert len(_event_level(clean)) == len(EVENT_LEVEL_CHECKS)
     assert _event_level(garbage) == _event_level(clean)
 
@@ -513,7 +515,7 @@ def test_verify_builds_one_reference_object_per_context_and_outcome(monkeypatch)
     monkeypatch.setattr(prob, "conditional", counted_conditional)
     monkeypatch.setattr(verify, "conditional", counted_conditional)
     atlas = ContextAtlas(space, a, b)
-    assert all(r.passed for r in verify.run_checks(space, a, b, atlas=atlas))
+    assert all(r.passed for r in verify.run_checks(atlas))
     contexts, mappable = len(atlas.entries), len(atlas.mappable)
     assert contexts == 961
     # Two more, one per b-cell, come from verify.cell_duality_check.

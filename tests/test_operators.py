@@ -636,7 +636,7 @@ class TestDispersionFreeSearch:
     @pytest.mark.parametrize("q", QS)
     def test_reference_family_atoms_only(self, q):
         space, a, b = _kq(q)
-        report = dispersion_free_search(space, a, b)
+        report = dispersion_free_search(ContextAtlas(space, a, b))
         assert set(report.dispersion_free) == set(space.atoms())
         assert report.intersection == ()
         assert len(report.representable) == 11
@@ -645,7 +645,7 @@ class TestDispersionFreeSearch:
         rng = random.Random(79)
         for _ in range(5):
             space, a, b = random_double_stochastic_model(rng)
-            report = dispersion_free_search(space, a, b)
+            report = dispersion_free_search(ContextAtlas(space, a, b))
             assert set(report.dispersion_free) == set(space.atoms())
             assert report.intersection == ()
 
@@ -653,6 +653,6 @@ class TestDispersionFreeSearch:
         rng = random.Random(83)
         for _ in range(10):
             space, a, b = random_incompatible_model(rng)
-            report = dispersion_free_search(space, a, b)
+            report = dispersion_free_search(ContextAtlas(space, a, b))
             expected = tuple(evt for evt, _ in represented_states(space, a, b))
             assert report.representable == expected

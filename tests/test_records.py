@@ -114,8 +114,8 @@ def _instances() -> list:
         operators.spectral_decomposition(operators.b_operator(b)),
         obs,
         operators.distribution_mismatch(space, a, b, obs, c),
-        operators.dispersion_free_search(space, a, b),
-        verify.run_checks(space, a, b)[0],
+        operators.dispersion_free_search(atlas),
+        verify.run_checks(atlas)[0],
     ]
 
 

@@ -14,7 +14,8 @@ which ``operators.represented_states`` binds) and ``transition_matrix``,
 which ``perfbench/test_perfbench.py`` calls: each a view over one atlas,
 though no report calls them.  Code that moves between modules can leave a
 ``from``-import behind; a scan of the sources finds every name so imported
-that its module never reads.
+that its module never reads.  The same scan finds every read of another
+``qcontext`` module's private name, of which there are none.
 """
 
 import ast
@@ -119,3 +120,39 @@ def _unused_from_imports() -> set[str]:
 
 def test_no_module_keeps_an_unused_from_import():
     assert _unused_from_imports() == KEPT_FOR_THE_TRACER
+
+
+def _private_reads() -> set[str]:
+    """``reader: module._name`` for each private name of a ``qcontext``
+    module that another one reads: ``module._name`` where ``module`` is
+    bound by an import of that module, or ``from .module import _name``."""
+    src = ROOT / "src" / "qcontext"
+    modules = {path.stem for path in src.glob("*.py")}
+
+    def private(name: str) -> bool:
+        return name.startswith("_") and not name.startswith("__")
+
+    found = set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        bound = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module is None and alias.name in modules:
+                        bound[alias.asname or alias.name] = alias.name
+                    elif node.module in modules and private(alias.name):
+                        found.add(f"{path.stem}: {node.module}.{alias.name}")
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in bound
+                and private(node.attr)
+            ):
+                found.add(f"{path.stem}: {bound[node.value.id]}.{node.attr}")
+    return found
+
+
+def test_no_module_reads_another_modules_private_names():
+    assert _private_reads() == set()
