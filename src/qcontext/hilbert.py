@@ -320,6 +320,11 @@ class ContextAtlas:
         return atlas
 
     @derived
+    def over_b_cells(self) -> "ContextAtlas":
+        """This pair's atlas over the two b-cells as contexts."""
+        return self.over(self.reverse.a_cells)
+
+    @derived
     def a_cells(self) -> tuple[Event, ...]:
         return self.a_var.partition(self.space).cells
 

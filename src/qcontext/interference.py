@@ -47,6 +47,8 @@ from .prob import (
 )
 from .record import Record, derived
 
+Masses = tuple[tuple[int, int], tuple[int, int]]
+
 
 class Classification(Enum):
     TRIGONOMETRIC = "trigonometric"
@@ -88,13 +90,17 @@ def _angle(trigonometric: bool, value: float) -> float:
     return math.acosh(max(1.0, abs(value)))
 
 
+def _missed_cell(c: Event) -> NotAContextError:
+    return NotAContextError(
+        f"{c.label()} misses a cell of the partition and is not a context"
+    )
+
+
 def _require_context(
     space: FiniteProbabilitySpace, c: Event, partition: Partition
 ) -> None:
     if not is_context(space, c, partition):
-        raise NotAContextError(
-            f"{c.label()} misses a cell of the partition and is not a context"
-        )
+        raise _missed_cell(c)
 
 
 class _CellMasses:
@@ -102,22 +108,26 @@ class _CellMasses:
     context C: the integer masses behind every Event-level quantity, and
     those quantities built from them.  The public functions below are thin
     wrappers over one; ``verify`` builds one per context and outcome
-    (:func:`outcome_masses`) and reads every per-context check from it.
+    (:func:`outcome_masses_from`) and reads every per-context check from it.
 
     ``total`` is M, the mass of C, and ``cells[n]`` is (R_n, r_n, W_n, l_n),
-    the masses of A_n, A_n & C, B & A_n and B & A_n & C, all summed over the
-    points once, here; every cell is validated, so a foreign point in any
-    cell raises :class:`ForeignPointError` whatever a formula reads."""
+    the masses of A_n, A_n & C, B & A_n and B & A_n & C.  :meth:`of` sums
+    them over the points once; it validates every cell, so a foreign point
+    in any cell raises :class:`ForeignPointError` whatever a formula reads."""
 
-    def __init__(
-        self,
+    def __init__(self, total: int, cells: Sequence[tuple[int, int, int, int]]) -> None:
+        self.total, self.cells = total, tuple(cells)
+        self._coefficients: dict[tuple[int, int], LambdaCoefficient] = {}
+
+    @classmethod
+    def of(
+        cls,
         space: FiniteProbabilitySpace,
         b_outcome: Event,
         partition: Partition,
         c: Event,
-    ) -> None:
+    ) -> "_CellMasses":
         masses, b, inside = space._masses, set(b_outcome.members), set(c.members)
-        self.total = sum(masses[p] for p in c.members)
         cells = []
         for cell in partition.cells:
             space.validate_event(cell)
@@ -132,8 +142,7 @@ class _CellMasses:
                     if p in inside:
                         b_local += mass
             cells.append((whole, local, b_whole, b_local))
-        self.cells = tuple(cells)
-        self._coefficients: dict[tuple[int, int], LambdaCoefficient] = {}
+        return cls(sum(masses[p] for p in c.members), cells)
 
     def pairs(self) -> list[tuple[int, int]]:
         k = len(self.cells)
@@ -212,7 +221,7 @@ def _masses(
             raise ValueError("pairwise disturbance needs at least two cells")
         if not (0 <= n < k and 0 <= m < k and n != m):
             raise ValueError(f"invalid cell pair ({n}, {m}) for {k} cells")
-    return _CellMasses(space, b_outcome, partition, c)
+    return _CellMasses.of(space, b_outcome, partition, c)
 
 
 def outcome_masses(
@@ -224,7 +233,22 @@ def outcome_masses(
     """One reference object per outcome cell of ``b_partition``; the
     context is checked once."""
     _require_context(space, c, a_partition)
-    return [_CellMasses(space, cell, a_partition, c) for cell in b_partition.cells]
+    return [_CellMasses.of(space, cell, a_partition, c) for cell in b_partition.cells]
+
+
+def outcome_masses_from(c: Event, local: Masses, whole: Masses) -> list[_CellMasses]:
+    """The reference objects of :func:`outcome_masses` for a dichotomous
+    pair, from the masses of ``c`` and of the whole space in the four cells
+    A_i & B_j, however they were summed; raises :class:`NotAContextError`
+    where ``c`` misses an a-cell."""
+    rows, whole_rows = list(map(sum, local)), list(map(sum, whole))
+    if not all(rows):
+        raise _missed_cell(c)
+    cells = list(zip(whole_rows, rows, whole, local))
+    return [
+        _CellMasses(sum(rows), [(R, r, W[j], l[j]) for R, r, W, l in cells])
+        for j in range(2)
+    ]
 
 
 def classical_part(
@@ -317,9 +341,6 @@ def lambda_coefficient(
     """Disturbance share of cells ``(n, m)`` divided by twice the geometric
     mean of the four conditional probabilities under the radical."""
     return _masses(space, b_outcome, partition, c, (n, m)).coefficient(n, m)
-
-
-Masses = tuple[tuple[int, int], tuple[int, int]]
 
 
 def mass_table(

@@ -47,8 +47,8 @@ from .prob import (
     DichotomousVariable,
     Event,
     FiniteProbabilitySpace,
-    all_events,
     as_fraction,
+    require_enumerable,
 )
 from .record import Record, derived
 
@@ -519,9 +519,9 @@ class DispersionFreeReport(Record):
     """Events of zero conditional variance for *every* random variable.
 
     Point indicators separate any two points, so exactly the atoms qualify;
-    the search is a brute force over every event, kept only if the integer
-    variance numerator of every point indicator on it is zero, so the atoms
-    are found, not assumed.  ``representable`` lists the represented family
+    the search visits every event and keeps it only if the integer variance
+    numerator of every point indicator on it is zero, so the atoms are
+    found, not assumed.  ``representable`` lists the represented family
     (mappable contexts plus the two a-cells); for an incompatible pair the
     intersection is empty, as each cell of a dichotomous pair needs two
     points and an atom meets only one cell.
@@ -533,19 +533,36 @@ class DispersionFreeReport(Record):
 
 
 def dispersion_free_search(atlas: ContextAtlas) -> DispersionFreeReport:
-    """Brute force over every event of the space of ``atlas``; the
-    represented family is that of its pair."""
+    """Every event of the space of ``atlas``, visited by bitmask in
+    reflected-binary Gray order, each step adding or removing one point, so
+    that the event's mass T is a running sum.  On an event, the indicator of
+    a member q of mass n has the variance numerator n (T - n), and that of a
+    point outside is constant; an event is kept when every member's is zero,
+    and only a kept event becomes an :class:`Event`, in the (size, members)
+    order of :func:`prob.all_events`.  The represented family is that of
+    the pair of ``atlas``."""
     space = atlas.space
-    indicators = [{p: int(p == q) for p in space.points} for q in space.points]
-    masses = space._masses
-    free = [
-        evt
-        for evt in all_events(space)
-        if all(
-            _variance_terms([(ind[p], masses[p]) for p in evt.members])[0] == 0
-            for ind in indicators
-        )
-    ]
+    require_enumerable(space)
+    masses = {1 << k: space._masses[p] for k, p in enumerate(space.points)}
+    kept = []
+    code = total = 0
+    for step in range(1, 1 << len(space.points)):
+        flip = step & -step
+        code ^= flip
+        total += masses[flip] if code & flip else -masses[flip]
+        rest = code
+        while rest:
+            low = rest & -rest
+            if masses[low] * (total - masses[low]):
+                break
+            rest ^= low
+        else:
+            kept.append(code)
+    points = space.points
+    free = sorted(
+        (Event(p for k, p in enumerate(points) if code >> k & 1) for code in kept),
+        key=lambda evt: (len(evt), evt.members),
+    )
     represented = [e.context for e in atlas.represented]
     membership = set(represented)
     inter = [evt for evt in free if evt in membership]

@@ -23,16 +23,18 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import hilbert, interference, operators
 from .errors import NotDoubleStochasticError
 from .hilbert import STATE_TOL, is_double_stochastic
+from .interference import Masses
 from .model_io import format_float
 from .prob import (
     MAX_ENUMERATION_POINTS,
     Event,
-    conditional,
+    FiniteProbabilitySpace,
+    Partition,
     cover_overlap_report,
     probability,
 )
@@ -131,7 +133,7 @@ def cell_duality_check(atlas: hilbert.ContextAtlas) -> bool:
     space, reverse = atlas.space, atlas.reverse
     a_part, b_cells = atlas.a_var.partition(space), reverse.a_cells
     cells_mappable = closed_form_ok = True
-    tables = [e.table for e in atlas.over(b_cells).entries]
+    tables = [e.table for e in atlas.over_b_cells.entries]
     for i, (b_cell, table) in enumerate(zip(b_cells, tables)):
         cells_mappable &= table.mappable
         m = [table.a_given_c[n] * table.b_given_a[n][1 - i] for n in range(2)]
@@ -139,6 +141,38 @@ def cell_duality_check(atlas: hilbert.ContextAtlas) -> bool:
         squared = (m[0] + m[1]) ** 2 / (4 * m[0] * m[1])
         closed_form_ok &= direct.sign == -1 and direct.squared == squared
     return closed_form_ok and cells_mappable == is_double_stochastic(reverse.transition)
+
+
+def _cell_sums(
+    space: FiniteProbabilitySpace, a_part: Partition, b_part: Partition
+) -> Callable[[Event], Masses]:
+    """The masses l_ij of an event in the cells A_i & B_j, read by the
+    event's bitmask (bit k for the k-th point) from running subset sums,
+    never from an atlas's tables.
+
+    The points go in chunks of eight.  For each of its 256 subsets a chunk
+    keeps the subset's four cell masses, each subset's being a smaller
+    subset's plus one point; an event's masses add one entry per chunk."""
+    row = {p: i for i, cell in enumerate(a_part.cells) for p in cell.members}
+    col = {p: j for j, cell in enumerate(b_part.cells) for p in cell.members}
+    bit = {p: 1 << k for k, p in enumerate(space.points)}
+    chunks = []
+    for start in range(0, len(space.points), 8):
+        sums = [(0, 0, 0, 0)]
+        for p in space.points[start : start + 8]:
+            n, k = space._masses[p], 2 * row[p] + col[p]
+            sums += [s[:k] + (s[k] + n,) + s[k + 1 :] for s in sums]
+        chunks.append(sums)
+
+    def masses_of(c: Event) -> Masses:
+        mask, found = sum(map(bit.__getitem__, c.members)), [0, 0, 0, 0]
+        for sums in chunks:
+            for k, n in enumerate(sums[mask & 0xFF]):
+                found[k] += n
+            mask >>= 8
+        return ((found[0], found[1]), (found[2], found[3]))
+
+    return masses_of
 
 
 def run_checks(atlas: hilbert.ContextAtlas, seed: int = 0) -> list[CheckResult]:
@@ -168,8 +202,9 @@ def run_checks(atlas: hilbert.ContextAtlas, seed: int = 0) -> list[CheckResult]:
         check(name, found == 0, f"contexts={total} {label}={found}")
 
     # One walk over the contexts feeds every per-context check: one
-    # Event-level reference object per context and outcome, never the
-    # context's table, and each direct P(B_j|C) and P(A_i|C) computed once.
+    # Event-level reference object per context and outcome, built from the
+    # context's own cell masses (_cell_sums), never from its table, and each
+    # direct P(B_j|C) and P(A_i|C) taken once from the same masses.
     # Both outcomes' disturbances and shares are integers over M R_0 R_1,
     # and lambda_0^2 p_00 p_10 = lambda_1^2 p_01 p_11 is tested crosswise.
     p = trans.entries
@@ -178,10 +213,14 @@ def run_checks(atlas: hilbert.ContextAtlas, seed: int = 0) -> list[CheckResult]:
     nonzero_sums = mismatches = violations = quiet = collisions = 0
     cross = rebuilt = right_angle = antisymmetry = born = 0.0
     groups: dict[tuple[int, ...], hilbert.StateVector] = {}
+    masses_of = _cell_sums(space, a_part, b_part)
+    whole = masses_of(space.omega())
     for e in atlas.entries:
         c = e.context
-        outcomes = interference.outcome_masses(space, a_part, b_part, c)
-        b_given_c = [conditional(space, cell, c) for cell in b_part.cells]
+        local = masses_of(c)
+        outcomes = interference.outcome_masses_from(c, local, whole)
+        mass = outcomes[0].total
+        b_given_c = [Fraction(l0 + l1, mass) for l0, l1 in zip(*local)]
         deltas = [m.delta() for m in outcomes]
         nonzero_sums += sum(deltas) != 0
         mismatches += sum(d != m.share(0, 1) for d, m in zip(deltas, outcomes))
@@ -206,7 +245,7 @@ def run_checks(atlas: hilbert.ContextAtlas, seed: int = 0) -> list[CheckResult]:
         born = max(born, abs(sum(probs) - 1.0))
         for prob, direct in zip(probs, b_given_c):
             born = max(born, abs(prob - float(direct)))
-        marginals = [conditional(space, cell, c) for cell in a_part.cells] + b_given_c
+        marginals = [Fraction(sum(row), mass) for row in local] + b_given_c
         key = tuple(n for q in marginals for n in (q.numerator, q.denominator))
         if key in groups:
             # One state object is close to itself: its components are finite.
@@ -332,8 +371,8 @@ def run_checks(atlas: hilbert.ContextAtlas, seed: int = 0) -> list[CheckResult]:
             # of each order of the pair.
             worst = 0.0
             for states in (
-                atlas.over(reverse.a_cells).amplitudes(),
-                reverse.over(atlas.a_cells).amplitudes(),
+                atlas.over_b_cells.amplitudes(),
+                reverse.over_b_cells.amplitudes(),
             ):
                 for state, target in zip(states, atlas.basis.e_b):
                     gaps = zip(state.components, target.components)

@@ -440,6 +440,21 @@ def test_derived_atlases_equal_fresh_ones_and_add_no_sum(whole_space_sums, make)
         assert entries == ContextAtlas(space, a, b, events).entries
 
 
+def test_verify_derives_each_cells_atlas_once(capsys, monkeypatch):
+    # The b-cells as contexts of (a, b), read by the duality check and by
+    # cells_map_to_basis_states, and the a-cells as contexts of (b, a).
+    over, calls = ContextAtlas.over, []
+
+    def counted(self, events):
+        calls.append((self.a_var.name, tuple(events)))
+        return over(self, events)
+
+    monkeypatch.setattr(ContextAtlas, "over", counted)
+    assert cli.main(["verify", "--kq", "1/4"]) == 0
+    capsys.readouterr()
+    assert [name for name, _ in calls] == ["a", "b"]
+
+
 def test_mean_preservation_gap_sums_the_whole_space_once(whole_space_sums):
     spec = kq_model("1/4")
     a, b = spec.variables["a"], spec.variables["b"]

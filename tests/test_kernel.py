@@ -487,6 +487,11 @@ def test_a_perturbed_reference_object_fails_its_check(
     assert broken <= failed
 
 
+# The checks of verify's context walk, which compare each atlas entry's
+# state with the context's own masses.
+WALK_CHECKS = EVENT_LEVEL_CHECKS + ("born_rule_b_basis", "equal_marginals_equal_states")
+
+
 def test_event_level_checks_never_read_the_table(monkeypatch):
     space, a, b = ds8()
     clean = verify.run_checks(ContextAtlas(space, a, b))
@@ -496,31 +501,113 @@ def test_event_level_checks_never_read_the_table(monkeypatch):
     garbage = verify.run_checks(ContextAtlas(space, a, b))
     assert len(_event_level(clean)) == len(EVENT_LEVEL_CHECKS)
     assert _event_level(garbage) == _event_level(clean)
+    # Every entry holds the whole space's table but keeps its context and
+    # state: the walk's sums are the context's own, so its checks still see
+    # each state agree with its context, where the tables' masses would not.
+    atlas = ContextAtlas(space, a, b)
+    atlas.entries = tuple(e._replace(table=atlas.omega) for e in atlas.entries)
+    garbage = [r for r in verify.run_checks(atlas) if r.name in WALK_CHECKS]
+    assert garbage == [r for r in clean if r.name in WALK_CHECKS]
+    assert len(garbage) == len(WALK_CHECKS)
 
 
 def test_verify_builds_one_reference_object_per_context_and_outcome(monkeypatch):
+    # Every reference object passes through _CellMasses.__init__: the
+    # walk's from its sums, an Event-level one from _CellMasses.of.
     space, a, b = ds10()
-    built, calls = [], []
-    build = interference._CellMasses.__init__
+    built, summed, calls = [], [], []
+    build, of = interference._CellMasses.__init__, interference._CellMasses.of
 
     def counted_build(self, *args):
         built.append(args)
         build(self, *args)
+
+    def counted_of(cls, *args):
+        summed.append(args)
+        return of(*args)
 
     def counted_conditional(*args):
         calls.append(args)
         return conditional(*args)
 
     monkeypatch.setattr(interference._CellMasses, "__init__", counted_build)
+    monkeypatch.setattr(interference._CellMasses, "of", classmethod(counted_of))
     monkeypatch.setattr(prob, "conditional", counted_conditional)
-    monkeypatch.setattr(verify, "conditional", counted_conditional)
+    monkeypatch.setattr(verify, "conditional", counted_conditional, raising=False)
     atlas = ContextAtlas(space, a, b)
     assert all(r.passed for r in verify.run_checks(atlas))
-    contexts, mappable = len(atlas.entries), len(atlas.mappable)
+    contexts = len(atlas.entries)
     assert contexts == 961
-    # Two more, one per b-cell, come from verify.cell_duality_check.
-    assert 0 < len(built) <= 2 * contexts + 2
-    assert 0 < len(calls) <= 2 * contexts + 2 * mappable
+    # Two Event-level objects, one per b-cell, come from
+    # verify.cell_duality_check; the walk reads every probability it needs
+    # from its own sums.
+    assert len(summed) == 2
+    assert len(built) == 2 * contexts + 2
+    assert calls == []
+
+
+def _reference_values(m):
+    """Every quantity of a two-cell reference object."""
+    return (
+        m.total,
+        m.cells,
+        m.denominator(),
+        m.expansion(),
+        m.delta(),
+        m.share(0, 1),
+        m.coefficient(0, 1),
+        m.radicand(0, 1),
+        m.reconstructed(),
+        m.cross_sum(0.0),
+    )
+
+
+def _small_model(seed, double_stochastic):
+    """A model of at most 8 points."""
+    make = random_double_stochastic_model if double_stochastic else (
+        random_incompatible_model
+    )
+    return make(random.Random(seed))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 10**9), double_stochastic=st.booleans())
+def test_the_walk_builds_the_event_level_reference_objects(seed, double_stochastic):
+    space, a, b = _small_model(seed, double_stochastic)
+    a_part, b_part = a.partition(space), b.partition(space)
+    masses_of = verify._cell_sums(space, a_part, b_part)
+    whole = masses_of(space.omega())
+    for e in ContextAtlas(space, a, b).entries:
+        c = e.context
+        walked = interference.outcome_masses_from(c, masses_of(c), whole)
+        summed = interference.outcome_masses(space, a_part, b_part, c)
+        assert list(map(_reference_values, walked)) == list(
+            map(_reference_values, summed)
+        )
+    for cell in a_part.cells:
+        with pytest.raises(NotAContextError, match="misses a cell"):
+            interference.outcome_masses_from(cell, masses_of(cell), whole)
+
+
+def _brute_dispersion_free(space):
+    """The events on which every point indicator has zero variance, from
+    the Fraction weights: on E, that of q is P(q|E) - P(q|E)^2, and that of
+    a point outside E is constant."""
+    found = []
+    for evt in all_events(space):
+        weights = [space.weights[p] for p in evt.members]
+        total = sum(weights)
+        if all(w / total == (w / total) ** 2 for w in weights):
+            found.append(evt)
+    return tuple(found)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 10**9), double_stochastic=st.booleans())
+def test_the_dispersion_free_search_equals_the_brute_force(seed, double_stochastic):
+    space, a, b = _small_model(seed, double_stochastic)
+    found = operators.dispersion_free_search(ContextAtlas(space, a, b))
+    assert found.dispersion_free == _brute_dispersion_free(space)
 
 
 # ------------------------- the table's integer kernel against the records
