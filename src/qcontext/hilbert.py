@@ -41,6 +41,7 @@ from .prob import (
     DichotomousVariable,
     Event,
     FiniteProbabilitySpace,
+    all_events,
     require_enumerable,
 )
 from .record import Record, derived
@@ -207,8 +208,8 @@ def phase_gap(table: TwoCellTable, eps1: int, eps2: int) -> float:
 
 class ImageSet(Record):
     """Image of the representation over contexts plus the two a-cells:
-    ``entries`` holds (event, state) pairs sorted by event, ``groups`` the
-    classes of equal states up to global phase formed by
+    ``entries`` holds (event, state) pairs in :class:`Event` order,
+    ``groups`` the classes of equal states up to global phase formed by
     :func:`group_states`, ``collisions`` those with at least two members."""
 
     entries: tuple[tuple[Event, StateVector], ...]
@@ -279,12 +280,13 @@ class ContextAtlas:
     """The contexts of one dichotomous pair, built once and read by every
     report; each part is built on first use.
 
-    ``contexts`` None stands for every context of a's partition, built as
-    (nonempty subset of A_1) | (nonempty subset of A_2), each subset
-    carrying its masses in B_1 and B_2, in the (size, members) order of
-    :func:`prob.contexts_of`; otherwise the atlas holds the given events in
-    their order.  Every table shares the whole-space masses, summed once;
-    contexts with equal raw local masses share one table and amplitude.
+    ``contexts`` None stands for every context of a's partition: the events
+    of :func:`prob.all_events` whose bitmask meets both a-cells', in
+    :class:`Event` order as :func:`prob.contexts_of` lists them, each
+    reading its masses in B_1 and B_2 from each a-cell's subset sums;
+    otherwise the atlas holds the given events in their order.  Every table
+    shares the whole-space masses, summed once; contexts with equal raw
+    local masses share one table and amplitude.
     """
 
     def __init__(
@@ -346,24 +348,23 @@ class ContextAtlas:
 
     def _enumerate(self) -> list[tuple[Event, Masses]]:
         require_enumerable(self.space)
-        masses, b_cell = self.space._masses, self.b_var.assignment
+        space, b_cell = self.space, self.b_var.assignment
+        bit = {p: 1 << k for k, p in enumerate(space.points)}
         halves = []
         for cell in self.a_cells:
-            subsets: list[tuple[tuple[str, ...], tuple[int, int]]] = [((), (0, 0))]
+            sums = {0: (0, 0)}  # B_1, B_2 masses of each subset, by bitmask
             for p in cell.members:
-                n, first = masses[p], b_cell[p] == 1
-                subsets += [
-                    (members + (p,), (b1 + n, b2) if first else (b1, b2 + n))
-                    for members, (b1, b2) in subsets
-                ]
-            halves.append(subsets[1:])
-        found = sorted(
-            (tuple(sorted(s + t)), (m, n))
-            for s, m in halves[0]
-            for t, n in halves[1]
-        )
-        found.sort(key=lambda item: len(item[0]))
-        return [(Event(c), local) for c, local in found]
+                n = space._masses[p]
+                d1, d2 = (n, 0) if b_cell[p] == 1 else (0, n)
+                sums |= {m | bit[p]: (b1 + d1, b2 + d2) for m, (b1, b2) in sums.items()}
+            halves.append((sum(map(bit.__getitem__, cell.members)), sums))
+        (mask1, sums1), (mask2, sums2) = halves
+        found = []
+        for evt in all_events(space):
+            mask = sum(map(bit.__getitem__, evt.members))
+            if mask & mask1 and mask & mask2:
+                found.append((evt, (sums1[mask & mask1], sums2[mask & mask2])))
+        return found
 
     @derived
     def mappable(self) -> tuple[AtlasEntry, ...]:
@@ -411,7 +412,7 @@ class ContextAtlas:
     def represented(self) -> tuple[AtlasEntry, ...]:
         """The mappable entries plus the two a-cells, which carry the a-basis
         vectors and their masses (a cell is no context: its table's
-        coefficients are undefined), sorted by (size, members)."""
+        coefficients are undefined), in :class:`Event` order."""
         ordered = list(self.mappable)  # raises for a compatible pair
         whole, none = self.omega.whole, (0, 0)
         locals_ = ((whole[0], none), (none, whole[1]))
@@ -419,8 +420,7 @@ class ContextAtlas:
             AtlasEntry(cell, TwoCellTable(local, whole), vector)
             for cell, local, vector in zip(self.a_cells, locals_, self.basis.e_a)
         ]
-        ordered.sort(key=lambda e: (len(e.context.members), e.context.members))
-        return tuple(ordered)
+        return tuple(sorted(ordered, key=lambda e: e.context))
 
     def image_set(self) -> ImageSet:
         entries = tuple((e.context, e.state) for e in self.represented)

@@ -206,9 +206,7 @@ def model_document(spec: ModelSpec) -> dict:
         },
     }
     if spec.contexts is not None:
-        doc["contexts"] = sorted(
-            (list(c.members) for c in spec.contexts), key=lambda r: (len(r), r)
-        )
+        doc["contexts"] = [list(c.members) for c in sorted(spec.contexts)]
     return doc
 
 
@@ -709,7 +707,7 @@ def _resolve_pair(spec: ModelSpec, names: str) -> ContextAtlas:
 
 def _contexts_for(spec: ModelSpec, a_var) -> tuple[Event, ...] | None:
     """The model's listed contexts that are contexts for the pair, each once,
-    sorted by (size, members); None when it lists none, for the atlas to
+    in :class:`Event` order; None when it lists none, for the atlas to
     enumerate."""
     if spec.contexts is None:
         return None
@@ -717,7 +715,7 @@ def _contexts_for(spec: ModelSpec, a_var) -> tuple[Event, ...] | None:
 
     part = a_var.partition(spec.space)
     chosen = {c for c in spec.contexts if is_context(spec.space, c, part)}
-    return tuple(sorted(chosen, key=lambda e: (len(e.members), e.members)))
+    return tuple(sorted(chosen))
 
 
 def _rows(made: Iterable[tuple[AtlasEntry, Callable]]) -> list:

@@ -538,9 +538,9 @@ def dispersion_free_search(atlas: ContextAtlas) -> DispersionFreeReport:
     that the event's mass T is a running sum.  On an event, the indicator of
     a member q of mass n has the variance numerator n (T - n), and that of a
     point outside is constant; an event is kept when every member's is zero,
-    and only a kept event becomes an :class:`Event`, in the (size, members)
-    order of :func:`prob.all_events`.  The represented family is that of
-    the pair of ``atlas``."""
+    and only a kept event becomes an :class:`Event`, returned in
+    :class:`Event` order.  The represented family is that of the pair of
+    ``atlas``."""
     space = atlas.space
     require_enumerable(space)
     masses = {1 << k: space._masses[p] for k, p in enumerate(space.points)}
@@ -560,8 +560,7 @@ def dispersion_free_search(atlas: ContextAtlas) -> DispersionFreeReport:
             kept.append(code)
     points = space.points
     free = sorted(
-        (Event(p for k, p in enumerate(points) if code >> k & 1) for code in kept),
-        key=lambda evt: (len(evt), evt.members),
+        Event(p for k, p in enumerate(points) if code >> k & 1) for code in kept
     )
     represented = [e.context for e in atlas.represented]
     membership = set(represented)

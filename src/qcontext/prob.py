@@ -82,7 +82,8 @@ def as_fraction(value: Fraction | int | str | float) -> Fraction:
 class Event:
     """An immutable subset of sample points, identified by sorted ids.
 
-    Events compare, hash and order by their members."""
+    Events compare and hash by their members and order by (size, members),
+    the order of every report: ``p10`` precedes ``p2`` and ``p1+p2``."""
 
     __slots__ = ("members",)
     members: tuple[str, ...]
@@ -110,7 +111,7 @@ class Event:
     def __lt__(self, other) -> bool:
         if other.__class__ is not Event:
             return NotImplemented
-        return self.members < other.members
+        return (len(self.members), self.members) < (len(other.members), other.members)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -336,7 +337,7 @@ def require_enumerable(space: FiniteProbabilitySpace) -> None:
 
 
 def all_events(space: FiniteProbabilitySpace) -> Iterator[Event]:
-    """Every nonempty subset of the space, sorted by (size, members).
+    """Every nonempty subset of the space, in :class:`Event` order.
     Capped at :data:`MAX_ENUMERATION_POINTS` points."""
     require_enumerable(space)
     ordered = sorted(space.points)
@@ -348,8 +349,8 @@ def all_events(space: FiniteProbabilitySpace) -> Iterator[Event]:
 def contexts_of(
     space: FiniteProbabilitySpace, partition: Partition
 ) -> tuple[Event, ...]:
-    """All events that are contexts with respect to ``partition``, sorted by
-    (size, members) as :func:`all_events` yields them."""
+    """All events that are contexts with respect to ``partition``, in
+    :class:`Event` order as :func:`all_events` yields them."""
     return tuple(evt for evt in all_events(space) if is_context(space, evt, partition))
 
 

@@ -357,7 +357,7 @@ def run_checks(atlas: hilbert.ContextAtlas, seed: int = 0) -> list[CheckResult]:
         if reverse_ds:
             ok = True
             for i, ci in enumerate(b_part.cells):
-                outcomes = interference.outcome_masses(space, a_part, b_part, ci)
+                outcomes = interference.outcome_masses_from(ci, masses_of(ci), whole)
                 for j, m in enumerate(outcomes):
                     coeff = m.coefficient(0, 1)
                     ok &= coeff.squared == 1 and coeff.sign == (1 if i == j else -1)

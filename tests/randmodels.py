@@ -85,3 +85,13 @@ def random_double_stochastic_model(
         parts = rng.randint(1, min(max_split, total))
         cells[key] = _composition(rng, total, parts)
     return _assemble(cells)
+
+
+def first_draw(make, points: int, **kwargs):
+    """The first ``points``-point draw of ``random.Random(7)`` from ``make``:
+    the ``dsN`` and ``xN`` models of the ROADMAP Snapshot."""
+    rng = random.Random(7)
+    while True:
+        space, a, b = make(rng, **kwargs)
+        if len(space.points) == points:
+            return space, a, b

@@ -54,7 +54,12 @@ from qcontext.operators import (
     ObservableKind,
     mean_preservation_gap,
 )
-from qcontext.prob import Event, contexts_of
+from qcontext.prob import (
+    DichotomousVariable,
+    Event,
+    FiniteProbabilitySpace,
+    contexts_of,
+)
 from qcontext.record import derived
 from randmodels import (
     _assemble,
@@ -214,6 +219,27 @@ def test_the_represented_family_is_sorted_and_carries_the_cells():
         by_event = dict(states)
         for cell, vector in zip(atlas.a_cells, atlas.basis.e_a):
             assert by_event[cell] == vector
+
+
+def test_the_atlas_lists_contexts_of_exactly():
+    # Ids given out of order, and "p10" sorts before "p2".
+    ids = ("p2", "p10", "p1", "p3", "p11")
+    space = FiniteProbabilitySpace(ids, {p: "1/5" for p in ids})
+    a = DichotomousVariable(
+        "a", ("0", "1"), {"p2": 1, "p10": 2, "p1": 2, "p3": 1, "p11": 1}
+    )
+    b = DichotomousVariable(
+        "b", ("0", "1"), {"p2": 1, "p10": 1, "p1": 2, "p3": 2, "p11": 1}
+    )
+    models = [(space, a, b)]
+    rng = random.Random(1812)
+    for _ in range(15):
+        models.append(random_incompatible_model(rng, max_points=12))
+        models.append(random_double_stochastic_model(rng, max_split=3))
+    assert max(len(space.points) for space, _, _ in models) == 12
+    for space, a, b in models:
+        contexts = [e.context for e in ContextAtlas(space, a, b).entries]
+        assert contexts == list(contexts_of(space, a.partition(space)))
 
 
 def test_listed_contexts_keep_their_order_and_errors():

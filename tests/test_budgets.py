@@ -1,30 +1,27 @@
 """Cost guards at 12 points: counts of per-context work, pinned on the ds12
 and x12 models of the ROADMAP Snapshot.
 
-``verify``'s context walk reads each context's masses from running subset
-sums, so it makes no ``prob.conditional`` call and sums no context's
-reference objects over the points; the dispersion-free search visits every
-event by bitmask and builds an ``Event`` only for each event it keeps.  A change that brings
-back per-context re-summing shows here as a count, not as a time.
+``verify``'s context walk and its boundary check on the b-cells read each
+event's masses from running subset sums, so ``verify`` makes no
+``prob.conditional`` call and sums no reference objects over the points; the
+dispersion-free search visits every event by bitmask and builds an ``Event``
+only for each event it keeps.  The atlas builds at most one ``Event`` per
+subset of the points and one table and amplitude per distinct table.  A
+change that brings back per-context re-summing or per-context tables shows
+here as a count, not as a time.
 """
-
-import random
 
 import pytest
 
-from qcontext import interference, operators, prob, verify
+from qcontext import hilbert, interference, operators, prob, verify
 from qcontext.hilbert import ContextAtlas, is_double_stochastic
+from qcontext.interference import TwoCellTable
 from qcontext.prob import Event
-from randmodels import random_double_stochastic_model, random_incompatible_model
-
-
-def _first_draw(make, points, **kwargs):
-    """The first ``points``-point draw of ``random.Random(7)`` from ``make``."""
-    rng = random.Random(7)
-    while True:
-        space, a, b = make(rng, **kwargs)
-        if len(space.points) == points:
-            return space, a, b
+from randmodels import (
+    first_draw,
+    random_double_stochastic_model,
+    random_incompatible_model,
+)
 
 
 # name: (builder, its size keyword, contexts of the 12-point draw)
@@ -37,7 +34,7 @@ MODELS = {
 @pytest.mark.parametrize("name", MODELS)
 def test_verify_walk_and_dispersion_free_search_budgets(monkeypatch, name):
     make, size, contexts = MODELS[name]
-    space, a, b = _first_draw(make, 12, **{size: 12})
+    space, a, b = first_draw(make, 12, **{size: 12})
     atlas = ContextAtlas(space, a, b)
     assert len(atlas.entries) == contexts
     atlas.represented  # built before counting, as the search reads it
@@ -74,14 +71,45 @@ def test_verify_walk_and_dispersion_free_search_budgets(monkeypatch, name):
     )
     monkeypatch.setattr(operators, "dispersion_free_search", search)
     monkeypatch.setattr(Event, "__init__", event_init)
-    assert all(r.passed for r in verify.run_checks(atlas))
+    results = verify.run_checks(atlas)
+    assert all(r.passed for r in results)
     assert conditionals == []
-    # Only boundary_coefficients_on_cells sums outcomes over the points, one
-    # call per b-cell, when the matrices of both orders are doubly stochastic.
+    # boundary_coefficients_on_cells, which runs when the matrices of both
+    # orders are doubly stochastic, reads the b-cells from the walk's sums.
     both_ds = is_double_stochastic(atlas.transition) and is_double_stochastic(
         atlas.reverse.transition
     )
-    assert len(outcome_sums) == 2 * both_ds
+    ran = "boundary_coefficients_on_cells" in {r.name for r in results}
+    assert ran == both_ds and outcome_sums == []
     (report,) = found
     assert set(report.dispersion_free) == set(space.atoms())
     assert len(built) <= len(report.dispersion_free)
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_the_atlas_builds_each_event_once_and_each_table_once(monkeypatch, name):
+    make, size, contexts = MODELS[name]
+    space, a, b = first_draw(make, 12, **{size: 12})
+    atlas = ContextAtlas(space, a, b)
+    atlas.a_cells  # the partition's two cells, built before counting
+    events, tables, amplitudes = [], [], []
+
+    def counted(calls, fn):
+        def wrapper(self, *args, **kwargs):
+            calls.append(self)
+            return fn(self, *args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(Event, "__init__", counted(events, Event.__init__))
+    monkeypatch.setattr(
+        TwoCellTable, "__init__", counted(tables, TwoCellTable.__init__)
+    )
+    monkeypatch.setattr(hilbert, "_amplitude", counted(amplitudes, hilbert._amplitude))
+    entries = atlas.entries
+    monkeypatch.undo()
+    distinct = len({e.table.local for e in entries})
+    assert len(entries) == contexts
+    assert len(events) <= 2 ** len(space.points) - 1
+    assert len(tables) == distinct + 1  # and omega, built on first use
+    assert len(amplitudes) == distinct

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -817,6 +818,21 @@ class TestOneEnumerationBound:
         path = _cell_model(tmp_path, self.DS17)
         code, out, err = run(capsys, command, "--model", path)
         assert (code, out, err) == (1, "", self.BOUND_LINE)
+
+    def test_the_bound_is_checked_before_any_subset_table(self, capsys, tmp_path):
+        # 34 points in two 17-point a-cells: a table of either cell's subsets
+        # would hold 2**17 entries.
+        cells = {(1, 1): [1] * 9, (1, 2): [2] * 8, (2, 1): [3] * 8, (2, 2): [1] * 9}
+        path = _cell_model(tmp_path, cells)
+        assert run(capsys, "analyze", "--kq", "1/8")[0] == 0  # imports every layer
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "analyze", "--model", path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (code, out, err) == (1, "", self.BOUND_LINE)
+        assert peak < 10 * 2**20
 
 
 class TestReportDelivery:

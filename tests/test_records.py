@@ -282,10 +282,13 @@ class TestEvent:
         assert len({first, second, prob.Event(("a",))}) == 2
 
     def test_ordering(self):
-        events = [prob.Event(m) for m in (["b"], ["a", "c"], ["a"], ["a", "b"])]
+        # By size, then members: "p10" precedes "p2" within one size.
+        members = (["b"], ["a", "c"], ["a"], ["a", "b"], ["p2"], ["p10"])
+        events = [prob.Event(m) for m in members]
         assert [e.members for e in sorted(events)] == [
-            ("a",), ("a", "b"), ("a", "c"), ("b",),
+            ("a",), ("b",), ("p10",), ("p2",), ("a", "b"), ("a", "c"),
         ]
+        assert prob.Event(("z",)) < prob.Event(("a", "b"))
         low, high = prob.Event(("a",)), prob.Event(("b",))
         assert low < high and low <= high and high > low and high >= low
         assert low <= prob.Event(("a",)) and not low < prob.Event(("a",))
