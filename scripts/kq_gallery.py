@@ -56,7 +56,8 @@ def main() -> int:
     print()
 
     image = atlas.image_set()
-    print(f"distinct states: {image.distinct_count} of {len(image.entries)} events")
+    events = len(atlas.represented)
+    print(f"distinct states: {image.distinct_count} of {events} events")
     for group in image.collisions:
         print("  collision:", ", ".join(evt.label() for evt in group))
     return 0

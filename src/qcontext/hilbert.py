@@ -149,16 +149,6 @@ def _amplitude(table: TwoCellTable) -> StateVector | None:
     )
 
 
-def _mapped(c: Event, state: StateVector | None) -> StateVector:
-    """``state``, the amplitude of ``c``, which is None where a squared
-    coefficient exceeds one: then raises :class:`NotTrigonometricError`."""
-    if state is None:
-        raise NotTrigonometricError(
-            f"{c.label()} carries a coefficient beyond the trigonometric range"
-        )
-    return state
-
-
 class BasisPair(Record):
     """The canonical b-basis together with a (possibly non-orthonormal)
     a-basis expressed in b-coordinates."""
@@ -207,12 +197,11 @@ def phase_gap(table: TwoCellTable, eps1: int, eps2: int) -> float:
 
 
 class ImageSet(Record):
-    """Image of the representation over contexts plus the two a-cells:
-    ``entries`` holds (event, state) pairs in :class:`Event` order,
-    ``groups`` the classes of equal states up to global phase formed by
-    :func:`group_states`, ``collisions`` those with at least two members."""
+    """Image of the representation over the represented entries of an atlas
+    (mappable contexts plus the two a-cells): ``groups`` holds their events
+    in classes of equal states up to global phase, as :func:`group_states`
+    forms them, ``collisions`` the classes with at least two members."""
 
-    entries: tuple[tuple[Event, StateVector], ...]
     groups: tuple[tuple[Event, ...], ...]
 
     @property
@@ -380,7 +369,13 @@ class ContextAtlas:
         entries = self.entries
         if not self.omega.incompatible:
             raise ValueError("amplitudes require an incompatible variable pair")
-        return tuple(_mapped(e.context, e.state) for e in entries)
+        for e in entries:
+            if e.state is None:
+                raise NotTrigonometricError(
+                    f"{e.context.label()} carries a coefficient beyond the "
+                    "trigonometric range"
+                )
+        return tuple(e.state for e in entries)
 
     @property
     def transition(self) -> TransitionMatrix:
@@ -423,25 +418,24 @@ class ContextAtlas:
         return tuple(sorted(ordered, key=lambda e: e.context))
 
     def image_set(self) -> ImageSet:
-        entries = tuple((e.context, e.state) for e in self.represented)
-        groups = group_states([state for _, state in entries])
+        represented = self.represented
+        groups = group_states([e.state for e in represented])
         return ImageSet(
-            entries=entries,
-            groups=tuple(tuple(entries[i][0] for i in group) for group in groups),
+            tuple(tuple(represented[i].context for i in group) for group in groups)
         )
 
     def per_table(
         self,
         fn: Callable[[TwoCellTable, StateVector | None], T],
-        entries: Iterable[AtlasEntry] | None = None,
+        entries: Iterable[AtlasEntry],
     ) -> Iterator[tuple[AtlasEntry, T]]:
         """Yield (entry, fn(table, state)) for each of ``entries``, entries
-        of this atlas and every entry by default, calling fn once per
-        distinct table: entries with equal local masses share one table and
-        one amplitude, so a value derived from the two alone is the same for
-        all of them."""
+        of this atlas such as :attr:`entries` or :attr:`mappable`, calling fn
+        once per distinct table: entries with equal local masses share one
+        table and one amplitude, so a value derived from the two alone is
+        the same for all of them."""
         done: dict[Masses, T] = {}
-        for e in self.entries if entries is None else entries:
+        for e in entries:
             local = e.table.local
             if local not in done:
                 done[local] = fn(e.table, e.state)

@@ -452,14 +452,10 @@ class TwoCellTable(Record):
             )
         return found
 
-    def _share(self, j: int) -> int:
-        """N_j, the disturbance delta_j times M R_0 R_1."""
-        return self._radicals[j][0]
-
     def delta(self, j: int) -> Fraction:
         R0, R1 = map(sum, self.whole)
         total = sum(map(sum, self.local))
-        return Fraction(self._share(j), total * R0 * R1)
+        return Fraction(self._radicals[j][0], total * R0 * R1)
 
     @derived
     def _pair(self) -> tuple[LambdaCoefficient | None, LambdaCoefficient | None]:

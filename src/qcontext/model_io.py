@@ -365,7 +365,8 @@ def write_json(obj: Any, write: _Out) -> None:
     """Hand the canonical JSON text of ``obj`` to ``write`` in pieces: one
     piece per item of an array, and per value of a mapping, that sits
     directly under the top-level value (such as one row of a report), so
-    that no more than one such item is held as text at a time.
+    that no more than one such item is held as text at a time.  A record
+    is handed out whole, wherever it sits.
 
     Domain values are normalised on the way: rationals become "p/q"
     strings, floats fixed 17-digit strings, complex numbers (re, im) string
@@ -382,18 +383,15 @@ def write_json(obj: Any, write: _Out) -> None:
 
 
 def _write(obj: Any, write: _Out, newline: str, depth: int, lead: str) -> None:
-    """Hand ``lead`` and the text of ``obj`` to ``write``: whole at depth
-    0, else a nonempty array, mapping or record one member at a time at
-    ``depth - 1``.  ``newline`` is a line break followed by the indent of
-    the line ``obj`` starts on."""
+    """Hand ``lead`` and the text of ``obj`` to ``write``: at a depth above
+    0 a nonempty array or mapping one member at a time at ``depth - 1``,
+    any other value, a record too, whole.  ``newline`` is a line break
+    followed by the indent of the line ``obj`` starts on."""
     text = _text_of[type(obj)]
     if depth and text is _mapping_text and obj:
         brackets, pairs = "{}", [(_key_prefix(k), v) for k, v in _fields(obj)]
     elif depth and text is _array_text and obj:
         brackets, pairs = "[]", [("", item) for item in obj]
-    elif depth and isinstance(obj, Record):
-        _write(obj._jsonable(), write, newline, depth, lead)
-        return
     else:
         write(lead + text(obj, newline))
         return
@@ -745,12 +743,20 @@ def _analysis_bundle(atlas: ContextAtlas, args) -> dict:
     """Each context's analysis, read once per distinct table, and for a JSON
     report, which alone prints them, its two checks: the exact sum of both
     disturbances, and the largest gap between P(B_j|C) and its
-    interference-form reconstruction."""
+    interference-form reconstruction; each table's coefficient floats are
+    evaluated here, so one beyond the float range raises before the report."""
     from .interference import ContextAnalysis
 
     b_values, with_checks = atlas.b_var.values, args.fmt == "json"
 
     def row_of(table, state) -> Callable:
+        for coefficient in table.coefficients():
+            coefficient.phase  # reads the value: both are kept
+        if with_checks:
+            error = max(
+                abs(table.reconstructed(j) - float(table.b_given_c[j])) for j in (0, 1)
+            )
+
         def row(c) -> dict:
             analysis = ContextAnalysis.of(c, table, b_values)
             made = {
@@ -762,16 +768,14 @@ def _analysis_bundle(atlas: ContextAtlas, args) -> dict:
             if with_checks:
                 made["checks"] = {
                     "disturbance_sum": sum(r.delta for r in analysis.outcomes),
-                    "reconstruction_error": max(
-                        abs(table.reconstructed(j) - float(table.b_given_c[j]))
-                        for j in (0, 1)
-                    ),
+                    "reconstruction_error": error,
                 }
             return made
 
         return row
 
-    return {"kind": "analysis", "analyses": _rows(atlas.per_table(row_of))}
+    rows = _rows(atlas.per_table(row_of, atlas.entries))
+    return {"kind": "analysis", "analyses": rows}
 
 
 def _represent_bundle(atlas: ContextAtlas, args) -> dict:
@@ -851,8 +855,9 @@ def _alignment(args) -> tuple[float, float] | None:
 def _compare_bundle(atlas: ContextAtlas, args) -> dict:
     """Classical against spectral law of the observable on every mappable
     entry of the atlas, or of an atlas of the --context event alone, which
-    must have an amplitude; the operator's spectrum is computed once, each
-    report once per table."""
+    must have an amplitude.  The operator, which a pair that is not doubly
+    stochastic refuses, is built before any other context is read; its
+    spectrum is computed once, each report once per table."""
     from . import operators
 
     a_var, b_var = atlas.a_var, atlas.b_var
@@ -864,34 +869,32 @@ def _compare_bundle(atlas: ContextAtlas, args) -> dict:
     if args.context:
         atlas = atlas.over((atlas.space.event(args.context.split(",")),))
         atlas.amplitudes()  # raises unless the event is a mappable context
-    made: list = []
-    if atlas.mappable:
-        spectrum = operators.spectral_decomposition(obs.operator(atlas.transition))
-        whole = atlas.omega.whole
+    spectrum = operators.spectral_decomposition(obs.operator(atlas.transition))
+    whole = atlas.omega.whole
 
-        def rows_of(table, state) -> tuple[Callable, Callable, Callable]:
-            report = operators.MismatchReport.of(
-                obs.distribution_on(table.local, whole),
-                spectrum.distribution(state),
-                alignment,
-            )
-            block = {
-                "classical": report.classical,
-                "quantum": {format(k, ".12g"): v for k, v in report.quantum.items()},
-                "alignment": list(report.alignment) if report.alignment else None,
-                "total_variation": report.total_variation,
-            }
+    def rows_of(table, state) -> tuple[Callable, Callable, Callable]:
+        report = operators.MismatchReport.of(
+            obs.distribution_on(table.local, whole),
+            spectrum.distribution(state),
+            alignment,
+        )
+        block = {
+            "classical": report.classical,
+            "quantum": {format(k, ".12g"): v for k, v in report.quantum.items()},
+            "alignment": list(report.alignment) if report.alignment else None,
+            "total_variation": report.total_variation,
+        }
 
-            def law(side: str, entries: list) -> Callable:
-                return lambda c: {"label": _labelled(c, side), "entries": entries}
+        def law(side: str, entries: list) -> Callable:
+            return lambda c: {"label": _labelled(c, side), "entries": entries}
 
-            return (
-                lambda c: {"context": c, **block},
-                law(":classical", sorted(report.classical.items())),
-                law(":quantum", sorted(report.quantum.items())),
-            )
+        return (
+            lambda c: {"context": c, **block},
+            law(":classical", sorted(report.classical.items())),
+            law(":quantum", sorted(report.quantum.items())),
+        )
 
-        made = list(atlas.per_table(rows_of, atlas.mappable))
+    made = list(atlas.per_table(rows_of, atlas.mappable))
     blocks, classical, quantum = (
         _rows((e, makes[k]) for e, makes in made) for k in range(3)
     )

@@ -572,13 +572,13 @@ SHARED_MODELS = {
 def test_shared_states_give_the_image_set_of_their_copies(name):
     space, a, b = SHARED_MODELS[name]()
     atlas = ContextAtlas(space, a, b)
-    entries = tuple((e.context, e.state) for e in atlas.represented)
-    states = [state for _, state in entries]
+    represented = atlas.represented
+    states = [e.state for e in represented]
     assert len({id(state) for state in states}) < len(states)
     # Copies are distinct objects, so each is compared with the leaders.
     copies = group_states([StateVector(state.components) for state in states])
-    groups = tuple(tuple(entries[i][0] for i in group) for group in copies)
-    assert atlas.image_set() == ImageSet(entries=entries, groups=groups)
+    groups = tuple(tuple(represented[i].context for i in group) for group in copies)
+    assert atlas.image_set() == ImageSet(groups)
 
 
 def test_a_repeated_state_with_a_nan_component_is_close_to_nothing():

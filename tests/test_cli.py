@@ -11,9 +11,11 @@ from pathlib import Path
 
 import pytest
 
-from qcontext import cli, verify
+from qcontext import cli, hilbert, verify
+from qcontext.interference import TwoCellTable
 from qcontext.model_io import ModelSpec, kq_model, parse_model, serialize_model
 from qcontext.prob import Event
+from randmodels import first_draw, random_incompatible_model
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -360,6 +362,32 @@ class TestFloatRange:
         else:
             assert code == 0 and out and not err
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_listed_contexts_sharing_an_overflowing_table(self, capsys, tmp_path, fmt):
+        # [p1, s1, u] and [p1, s2, u] have equal masses in the four cells,
+        # so they share one hyperbolic table, whose squared coefficient is
+        # beyond the float range: its rows are shared, and the error must
+        # still come before the first byte of the report.
+        rest = Fraction(1, 4) - Fraction(1, 10**400)
+        cells = {"p1": (1, 1), "p2": (1, 2), "s1": (2, 1), "s2": (2, 1), "u": (2, 2)}
+        weights = {"p1": "1e-400", "p2": "1/4", "s1": "1/4", "s2": "1/4", "u": str(rest)}
+        doc = {
+            "points": [{"id": p, "weight": w} for p, w in weights.items()],
+            "variables": {
+                name: {
+                    "values": ["1", "-1"],
+                    "assignment": {p: cell[k] for p, cell in cells.items()},
+                }
+                for k, name in enumerate("ab")
+            },
+            "contexts": [["p1", "s1", "u"], ["p1", "s2", "u"]],
+        }
+        path = tmp_path / "listed.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "analyze", "--format", fmt, "--model", str(path))
+        assert (code, out) == (1, "")
+        assert err == "error: squared coefficient beyond the float range\n"
+
     def test_verify_with_underflowing_cell_masses(self, capsys):
         # The closed form of cell_duality is compared exactly, so masses
         # that underflow a float leave every check passing.
@@ -425,6 +453,45 @@ class TestCompareDistContext:
     def test_errors(self, capsys, argv, line):
         code, out, err = run(capsys, "compare-dist", *argv)
         assert (code, out, err) == (1, "", line + "\n")
+
+
+class TestCompareDistRefusal:
+    """``compare-dist`` builds its operator from the whole-space table before
+    it reads a context, as ``operators`` does, so a pair whose transition
+    matrix is not doubly stochastic is refused with the same line."""
+
+    @pytest.mark.parametrize("name", ["x12", "non_double_stochastic_witness"])
+    def test_refused_before_any_context_is_read(
+        self, capsys, monkeypatch, tmp_path, name
+    ):
+        path = DATA / f"{name}.json"
+        if name == "x12":
+            space, a, b = first_draw(random_incompatible_model, 12, max_points=12)
+            path = tmp_path / "x12.json"
+            path.write_text(serialize_model(ModelSpec(space, {"a": a, "b": b})))
+        code, out, err = run(capsys, "operators", "--model", str(path))
+        assert (code, out) == (1, "") and err.startswith("error:")
+        tables, amplitudes = [], []
+        init, amplitude = TwoCellTable.__init__, hilbert._amplitude
+        monkeypatch.setattr(
+            TwoCellTable, "__init__", lambda *a, **k: tables.append(1) or init(*a, **k)
+        )
+        monkeypatch.setattr(
+            hilbert, "_amplitude", lambda t: amplitudes.append(t) or amplitude(t)
+        )
+        assert run(capsys, "compare-dist", "--model", str(path)) == (1, "", err)
+        assert (len(tables), amplitudes) == (1, [])  # omega alone
+
+    def test_listed_contexts_without_an_amplitude_are_refused_too(
+        self, capsys, tmp_path
+    ):
+        spec = parse_model((DATA / "hyperbolic_witness.json").read_text())
+        listed = ModelSpec(spec.space, spec.variables, (Event(["p1", "p3"]),))
+        path = tmp_path / "listed.json"
+        path.write_text(serialize_model(listed))
+        refused = run(capsys, "operators", "--model", str(path))
+        assert refused[0] == 1
+        assert run(capsys, "compare-dist", "--model", str(path)) == refused
 
 
 class TestHostileNumbers:

@@ -327,10 +327,10 @@ class TestImageSet:
     @pytest.mark.parametrize("q", QS)
     def test_reference_family_distinct_count(self, q):
         space, a, b = _kq(q)
-        image = image_set(space, a, b)
+        atlas = ContextAtlas(space, a, b)
         # 9 mappable contexts plus 2 cells, with a single three-way collision.
-        assert len(image.entries) == 11
-        assert image.distinct_count == 9
+        assert len(atlas.represented) == 11
+        assert atlas.image_set().distinct_count == 9
 
     def test_equal_marginals_share_states(self):
         rng = random.Random(43)
@@ -371,11 +371,11 @@ class TestGroupStates:
         for make in (random_incompatible_model, random_double_stochastic_model):
             for _ in range(120):
                 space, a, b = make(rng)
-                image = image_set(space, a, b)
-                states = [state for _, state in image.entries]
+                atlas = ContextAtlas(space, a, b)
+                represented, image = atlas.represented, atlas.image_set()
                 expected = tuple(
-                    tuple(image.entries[i][0] for i in group)
-                    for group in _scan_groups(states)
+                    tuple(represented[i].context for i in group)
+                    for group in _scan_groups([e.state for e in represented])
                 )
                 assert image.groups == expected
                 collisions += len(image.collisions)

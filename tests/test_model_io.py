@@ -705,6 +705,29 @@ def test_csv_analysis_makes_one_analysis_per_distinct_table(capsys, monkeypatch)
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_the_writer_evaluates_no_coefficient(capsys, monkeypatch, fmt):
+    # Every coefficient value and phase of an analysis is read while the
+    # bundle is built, so that one beyond the float range raises before the
+    # first byte; the writer, shared rows included, only formats.
+    built, written, writing = [], [], []
+    signed_root, report_writer = interference._signed_root, model_io.report_writer
+
+    def writer(*args):
+        writing.append(True)
+        return report_writer(*args)
+
+    def evaluated(*args):
+        (written if writing else built).append(args)
+        return signed_root(*args)
+
+    monkeypatch.setattr(model_io, "report_writer", writer)
+    monkeypatch.setattr(interference, "_signed_root", evaluated)
+    assert cli.main(["analyze", "--format", fmt, "--model", SHARED]) == 0
+    capsys.readouterr()
+    assert built and written == []
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_only_a_json_analysis_builds_the_checks(capsys, monkeypatch, fmt):
     # The reconstruction check reads each table's two reconstructions; the
     # CSV layout prints no checks, so it reads none.

@@ -232,7 +232,7 @@ class TestRecords:
         assert table.coefficient(1) is table.coefficient(1)
         # R_0 R_1 r_0 r_1 W_01 W_11 under the radical.
         assert table.coefficient(1) == interference.LambdaCoefficient.of(
-            table._share(1), 2 * 7 * 2 * 2 * 2 * 4
+            table._radicals[1][0], 2 * 7 * 2 * 2 * 2 * 4
         )
 
     def test_kept_coefficient_values_are_no_fields(self):
